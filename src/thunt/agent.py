@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .codec import AdviceError, decode
 from .geom import (ARC_TOL, EPS, OUTER_RING, GeometryError, Point, Polygon,
-                   Terrain, dist, distance_to_boundary, first_hit, lerp,
+                   Terrain, dist, first_hit, lerp,
                    line_ring_intersections, march, point_in_terrain, sees)
 from .oracle import TileIndex, Tiling
 
@@ -55,22 +55,6 @@ class Trajectory:
     def end(self) -> Optional[Point]:
         return self.pieces[-1].points[-1] if self.pieces else None
 
-    def point_at(self, arc: float) -> Point:
-        if arc <= 0 or not self.pieces:
-            return self.pieces[0].points[0] if self.pieces else Point(math.nan, math.nan)
-        s = arc
-        for piece in self.pieces:
-            if s <= piece.length + 1e-12:
-                pts = piece.points
-                for i in range(len(pts) - 1):
-                    seg = dist(pts[i], pts[i + 1])
-                    if s <= seg + 1e-12:
-                        return lerp(pts[i], pts[i + 1], 0.0 if seg == 0 else min(1.0, s / seg))
-                    s -= seg
-                return pts[-1]
-            s -= piece.length
-        return self.pieces[-1].points[-1]
-
 
 class CowPathStats(NamedTuple):
     ring: int
@@ -81,7 +65,6 @@ class CowPathStats(NamedTuple):
 @dataclass
 class HuntOutcome:
     trajectory: Trajectory
-    reached_qprime: bool
     first_sight_length: Optional[float]
     total_length: float
     q_prime: Point
@@ -202,7 +185,7 @@ def _all_convex(t: Terrain) -> bool:
 
 
 def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
-          strict: bool = True, sight_step: Optional[float] = None) -> HuntOutcome:
+          strict: bool = True) -> HuntOutcome:
     """Execute the hunt from p using only the advice string.
 
     With `strict` the terrain must be regular (convex outer polygon and
@@ -246,57 +229,55 @@ def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
 
     first_sight = None
     if treasure is not None:
-        step = sight_step
-        if step is None:
-            lam = min(1.0, distance_to_boundary(treasure, t))
-            step = max(lam, EPS) / 8.0
-        first_sight = _first_sight_length(traj, p, treasure, t, step)
-    return HuntOutcome(traj, True, first_sight, traj.total_length, q_prime, stats)
+        first_sight = _first_sight_length(traj, p, treasure, t)
+    return HuntOutcome(traj, first_sight, traj.total_length, q_prime, stats)
 
 
-def _first_sight_length(traj: Trajectory, start: Point, q: Point, t: Terrain,
-                        step: float) -> Optional[float]:
-    """Arc length at which the treasure first becomes visible.
+def _first_sight_length(traj: Trajectory, start: Point, q: Point,
+                        t: Terrain) -> Optional[float]:
+    """Arc length at which the treasure first becomes visible, exactly.
 
-    Samples the trajectory at every piece vertex plus a fixed arc step and
-    bisects inside the first visible bracket to 1e-6.
+    Along a trajectory segment, whether x sees q can change only where
+    |xq| crosses the sight radius or where the line through x and q
+    passes a boundary vertex within that radius of q.  The visible set is
+    closed, so the first sight on a segment is the first of these events
+    that is visible itself or whose following interval is visible at its
+    midpoint.
     """
+    radius = 1.0 + EPS
+
     def visible(pt: Point) -> bool:
-        if dist(pt, q) > 1.0 + EPS:
-            return False
-        return sees(pt, q, t)
+        return dist(pt, q) <= radius and sees(pt, q, t)
 
     if visible(start):
         return 0.0
-    prev_arc = 0.0
-    base = 0.0
+    near = [u for u, _ in t.boundary_edges if dist(u, q) <= radius]
+    arc = 0.0
     for piece in traj.pieces:
-        pts = piece.points
-        local = 0.0
-        for i in range(len(pts) - 1):
-            seg = dist(pts[i], pts[i + 1])
-            k = 1
-            while True:
-                s = min(k * step, seg)
-                pt = lerp(pts[i], pts[i + 1], s / seg) if seg > 0 else pts[i]
-                arc = base + local + s
-                if visible(pt):
-                    return _bisect_sight(traj, prev_arc, arc, q, t)
-                prev_arc = arc
-                if s >= seg:
-                    break
-                k += 1
-            local += seg
-        base += piece.length
+        for a, b in zip(piece.points, piece.points[1:]):
+            seg = dist(a, b)
+            dx, dy = b.x - a.x, b.y - a.y
+            ax, ay = a.x - q.x, a.y - q.y
+            # the part of ab inside the sight disc: |a - q + s (b - a)| <= radius
+            A = dx * dx + dy * dy
+            B = ax * dx + ay * dy
+            disc = B * B - A * (ax * ax + ay * ay - radius * radius)
+            if A > 0.0 and disc >= 0.0:
+                root = math.sqrt(disc)
+                lo, hi = max(0.0, (-B - root) / A), min(1.0, (-B + root) / A)
+                events = [lo, hi] if lo <= hi else []
+                for v in near:
+                    vx, vy = v.x - q.x, v.y - q.y
+                    den = vx * dy - vy * dx
+                    if den != 0.0:  # x never crosses a line qv parallel to ab
+                        s = (vy * ax - vx * ay) / den
+                        if lo < s < hi:
+                            events.append(s)
+                events.sort()
+                for i, s in enumerate(events):
+                    if visible(lerp(a, b, s)) or (
+                            i + 1 < len(events)
+                            and visible(lerp(a, b, 0.5 * (s + events[i + 1])))):
+                        return arc + s * seg
+            arc += seg
     return None
-
-
-def _bisect_sight(traj: Trajectory, lo: float, hi: float, q: Point, t: Terrain) -> float:
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        pt = traj.point_at(mid)
-        if dist(pt, q) <= 1.0 + EPS and sees(pt, q, t):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -13,7 +13,7 @@ from . import codec, oracle
 from .agent import thunt
 from .generators import (CombParams, GenerationError, comb_terrain,
                          random_regular_terrain, regular_lb_terrain)
-from .geom import GeometryError
+from .geom import EPS, GeometryError, dist
 from .harness import (Scenario, ScenarioError, bench, load_scenario,
                       reports_to_csv, run_scenario, save_scenario)
 from .render import render_svg
@@ -65,9 +65,10 @@ def _cmd_hunt(args) -> int:
     sc = load_scenario(args.scenario)
     advice = _read_advice(args)
     outcome = thunt(sc.terrain, sc.start, advice, treasure=sc.treasure,
-                    strict=sc.strict, sight_step=sc.sight_step)
+                    strict=sc.strict)
     print(f"advice_bits={len(advice)}")
-    print(f"reached_qprime={outcome.reached_qprime}")
+    end = outcome.trajectory.end or sc.start
+    print(f"reached_qprime={dist(end, outcome.q_prime) <= EPS}")
     print(f"total_length={outcome.total_length!r}")
     print(f"first_sight_length={outcome.first_sight_length!r}")
     if args.svg:
@@ -94,7 +95,7 @@ def _cmd_run(args) -> int:
             fh.write(reports_to_csv([report]))
     if args.svg:
         outcome = thunt(sc.terrain, sc.start, report.advice, treasure=sc.treasure,
-                        strict=sc.strict, sight_step=sc.sight_step)
+                        strict=sc.strict)
         doc = render_svg(sc, outcome.trajectory, q_prime=outcome.q_prime, lam=report.lam)
         with open(args.svg, "w") as fh:
             fh.write(doc)
@@ -121,7 +122,7 @@ def _cmd_render(args) -> int:
             tiling_side = 1.0 / a1
         if args.trajectory:
             outcome = thunt(sc.terrain, sc.start, advice, treasure=sc.treasure,
-                            strict=sc.strict, sight_step=sc.sight_step)
+                            strict=sc.strict)
             trajectory = outcome.trajectory
             q_prime = outcome.q_prime
     doc = render_svg(sc, trajectory, q_prime=q_prime, lam=lam, tiling_side=tiling_side)

@@ -45,10 +45,6 @@ def encode(a1: int, a2: int, a3: int) -> str:
             + _expand(abs(a3)))
 
 
-def encode_triple(t: AdviceTriple) -> str:
-    return encode(t.a1, t.a2, t.a3)
-
-
 def _contract(payload: str, which: int) -> int:
     if not payload:
         raise AdviceError(f"payload {which} is empty")

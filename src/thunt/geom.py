@@ -608,30 +608,6 @@ def line_ring_intersections(a: Point, b: Point, ring: Polygon) -> list[tuple[Poi
     return [(p, c) for _, p, c in events]
 
 
-@dataclass(frozen=True)
-class BoundaryCursor:
-    """Position on a ring: arc offset from vertex 0 plus a traversal sense.
-
-    direction +1 follows the stored (counterclockwise) vertex order, -1 the
-    reverse.
-    """
-    ring: Polygon
-    arc: float
-    direction: int
-
-    @property
-    def position(self) -> tuple[int, float]:
-        i = bisect.bisect_right(self.ring.cum_arc, self.arc % self.ring.perimeter) - 1
-        i = min(i, self.ring.n - 1)
-        seg = self.ring.cum_arc[i + 1] - self.ring.cum_arc[i]
-        t = 0.0 if seg <= EPS else (self.arc % self.ring.perimeter - self.ring.cum_arc[i]) / seg
-        return i, t
-
-    @property
-    def point(self) -> Point:
-        return self.ring.point_at_arc(self.arc)
-
-
 def march(ring: Polygon, start_arc: float, length: float, direction: int) -> list[Point]:
     """Polyline along the ring boundary from an arc position.
 
@@ -669,32 +645,6 @@ def march(ring: Polygon, start_arc: float, length: float, direction: int) -> lis
                 i = (i - 1) % n
                 arc = cum[i + 1]
     return pts
-
-
-def walk_boundary(cursor: BoundaryCursor, distance: float,
-                  stop: Optional[Point] = None) -> tuple[BoundaryCursor, list[Point], bool]:
-    """Advance along the ring, optionally halting when the walk covers `stop`.
-
-    Returns the new cursor, the walked polyline, and whether `stop` was
-    reached.  The polyline's arc length equals min(distance, arc to stop).
-    A stop coinciding with the start position is reached immediately.
-    """
-    if distance < 0:
-        raise GeometryError("walk distance must be nonnegative")
-    ring = cursor.ring
-    P = ring.perimeter
-    walk_len = distance
-    reached = False
-    if stop is not None:
-        stop_arc = ring.arc_of_point(stop)  # raises if not on ring
-        d_stop = (stop_arc - cursor.arc) * cursor.direction % P
-        if d_stop <= distance + ARC_TOL:
-            walk_len = min(distance, d_stop)
-            reached = True
-    pts = march(ring, cursor.arc, walk_len, cursor.direction)
-    new_cursor = BoundaryCursor(ring, (cursor.arc + cursor.direction * walk_len) % P,
-                                cursor.direction)
-    return new_cursor, pts, reached
 
 
 def perimeter_split(ring: Polygon, a: Point, b: Point) -> tuple[float, float]:
@@ -742,11 +692,7 @@ def _trivial_circle(boundary: list[Point]) -> Optional[tuple[Point, float]]:
         return boundary[0], 0.0
     if len(boundary) == 2:
         return _circle_from2(*boundary)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c = _circle_from2(boundary[i], boundary[j])
-            if all(_in_circle(c, q) for q in boundary):
-                return c
+    # Welzl's recursion puts all three points on the circle
     return _circle_from3(*boundary)
 
 

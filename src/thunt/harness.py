@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import oracle
 from .agent import CowPathStats, MoveKind, thunt
 from .geom import (EPS, GeometryError, Point, Polygon, Terrain, TerrainError,
-                   distance_to_boundary, point_in_terrain, sees,
+                   dist, distance_to_boundary, point_in_terrain, sees,
                    segment_in_terrain, validate_regular_terrain)
 from .generators import random_regular_terrain
 
@@ -26,6 +26,7 @@ CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_rat
 ADVICE_BITS_BUDGET_BASE = 10
 ADVICE_BITS_BUDGET_SLOPE = 6
 COWPATH_SLACK = 1e-9
+PIECE_JOIN_TOL = 1e-6
 
 
 class ScenarioError(ValueError):
@@ -39,7 +40,6 @@ class Scenario:
     treasure: Point
     fatness_c: float = 2.0
     strict: bool = True
-    sight_step: Optional[float] = None
 
     def __post_init__(self):
         if not point_in_terrain(self.start, self.terrain):
@@ -99,10 +99,14 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     spec = oracle.accessibility(t, q)
     advice = oracle.make_advice(t, p, q)
     L, _ = oracle.shortest_path(t, p, q)
-    outcome = thunt(t, p, advice, treasure=q, strict=scenario.strict,
-                    sight_step=scenario.sight_step)
+    outcome = thunt(t, p, advice, treasure=q, strict=scenario.strict)
 
-    if not outcome.reached_qprime:
+    # arrival is checked on the trajectory itself: a path from p to q'
+    pieces = outcome.trajectory.pieces
+    ends = [p] + [piece.points[-1] for piece in pieces]
+    if any(dist(end, piece.points[0]) > PIECE_JOIN_TOL for end, piece in zip(ends, pieces)):
+        failures.append("trajectory is not continuous from the start point")
+    if dist(ends[-1], outcome.q_prime) > EPS:
         failures.append("agent did not reach the target tile center")
     try:
         if not sees(outcome.q_prime, q, t):
@@ -211,7 +215,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "version": 1,
         "fatness_c": sc.fatness_c,
         "strict": sc.strict,
-        "sight_step": sc.sight_step,
         "start": [float(sc.start.x), float(sc.start.y)],
         "treasure": [float(sc.treasure.x), float(sc.treasure.y)],
         "outer": [[v.x, v.y] for v in sc.terrain.outer.vertices],
@@ -259,11 +262,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     strict = data.get("strict", True)
     if not isinstance(strict, bool):
         raise ScenarioError("field 'strict' must be a boolean")
-    step = data.get("sight_step")
-    if step is not None and (not isinstance(step, (int, float)) or step <= 0):
-        raise ScenarioError("field 'sight_step' must be a positive number or null")
-    return Scenario(terrain, start, treasure, float(fatness), strict,
-                    None if step is None else float(step))
+    return Scenario(terrain, start, treasure, float(fatness), strict)
 
 
 def save_scenario(sc: Scenario, path: str) -> None:

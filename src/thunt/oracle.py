@@ -67,14 +67,6 @@ class Tiling:
         return Point(self.anchor.x + (kx + 0.5) * self.side,
                      self.anchor.y + (ky + 0.5) * self.side)
 
-    def tile_corners(self, idx: TileIndex) -> list[Point]:
-        kx = self.cell_of(idx.col)
-        ky = self.cell_of(idx.row)
-        x0 = self.anchor.x + kx * self.side
-        y0 = self.anchor.y + ky * self.side
-        s = self.side
-        return [Point(x0, y0), Point(x0 + s, y0), Point(x0 + s, y0 + s), Point(x0, y0 + s)]
-
 
 def accessibility(t: Terrain, q: Point) -> TreasureSpec:
     """Largest boundary clearance rho and visibility radius lam = min(1, rho)."""

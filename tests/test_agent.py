@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
-from thunt import (AdviceError, GeometryError, Point, Polygon, Terrain,
+from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Terrain,
                    choose_directions, cow_path, encode, make_advice, sees,
                    segment_in_terrain, thunt)
 from thunt.agent import MoveKind, Trajectory
@@ -17,6 +17,15 @@ UNIT = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 def cowpath_bound(dmin):
     return max(9.0 * dmin, dmin + 2.0)
+
+
+def assert_arrives(out, p):
+    """The trajectory is a continuous path from p that ends at q'."""
+    end = p
+    for piece in out.trajectory.pieces:
+        assert math.dist(end, piece.points[0]) <= 1e-6
+        end = piece.points[-1]
+    assert math.dist(end, out.q_prime) <= EPS
 
 
 # --- direction rule -----------------------------------------------------------
@@ -105,7 +114,7 @@ def test_cow_path_respects_doubling_bound(seed):
 def test_hunt_straight_line():
     t = empty_square_terrain(10, -5)
     out = thunt(t, Point(0, 0), encode(2, 2, 1), treasure=Point(0.75, 0.75))
-    assert out.reached_qprime
+    assert_arrives(out, Point(0, 0))
     assert math.dist(out.q_prime, (0.75, 0.25)) < 1e-12
     assert abs(out.total_length - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
     assert len(out.trajectory.pieces) == 1
@@ -117,7 +126,7 @@ def test_hunt_around_one_obstacle():
     p, q = Point(0, 0.7), Point(6, 0.75)
     advice = make_advice(t, p, q)
     out = thunt(t, p, advice, treasure=q)
-    assert out.reached_qprime
+    assert_arrives(out, p)
     assert math.dist(out.trajectory.pieces[-1].points[-1], out.q_prime) < 1e-9
     assert sees(out.q_prime, q, t)
     kinds = {piece.kind for piece in out.trajectory.pieces}
@@ -193,7 +202,7 @@ def test_hunt_through_diamond_obstacle():
     q = Point(8, 0.25)
     advice = make_advice(t, p, q)
     out = thunt(t, p, advice, treasure=q)
-    assert out.reached_qprime
+    assert_arrives(out, p)
     assert len(out.cowpath) == 1
     assert sees(out.q_prime, q, t)
 
@@ -206,16 +215,28 @@ def test_hunt_rides_along_obstacle_edge():
     q = Point(8, 0.25)
     advice = make_advice(t, p, q)
     out = thunt(t, p, advice, treasure=q)
-    assert out.reached_qprime
+    assert_arrives(out, p)
     assert out.cowpath == []
     assert len(out.trajectory.pieces) == 1
     assert abs(out.total_length - math.dist(p, out.q_prime)) < 1e-9
 
 
-def test_trajectory_point_at():
-    traj = Trajectory()
-    traj.append([Point(0, 0), Point(1, 0)], MoveKind.FREE_MOVE)
-    traj.append([Point(1, 0), Point(1, 2)], MoveKind.PERIMETER_WALK)
-    assert math.dist(traj.point_at(0.5), (0.5, 0)) < 1e-12
-    assert math.dist(traj.point_at(1.5), (1.0, 0.5)) < 1e-12
-    assert math.dist(traj.point_at(99), (1.0, 2.0)) < 1e-12
+def test_hunt_first_sight_through_narrow_slit():
+    # a wall at y in [0.3, 0.4] with a 0.004 slit at x = 0: the walk along
+    # y ~ 0.9 sees q = (0, 0) only through a window about 0.009 wide,
+    # starting where the line from q through the slit corner (-0.002, 0.4)
+    # meets the trajectory
+    wall = [Polygon([(-4, 0.3), (-0.002, 0.3), (-0.002, 0.4), (-4, 0.4)]),
+            Polygon([(0.002, 0.3), (4, 0.3), (4, 0.4), (0.002, 0.4)])]
+    t = Terrain(square(-5, -5, 10), wall)
+    p, q = Point(-0.8, 0.9), Point(0.0, 0.0)
+    out = thunt(t, p, encode(100, 160, 1), treasure=q)
+    assert_arrives(out, p)
+    assert len(out.trajectory.pieces) == 1
+    e = out.q_prime
+    # p + u (e - p) on the line y = -200 x through q and the slit corner
+    u = -(p.y + 200 * p.x) / ((e.y - p.y) + 200 * (e.x - p.x))
+    expected = u * math.dist(p, e)
+    assert abs(expected - 0.79549) < 1e-4
+    assert out.first_sight_length is not None
+    assert abs(out.first_sight_length - expected) < 1e-9

@@ -2,18 +2,19 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, empty_square_terrain,
                       random_convex_polygon, square)
-from thunt import (BoundaryCursor, GeometryError, Location, Point, Polygon,
+from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, line_ring_intersections,
                    perimeter_split, point_in_polygon, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
-                   validate_regular_terrain, walk_boundary)
+                   validate_regular_terrain)
 from thunt.generators import CombParams, comb_terrain, random_fat_polygon
+from thunt.geom import march
 
 
 UNIT = square(0, 0, 1)
@@ -221,41 +222,25 @@ def test_line_crossing_at_vertex():
 
 # --- boundary walks ------------------------------------------------------------
 
+def polyline_length(pts):
+    return sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+
+
 def test_walk_full_perimeter_returns_to_start():
-    cur = BoundaryCursor(UNIT, 0.5, 1)
-    new, pts, reached = walk_boundary(cur, UNIT.perimeter)
-    assert not reached
-    assert abs(new.arc - cur.arc) < 1e-9
-    length = sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-    assert abs(length - 4.0) < 1e-9
+    pts = march(UNIT, 0.5, UNIT.perimeter, 1)
+    assert math.dist(pts[0], pts[-1]) < 1e-9
+    assert abs(polyline_length(pts) - 4.0) < 1e-9
 
 
 def test_walk_distance_from_corner():
-    cur = BoundaryCursor(UNIT, 0.0, 1)
-    new, pts, _ = walk_boundary(cur, 1.0)
+    pts = march(UNIT, 0.0, 1.0, 1)
     assert math.dist(pts[-1], (1.0, 0.0)) < 1e-9
 
 
-def test_walk_early_stop():
-    cur = BoundaryCursor(UNIT, 0.0, 1)
-    stop = Point(0.3, 0.0)
-    new, pts, reached = walk_boundary(cur, 5.0, stop=stop)
-    assert reached
-    length = sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-    assert abs(length - 0.3) < 1e-9
-
-
 def test_walk_backward():
-    cur = BoundaryCursor(UNIT, 0.0, -1)
-    new, pts, _ = walk_boundary(cur, 1.5)
+    pts = march(UNIT, 0.0, 1.5, -1)
     # backward from (0,0): up the left side to (0,1), then half the top edge
     assert math.dist(pts[-1], (0.5, 1.0)) < 1e-9
-
-
-def test_walk_stop_not_on_ring():
-    cur = BoundaryCursor(UNIT, 0.0, 1)
-    with pytest.raises(GeometryError):
-        walk_boundary(cur, 1.0, stop=Point(5, 5))
 
 
 @given(st.integers(0, 10 ** 6), st.floats(0, 1), st.sampled_from([1, -1]),
@@ -263,15 +248,13 @@ def test_walk_stop_not_on_ring():
 def test_walk_length_and_closure(seed, start_frac, direction, length_frac):
     poly = random_convex_polygon(random.Random(seed))
     start = start_frac * poly.perimeter
-    cur = BoundaryCursor(poly, start, direction)
     # arbitrary walk has exactly the requested arc length
     want = length_frac * poly.perimeter
-    new, pts, _ = walk_boundary(cur, want)
-    got = sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    got = polyline_length(march(poly, start, want, direction))
     assert abs(got - want) < 1e-9 * max(1.0, want)
     # a full lap returns to the starting point
-    closed, pts2, _ = walk_boundary(cur, poly.perimeter)
-    assert math.dist(pts2[0], pts2[-1]) < 1e-9
+    pts = march(poly, start, poly.perimeter, direction)
+    assert math.dist(pts[0], pts[-1]) < 1e-9
 
 
 # --- perimeter split -----------------------------------------------------------
@@ -347,6 +330,8 @@ def test_enclosing_circle_near_collinear_quad():
 
 
 @given(st.integers(0, 10 ** 6))
+@example(1793)
+@example(2321)
 def test_enclosing_circle_matches_brute_force(seed):
     poly = random_convex_polygon(random.Random(seed))
     _, R = smallest_enclosing_circle(poly)

@@ -1,11 +1,19 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import square
 from thunt import (Point, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
+import thunt
+from thunt import harness
+from thunt.agent import Trajectory
 from thunt.cli import main as cli_main
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
                            scenario_from_dict, scenario_to_dict)
@@ -104,6 +112,23 @@ def test_run_scenario_rejects_irregular_in_strict_mode():
         run_scenario(Scenario(t, Point(1, 1), Point(18, 18), fatness_c=2.0))
 
 
+def test_run_scenario_checks_arrival_on_the_trajectory(monkeypatch):
+    # an agent that stops one piece short of q' is caught by the verifier,
+    # whatever the agent reports about itself
+    hunt = harness.thunt
+
+    def stops_short(*args, **kwargs):
+        out = hunt(*args, **kwargs)
+        short = Trajectory()
+        for piece in out.trajectory.pieces[:-1]:
+            short.append(list(piece.points), piece.kind)
+        return dataclasses.replace(out, trajectory=short)
+
+    monkeypatch.setattr(harness, "thunt", stops_short)
+    report = run_scenario(simple_scenario())
+    assert "agent did not reach the target tile center" in report.failures
+
+
 def Polygon_rect():
     from thunt import Polygon
     return Polygon([(5, 5), (15, 5), (15, 6), (5, 6)])  # 10x1: not 2-fat
@@ -177,6 +202,21 @@ def test_cli_generate_run_roundtrip(tmp_path):
                      "--seed", "5"]) == 0
     assert svg.read_text().startswith("<svg")
     assert csv.read_text().startswith("seed,lambda")
+
+
+def test_cli_run_ignores_sight_step_in_old_files(tmp_path):
+    # older scenario files carry a first-sight sampling step; a tiny one
+    # must neither be rejected nor stall the run
+    data = scenario_to_dict(simple_scenario())
+    data["sight_step"] = 1e-300
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(data))
+    load_scenario(str(scen))
+    src = str(Path(thunt.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "thunt.cli", "run", str(scen)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_cli_generate_comb_roundtrips(tmp_path):
