@@ -12,7 +12,7 @@ from .generators import (CombParams, GadgetParams, GenerationError, comb_terrain
                          gadget, gadget_hull, random_fat_polygon,
                          random_regular_terrain, regular_lb_terrain)
 from .geom import (EPS, OUTER_RING, GeometryError, HitEvent,
-                   Location, Point, Polygon, RegularityReport, Terrain,
+                   Location, Point, Polygon, Terrain,
                    TerrainError, convex_hull, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, line_ring_intersections,
                    perimeter_split, point_in_polygon, point_in_terrain, sees,

@@ -14,8 +14,9 @@ from .agent import thunt
 from .generators import (CombParams, GenerationError, comb_terrain,
                          random_regular_terrain, regular_lb_terrain)
 from .geom import EPS, GeometryError, dist
-from .harness import (Scenario, ScenarioError, bench, load_scenario,
-                      reports_to_csv, run_scenario, save_scenario)
+from .harness import (Scenario, ScenarioError, advice_bits_budget, bench,
+                      cowpath_bound, load_scenario, reports_to_csv, run_scenario,
+                      save_scenario)
 from .render import render_svg
 
 
@@ -86,7 +87,7 @@ def _cmd_run(args) -> int:
     print(f"advice_bits={report.advice_bits}")
     print(f"lambda={report.lam!r} rho={report.rho!r}")
     print(f"L={report.L!r}")
-    print(f"total_length={report.total_length!r}")
+    print(f"total_length={report.outcome.total_length!r}")
     print(f"first_sight_length={report.first_sight_length!r}")
     print(f"ratio={report.ratio!r}")
     print(f"max_cowpath_ratio={report.max_cowpath_ratio!r}")
@@ -94,9 +95,8 @@ def _cmd_run(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(reports_to_csv([report]))
     if args.svg:
-        outcome = thunt(sc.terrain, sc.start, report.advice, treasure=sc.treasure,
-                        strict=sc.strict)
-        doc = render_svg(sc, outcome.trajectory, q_prime=outcome.q_prime, lam=report.lam)
+        doc = render_svg(sc, report.outcome.trajectory, q_prime=report.outcome.q_prime,
+                         lam=report.lam)
         with open(args.svg, "w") as fh:
             fh.write(doc)
     if report.passed:
@@ -147,6 +147,21 @@ def _cmd_bench(args) -> int:
     worst = max((r.ratio for r in reports), default=0.0)
     print(f"scenarios={len(reports)} failed={len(failed)} max_ratio={worst!r}",
           file=sys.stderr)
+    if reports:
+        # the observed constants; the cost ratio is first_sight / max(L, 1)
+        lams, Ls = [r.lam for r in reports], [r.L for r in reports]
+        margins = [advice_bits_budget(r.L, r.lam) - r.advice_bits for r in reports]
+        ratios = [r.first_sight_length / max(r.L, 1.0) for r in reports]
+        cp = [st.walked / cowpath_bound(st.dmin) for r in reports for st in r.outcome.cowpath]
+        print(f"lambda range   : [{min(lams):.3f}, {max(lams):.3f}]\n"
+              f"L range        : [{min(Ls):.3f}, {max(Ls):.3f}]\n"
+              f"advice bits    : max {max(r.advice_bits for r in reports)}, "
+              f"min budget margin {min(margins)}\n"
+              f"cost ratio     : mean {sum(ratios) / len(ratios):.3f}, max {max(ratios):.3f}",
+              file=sys.stderr)
+        if cp:
+            print(f"cow-path util  : max {max(cp):.6f} of the doubling bound "
+                  f"({len(cp)} searches)", file=sys.stderr)
     return 1 if failed else 0
 
 

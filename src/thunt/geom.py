@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -778,48 +777,17 @@ def is_c_fat(poly: Polygon, c: float) -> bool:
     return R <= c * r + EPS
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    ok: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_regular_terrain(t: Terrain, c: float) -> RegularityReport:
-    """Convex outer polygon with convex c-fat obstacles."""
+def validate_regular_terrain(t: Terrain, c: float) -> None:
+    """Check for a convex outer polygon with convex c-fat obstacles; raises
+    TerrainError with the reason when the terrain is not regular."""
     if c <= 1:
         raise GeometryError("fatness parameter must exceed 1")
     if not t.outer.is_convex:
-        return RegularityReport(False, "outer polygon is not convex")
+        raise TerrainError("outer polygon is not convex")
     for i, obs in enumerate(t.obstacles):
         if not obs.is_convex:
-            return RegularityReport(False, f"obstacle {i} is not convex")
+            raise TerrainError(f"obstacle {i} is not convex")
         if not is_c_fat(obs, c):
             _, R = smallest_enclosing_circle(obs)
             _, r = largest_inscribed_circle(obs)
-            return RegularityReport(
-                False, f"obstacle {i} is not {c}-fat (R/r = {R / r:.3f})")
-    return RegularityReport(True)
-
-
-def direction_probe(poly: Polygon, vertex_index: int, d: Point) -> str:
-    """Classify direction d leaving vertex `vertex_index`: 'interior',
-    'exterior', or 'boundary' (collinear with an incident edge)."""
-    vs = poly.vertices
-    u = vs[vertex_index]
-    a = vs[vertex_index - 1]
-    b = vs[(vertex_index + 1) % poly.n]
-    ein = Point(u.x - a.x, u.y - a.y)
-    eout = Point(b.x - u.x, b.y - u.y)
-    ld = math.hypot(d.x, d.y)
-    ca = eout.x * d.y - eout.y * d.x
-    cb = ein.x * d.y - ein.y * d.x
-    ma = EPS * math.hypot(eout.x, eout.y) * ld
-    mb = EPS * math.hypot(ein.x, ein.y) * ld
-    if abs(ca) <= ma or abs(cb) <= mb:
-        return "boundary"
-    convex = ein.x * eout.y - ein.y * eout.x > 0
-    inside = (ca > 0 and cb > 0) if convex else (ca > 0 or cb > 0)
-    return "interior" if inside else "exterior"
+            raise TerrainError(f"obstacle {i} is not {c}-fat (R/r = {R / r:.3f})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import oracle
-from .agent import CowPathStats, MoveKind, thunt
+from .agent import HuntOutcome, MoveKind, thunt
 from .geom import (EPS, GeometryError, Point, Polygon, Terrain, TerrainError,
                    dist, distance_to_boundary, point_in_terrain, sees,
                    segment_in_terrain, validate_regular_terrain)
@@ -57,12 +57,10 @@ class RunReport:
     lam: float
     rho: float
     L: float
-    total_length: float
+    outcome: HuntOutcome
     first_sight_length: float
     ratio: float
-    cowpath: list[CowPathStats] = field(default_factory=list)
     max_cowpath_ratio: float = 0.0
-    q_prime: Optional[Point] = None
     failures: list[str] = field(default_factory=list)
     seed: Optional[int] = None
 
@@ -92,9 +90,10 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     failures: list[str] = []
 
     if scenario.strict:
-        reg = validate_regular_terrain(t, scenario.fatness_c)
-        if not reg:
-            raise ScenarioError(f"terrain is not regular: {reg.reason}")
+        try:
+            validate_regular_terrain(t, scenario.fatness_c)
+        except TerrainError as exc:
+            raise ScenarioError(f"terrain is not regular: {exc}") from exc
 
     spec = oracle.accessibility(t, q)
     advice = oracle.make_advice(t, p, q)
@@ -152,12 +151,10 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
         lam=spec.lam,
         rho=spec.rho,
         L=L,
-        total_length=outcome.total_length,
+        outcome=outcome,
         first_sight_length=first_sight,
         ratio=ratio,
-        cowpath=list(outcome.cowpath),
         max_cowpath_ratio=max_cp,
-        q_prime=outcome.q_prime,
         failures=failures,
         seed=seed,
     )

@@ -1,10 +1,22 @@
 """Full-knowledge side: treasure accessibility, target-tile selection,
 advice construction, and ground-truth shortest paths.
 
-The shortest path runs over the visibility graph of the terrain (start,
-treasure, and all polygon vertices; edges admitted iff the connecting
-segment stays inside the terrain).  An independent lattice oracle with
-8-neighbor connectivity cross-checks it from above.
+The shortest path runs over the visibility graph of the terrain
+(Lozano-Perez & Wesley 1979): nodes are the start, the treasure and every
+ring vertex; a pair is an edge iff its segment stays inside the terrain.
+One rule admits the pairs, the first case that applies deciding:
+
+* ends that share a boundary edge: admitted (the pair is that edge);
+* marked blocked by `vecgeom.pairwise_edge_classification`: rejected;
+* marked ambiguous by it: the exact `segment_in_terrain` decides;
+* leaving a vertex end into an obstacle or out of the outer polygon, by
+  the vertex's free-space wedge (free space on the left: the outer ring
+  as stored, obstacle rings reversed): rejected;
+* running along an edge at one of its ends: the exact test decides;
+* otherwise the segment meets the boundary only at its ends: admitted.
+
+An independent lattice oracle with 8-neighbor connectivity cross-checks
+the shortest path from above.
 """
 from __future__ import annotations
 
@@ -19,7 +31,7 @@ from scipy.sparse.csgraph import dijkstra
 from . import vecgeom
 from .codec import encode
 from .geom import (EPS, OUTER_RING, GeometryError, Point, Terrain, dist,
-                   distance_to_boundary, direction_probe, point_in_terrain,
+                   distance_to_boundary, point_in_terrain,
                    segment_in_terrain)
 
 
@@ -132,106 +144,46 @@ def make_advice(t: Terrain, p: Point, q: Point) -> str:
     return encode(a1, idx.col, idx.row)
 
 
-def _visibility_nodes(t: Terrain, extra: list[Point]):
-    nodes: list[Point] = list(extra)
-    meta: list[Optional[tuple[int, int]]] = [None] * len(extra)  # (ring id, vertex idx)
-    for rid, ring in t.rings():
-        for vi in range(ring.n):
-            nodes.append(ring.vertices[vi])
-            meta.append((rid, vi))
-    return nodes, meta
-
-
-def _incident_edge_ids(t: Terrain, meta) -> np.ndarray:
-    """Global boundary-edge ids incident to each node (-1 = none)."""
-    ring_offsets = {}
-    off = 0
-    for rid, ring in t.rings():
-        ring_offsets[rid] = off
-        off += ring.n
-    inc = np.full((len(meta), 2), -1, dtype=int)
-    for i, m in enumerate(meta):
-        if m is None:
-            continue
-        rid, vi = m
-        ring = t.ring(rid)
-        base = ring_offsets[rid]
-        inc[i, 0] = base + (vi - 1) % ring.n
-        inc[i, 1] = base + vi
-    return inc
-
-
 def _visibility_graph(t: Terrain, p: Point, q: Point):
-    nodes, meta = _visibility_nodes(t, [p, q])
-    V = len(nodes)
-    P = np.array(nodes, dtype=float)
-    iu, ju = np.triu_indices(V, k=1)
-    K = len(iu)
-    M = len(t.boundary_edges)
-
-    inc_ids = _incident_edge_ids(t, meta)
-    incident = np.zeros((K, M), dtype=bool)
-    rows = np.arange(K)
-    for side in (iu, ju):
-        for c in range(2):
-            ids = inc_ids[side, c]
-            ok = ids >= 0
-            incident[rows[ok], ids[ok]] = True
-
-    blocked, ambiguous = vecgeom.pairwise_edge_classification(P, iu, ju, t, incident)
-
-    ring_offsets = {}
-    off = 0
+    """Nodes (p, q, then every ring vertex) and the admitted pairs of node
+    indices with their lengths, admitted by the rule in the module docstring."""
+    nodes = [p, q]
+    edge_ids = [(-1, -1), (-1, -1)]
+    wedges = [(0.0, 0.0, 0.0, 0.0)] * 2
+    base = 0
     for rid, ring in t.rings():
-        ring_offsets[rid] = off
-        off += ring.n
+        vs, n = ring.vertices, ring.n
+        step = 1 if rid == OUTER_RING else -1  # free space on the left
+        for vi in range(n):
+            u, a, b = vs[vi], vs[(vi - step) % n], vs[(vi + step) % n]
+            nodes.append(u)
+            edge_ids.append((base + (vi - 1) % n, base + vi))
+            wedges.append((u.x - a.x, u.y - a.y, b.x - u.x, b.y - u.y))
+        base += n
+    P, E, W = np.array(nodes, dtype=float), np.array(edge_ids), np.array(wedges)
+    I, J = np.triu_indices(len(nodes), k=1)
+    blocked, ambiguous = vecgeom.pairwise_edge_classification(P, I, J, t, E)
 
-    admitted_i: list[int] = []
-    admitted_j: list[int] = []
-    weights: list[float] = []
-    for k in range(K):
-        i, j = int(iu[k]), int(ju[k])
-        a, b = nodes[i], nodes[j]
-        mi, mj = meta[i], meta[j]
-        # a ring's own boundary edge is always navigable
-        if mi is not None and mj is not None and mi[0] == mj[0]:
-            ring = t.ring(mi[0])
-            if (mi[1] - mj[1]) % ring.n in (1, ring.n - 1):
-                admitted_i.append(i)
-                admitted_j.append(j)
-                weights.append(dist(a, b))
-                continue
-        if blocked[k]:
-            continue
-        if ambiguous[k]:
-            ok = segment_in_terrain(a, b, t)
-        else:
-            ok = True
-            for node_meta, src, dst in ((mi, a, b), (mj, b, a)):
-                if node_meta is None:
-                    continue
-                rid, vi = node_meta
-                ring = t.ring(rid)
-                probe = direction_probe(ring, vi, Point(dst.x - src.x, dst.y - src.y))
-                if probe == "boundary":
-                    ok = segment_in_terrain(a, b, t)
-                    break
-                entering_interior = probe == "interior"
-                if rid == OUTER_RING:
-                    if not entering_interior:  # leaves the outer polygon
-                        ok = False
-                        break
-                elif entering_interior:  # dives into an obstacle
-                    ok = False
-                    break
-            else:
-                mid = Point(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
-                ok = point_in_terrain(mid, t)
-        if ok:
-            admitted_i.append(i)
-            admitted_j.append(j)
-            weights.append(dist(a, b))
-    return nodes, admitted_i, admitted_j, weights
+    # wedge test at both ends of every pair, the end at src heading to dst
+    src, dst = np.concatenate((I, J)), np.concatenate((J, I))
+    dx, dy = (P[dst] - P[src]).T
+    ix, iy, ox, oy = W[src].T
+    ld = np.hypot(dx, dy)
+    ca, cb = ox * dy - oy * dx, ix * dy - iy * dx
+    vertex = E[src, 0] >= 0
+    along = vertex & ((np.abs(ca) <= EPS * np.hypot(ox, oy) * ld)
+                      | (np.abs(cb) <= EPS * np.hypot(ix, iy) * ld))
+    convex = ix * oy - iy * ox > 0  # free: left of both wedge sides, or of either if reflex
+    free = np.where(convex, (ca > 0) & (cb > 0), (ca > 0) | (cb > 0))
+    out = (vertex & ~along & ~free).reshape(2, -1).any(axis=0)
+    along = along.reshape(2, -1).any(axis=0)
+
+    edge = ((E[I, 1] == E[J, 0]) | (E[I, 0] == E[J, 1])) & (E[I, 0] >= 0)
+    admit = edge | ~(blocked | out | along | ambiguous)
+    for k in np.flatnonzero(~edge & ~blocked & (ambiguous | (along & ~out))):
+        admit[k] = segment_in_terrain(nodes[I[k]], nodes[J[k]], t)
+    ai, aj = I[admit].tolist(), J[admit].tolist()
+    return nodes, ai, aj, [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]
 
 
 def shortest_path(t: Terrain, p: Point, q: Point) -> tuple[float, list[Point]]:
@@ -273,9 +225,6 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     px = gx.ravel()
     py = gy.ravel()
     mask = vecgeom.terrain_membership(px, py, t)
-
-    def node_id(ix, iy):
-        return ix * ny + iy
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []

@@ -95,8 +95,9 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     Returns (blocked, ambiguous): `blocked` marks pairs with a certain
     transversal crossing of a non-incident edge; `ambiguous` marks pairs
     with non-separable contact that needs the exact scalar predicate.
-    `incident` is a (K, M) bool mask of edges sharing an endpoint with the
-    candidate (those are resolved by the caller's local wedge test).
+    `incident` is a (V, 2) array of the boundary-edge ids at each point of
+    P (-1 for none); the edges at a candidate's own ends are left to the
+    caller's wedge test.
     """
     ea, eb = edge_arrays(t)
     A = P[I]
@@ -122,7 +123,10 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     proper = ((((s0 > md) & (s1 < -md)) | ((s0 < -md) & (s1 > md)))
               & (((w0 > me) & (w1 < -me)) | ((w0 < -me) & (w1 > me))))
 
-    relevant = ~incident
+    ends = np.concatenate((incident[I], incident[J]), axis=1)
+    rows, cols = np.nonzero(ends >= 0)
+    relevant = np.ones(sep.shape, dtype=bool)
+    relevant[rows, ends[rows, cols]] = False
     amb = ~sep & ~proper & relevant
     # resolve collinear-but-distant contacts exactly (rectilinear terrains
     # otherwise flood the scalar fallback): edge on the candidate line but

@@ -95,7 +95,7 @@ def test_lb_terrain_k1():
     assert len(centers) == 1          # k^2 candidates
     assert len(t.obstacles) == 8
     assert centers[0] == Point(12.5, 17.5)
-    assert validate_regular_terrain(t, 2.0)
+    validate_regular_terrain(t, 2.0)
 
 
 @pytest.mark.parametrize("k,lam", [(1, 1.0), (2, 0.5), (1, 0.25)])
@@ -201,7 +201,7 @@ def test_random_fat_polygon_respects_c():
 def test_random_regular_terrain_is_regular():
     for seed in range(8):
         t, p, q = random_regular_terrain(seed, seed % 6, c=2.0)
-        assert validate_regular_terrain(t, 2.0)
+        validate_regular_terrain(t, 2.0)
         assert point_in_terrain(p, t) and point_in_terrain(q, t)
         assert distance_to_boundary(q, t) >= 0.05
 

@@ -393,21 +393,19 @@ def test_exact_ratio_is_fat():
 
 def test_regular_terrain_accepts_squares():
     t = Terrain(square(0, 0, 10), [square(2, 2, 1), square(6, 6, 1)])
-    assert validate_regular_terrain(t, 2.0)
+    validate_regular_terrain(t, 2.0)
 
 
 def test_comb_is_not_regular():
     t, _, _ = comb_terrain(CombParams(12, 1, 0.25))
-    rep = validate_regular_terrain(t, 2.0)
-    assert not rep
-    assert "convex" in rep.reason
+    with pytest.raises(TerrainError, match="convex"):
+        validate_regular_terrain(t, 2.0)
 
 
 def test_thin_obstacle_fails_fatness():
     t = Terrain(square(0, 0, 20), [Polygon([(2, 2), (12, 2), (12, 3), (2, 3)])])
-    rep = validate_regular_terrain(t, 2.0)
-    assert not rep
-    assert "fat" in rep.reason
+    with pytest.raises(TerrainError, match="fat"):
+        validate_regular_terrain(t, 2.0)
 
 
 def test_terrain_rejects_outside_obstacle():

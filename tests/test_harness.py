@@ -12,7 +12,7 @@ from conftest import square
 from thunt import (Point, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
-from thunt import harness
+from thunt import cli, harness
 from thunt.agent import Trajectory
 from thunt.cli import main as cli_main
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
@@ -91,7 +91,7 @@ def test_run_scenario_passes_and_reports():
     assert report.passed, report.failures
     assert report.advice_bits == len(report.advice)
     assert report.advice_bits <= advice_bits_budget(report.L, report.lam)
-    assert report.first_sight_length <= report.total_length
+    assert report.first_sight_length <= report.outcome.total_length
     assert report.ratio >= 0
     assert report.L >= 8.0  # crow-flight distance
 
@@ -191,11 +191,16 @@ def test_render_comb_shows_corridors():
 
 # --- CLI ---------------------------------------------------------------------------
 
-def test_cli_generate_run_roundtrip(tmp_path):
+def test_cli_generate_run_roundtrip(tmp_path, monkeypatch):
     scen = tmp_path / "s.json"
     assert cli_main(["generate", "random", "--seed", "5", "--obstacles", "3",
                      "-o", str(scen)]) == 0
     assert cli_main(["run", str(scen)]) == 0
+
+    def second_hunt(*args, **kwargs):
+        raise AssertionError("run --svg must draw the hunt the report carries")
+
+    monkeypatch.setattr(cli, "thunt", second_hunt)
     svg = tmp_path / "s.svg"
     csv = tmp_path / "s.csv"
     assert cli_main(["run", str(scen), "--svg", str(svg), "--csv", str(csv),
@@ -217,6 +222,15 @@ def test_cli_run_ignores_sight_step_in_old_files(tmp_path):
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_cli_bench_writes_csv_to_stdout_and_summary_to_stderr(capsys):
+    assert cli_main(["bench", "--seeds", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out == reports_to_csv(bench(range(3)))
+    for label in ("scenarios=3 failed=0", "lambda range", "L range",
+                  "min budget margin", "cost ratio"):
+        assert label in err
 
 
 def test_cli_generate_comb_roundtrips(tmp_path):

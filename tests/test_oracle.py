@@ -9,8 +9,11 @@ from conftest import empty_square_terrain, square
 from thunt import (GeometryError, Point, Polygon, Terrain, accessibility,
                    encode, grid_path_oracle, make_advice, segment_in_terrain,
                    select_tile, shortest_path)
-from thunt.generators import random_regular_terrain
-from thunt.oracle import TileIndex, Tiling, TreasureSpec
+from thunt import oracle
+from thunt.geom import dist
+from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
+                              regular_lb_terrain)
+from thunt.oracle import TileIndex, Tiling, TreasureSpec, _visibility_graph
 
 
 def brute_select_tile(p, spec, window=64):
@@ -204,19 +207,57 @@ def test_shortest_path_at_least_euclidean(seed):
         assert abs(L - math.dist(p, q)) < 1e-9
 
 
-def test_visibility_edges_match_scalar_predicate():
-    # vectorized graph construction must agree with the exact predicate
-    from thunt.oracle import _visibility_graph
-    t, p, q = random_regular_terrain(123, 6)
-    nodes, ai, aj, _ = _visibility_graph(t, p, q)
+def diamond_lattice(n):
+    """n x n unit cells in [0, n]^2 with a diamond of half-diagonal 0.3 in each."""
+    r = 0.3
+    diamonds = [Polygon([(i + 0.5, j + 0.5 - r), (i + 0.5 + r, j + 0.5),
+                         (i + 0.5, j + 0.5 + r), (i + 0.5 - r, j + 0.5)])
+                for i in range(n) for j in range(n)]
+    return Terrain(square(0, 0, n), diamonds)
+
+
+def random_regular():
+    return random_regular_terrain(123, 6)
+
+
+def gadget_grid():
+    t, p, centers = regular_lb_terrain(1, 0.5)
+    return t, p, centers[0]
+
+
+def lattice_3x3():
+    return diamond_lattice(3), Point(0.1, 0.1), Point(2.9, 2.9)
+
+
+def comb():
+    # reflex outer wedges, and sides collinear with many other sides
+    return comb_terrain(CombParams(12, 3, 1.0))
+
+
+@pytest.mark.parametrize("make", [random_regular, gadget_grid, lattice_3x3, comb])
+def test_visibility_edges_match_scalar_predicate(make):
+    # the vectorized admission rule agrees with the exact predicate on every pair
+    t, p, q = make()
+    nodes, ai, aj, w = _visibility_graph(t, p, q)
     admitted = set(zip(ai, aj))
-    rng = random.Random(7)
-    for _ in range(300):
-        i, j = rng.randrange(len(nodes)), rng.randrange(len(nodes))
-        if i == j:
-            continue
-        lo, hi = min(i, j), max(i, j)
-        assert ((lo, hi) in admitted) == segment_in_terrain(nodes[lo], nodes[hi], t)
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            assert ((i, j) in admitted) == segment_in_terrain(nodes[i], nodes[j], t), (i, j)
+    assert w == [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]
+
+
+def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
+    # collinear contacts on the lattice need the exact test, but at most 440 times
+    calls = []
+
+    def counted(a, b, t):
+        calls.append((a, b))
+        return segment_in_terrain(a, b, t)
+
+    monkeypatch.setattr(oracle, "segment_in_terrain", counted)
+    _, ai, _, _ = _visibility_graph(diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9))
+    assert len(ai) == 810
+    assert len(calls) <= 440
 
 
 # --- grid oracle ---------------------------------------------------------------------
