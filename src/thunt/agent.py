@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .codec import AdviceError, decode
-from .geom import (ARC_TOL, EPS, OUTER_RING, GeometryError, Point, Polygon,
+from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon,
                    Terrain, dist, first_hit, lerp,
                    line_ring_intersections, march, point_in_terrain, sees)
 from .oracle import TileIndex, Tiling
@@ -126,13 +126,13 @@ def choose_directions(ring: Polygon, r: Point, north: Point = NORTH) -> tuple[in
 
 
 def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
-             trajectory: Trajectory, north: Point = NORTH) -> tuple[Point, CowPathStats]:
+             trajectory: Trajectory, north: Point = NORTH) -> tuple[Point, float, float]:
     """Doubling perimeter search from crossing point r for the other
     crossing point of line (m_a, m_b) with the ring.
 
     Walks legs of length 1, 2, 4, ... alternating dir1/dir2 (returning to r
     after each failed leg), appending every walked piece to the trajectory.
-    Returns the found point and (dmin, walked) statistics.
+    Returns the found point, dmin and the length walked.
     """
     events = line_ring_intersections(m_a, m_b, ring)
     crossings = [pt for pt, crossing in events if crossing]
@@ -177,7 +177,7 @@ def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
         walked += 2 * leg
         leg *= 2
         sense = dir2 if sense == dir1 else dir1
-    return r_prime, CowPathStats(OUTER_RING, dmin, walked)
+    return r_prime, dmin, walked
 
 
 def _all_convex(t: Terrain) -> bool:
@@ -223,8 +223,8 @@ def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
         if hit.travel > EPS:
             traj.append([pos, hit.point], MoveKind.FREE_MOVE)
         ring = t.ring(hit.ring)
-        r_prime, st = cow_path(ring, p, q_prime, hit.point, traj)
-        stats.append(CowPathStats(hit.ring, st.dmin, st.walked))
+        r_prime, dmin, walked = cow_path(ring, p, q_prime, hit.point, traj)
+        stats.append(CowPathStats(hit.ring, dmin, walked))
         pos = r_prime
 
     first_sight = None

@@ -11,8 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geom import (GeometryError, Location, Point, Polygon, Terrain,
-                   convex_hull, dist, is_c_fat, point_in_polygon,
+from .geom import (EPS, GeometryError, Location, Point, Polygon, Terrain,
+                   bbox_gap, convex_hull, dist, is_c_fat, point_in_polygon,
                    point_in_terrain, point_segment_distance,
                    segment_segment_distance)
 
@@ -213,16 +213,20 @@ def random_fat_polygon(rng: random.Random, c: float, radius: float,
     raise GenerationError("could not sample a c-fat polygon (c too tight?)")
 
 
-def _poly_terrain_clearance(poly: Polygon, others: list[Polygon], outer: Polygon) -> float:
-    best = math.inf
-    for e in poly.edges():
-        for eo in outer.edges():
-            best = min(best, segment_segment_distance(*e, *eo))
-    for other in others:
-        for e in poly.edges():
-            for eo in other.edges():
-                best = min(best, segment_segment_distance(*e, *eo))
-    return best
+def _clear_of(poly: Polygon, others: list[Polygon], outer: Polygon, clearance: float) -> bool:
+    """Whether every edge of poly keeps `clearance` from the outer ring and
+    from the other obstacles.  Rings and edges whose bbox lies clearance + EPS
+    or more from poly's are skipped: they are at least that far away."""
+    far = clearance + EPS
+    for ring in (outer, *others):
+        if bbox_gap(ring.bbox, poly.bbox) >= far:
+            continue
+        for c, d in ring.edges():
+            if bbox_gap((*map(min, c, d), *map(max, c, d)), poly.bbox) >= far:
+                continue
+            if any(segment_segment_distance(a, b, c, d) < clearance for a, b in poly.edges()):
+                return False
+    return True
 
 
 def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
@@ -261,7 +265,7 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
             continue
         if any(point_in_polygon(v, outer) is not Location.INTERIOR for v in poly.vertices):
             continue
-        if _poly_terrain_clearance(poly, obstacles, outer) < clearance:
+        if not _clear_of(poly, obstacles, outer, clearance):
             continue
         if any(point_in_polygon(o.vertices[0], poly) is not Location.EXTERIOR
                or point_in_polygon(poly.vertices[0], o) is not Location.EXTERIOR

@@ -15,9 +15,13 @@ Conventions
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 EPS = 1e-9
 # Tolerance for "is this point on the ring" queries.  Points that land on a
@@ -362,6 +366,8 @@ class Terrain:
         for i in range(len(self.obstacles)):
             for j in range(i + 1, len(self.obstacles)):
                 a, b = self.obstacles[i], self.obstacles[j]
+                if bbox_gap(a.bbox, b.bbox) > 2 * EPS:
+                    continue  # can neither touch nor nest
                 if (_ring_distance(a, b) <= EPS
                         or point_in_polygon(a.vertices[0], b) is Location.INTERIOR
                         or point_in_polygon(b.vertices[0], a) is Location.INTERIOR):
@@ -383,6 +389,12 @@ class Terrain:
     @property
     def bbox(self) -> tuple[float, float, float, float]:
         return self.outer.bbox
+
+
+def bbox_gap(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Largest axis gap between two (x0, y0, x1, y1) boxes; no two points
+    of them are closer than that."""
+    return max(b[0] - a[2], a[0] - b[2], b[1] - a[3], a[1] - b[3])
 
 
 def _ring_distance(a: Polygon, b: Polygon) -> float:
@@ -719,7 +731,9 @@ def largest_inscribed_circle(poly: Polygon) -> tuple[Point, float]:
     """Chebyshev center and radius of a convex polygon.
 
     Solved by enumerating edge-line triples: some optimum of the underlying
-    linear program is determined by three active edge constraints.
+    linear program is determined by three active edge constraints.  Numpy
+    solves them by Cramer's rule in blocks, in a scalar loop's operation
+    order (so with its bits), and keeps the first largest feasible radius.
     """
     if not poly.is_convex:
         raise GeometryError("largest_inscribed_circle requires a convex polygon")
@@ -728,44 +742,34 @@ def largest_inscribed_circle(poly: Polygon) -> tuple[Point, float]:
         ex, ey = b.x - a.x, b.y - a.y
         L = math.hypot(ex, ey)
         nx, ny = -ey / L, ex / L  # inward for a CCW ring
-        normals.append((nx, ny, nx * a.x + ny * a.y))
-    m = len(normals)
-    best: Optional[tuple[float, Point]] = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                rows = (normals[i], normals[j], normals[k])
-                det = _det3(rows)
-                if abs(det) < 1e-12:
-                    continue
-                x = _det3_col(rows, 0) / det
-                y = _det3_col(rows, 1) / det
-                r = _det3_col(rows, 2) / det
-                if r < -EPS:
-                    continue
-                if all(nx * x + ny * y - o >= r - 1e-9 for nx, ny, o in normals):
-                    if best is None or r > best[0]:
-                        best = (r, Point(x, y))
+        normals.append((nx, ny, nx * a.x + ny * a.y, -1.0))
+    N = np.array(normals)
+    T = _triples(len(N))
+    step = max(1, (1 << 18) // len(N))  # triples per block: bounds the slack matrix
+    best = None
+    for lo in range(0, len(T), step):
+        # rows [nx, ny, -1 | o] in (x, y, r): the determinant, then the numerators
+        F = N[T[lo:lo + step]].T  # field, row, triple
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (
+            F[cols].swapaxes(0, 1) for cols in ([0, 2, 0, 0], [1, 1, 2, 1], [3, 3, 3, 2]))
+        D = a1 * (b2 * c3 - c2 * b3) - b1 * (a2 * c3 - c2 * a3) + c1 * (a2 * b3 - b2 * a3)
+        ok = ~(np.abs(D[0]) < 1e-12)
+        x, y, r = D[1:, ok] / D[0, ok]
+        slack = N[:, :1] * x + N[:, 1:2] * y - N[:, 2:3]
+        feasible = np.flatnonzero(~(r < -EPS) & (slack >= r - 1e-9).all(axis=0))
+        if len(feasible):
+            k = feasible[np.argmax(r[feasible])]  # argmax takes the first largest
+            if best is None or r[k] > best[2]:
+                best = (x[k], y[k], r[k])
     if best is None:
         raise GeometryError("inscribed circle search failed (degenerate polygon)")
-    return best[1], best[0]
+    return Point(float(best[0]), float(best[1])), float(best[2])
 
 
-def _det3(rows) -> float:
-    (a1, b1, _), (a2, b2, _), (a3, b3, _) = rows
-    # unknowns (x, y, r): rows are [nx, ny, -1 | o]
-    return (a1 * (b2 * (-1) - (-1) * b3)
-            - b1 * (a2 * (-1) - (-1) * a3)
-            + (-1) * (a2 * b3 - b2 * a3))
-
-
-def _det3_col(rows, col: int) -> float:
-    mat = [[r[0], r[1], -1.0] for r in rows]
-    rhs = [r[2] for r in rows]
-    for i in range(3):
-        mat[i][col] = rhs[i]
-    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = mat
-    return a1 * (b2 * c3 - c2 * b3) - b1 * (a2 * c3 - c2 * a3) + c1 * (a2 * b3 - b2 * a3)
+@functools.lru_cache(maxsize=8)
+def _triples(m: int) -> np.ndarray:
+    """Index triples i < j < k of m edges, in the order of nested loops."""
+    return np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
 
 
 def is_c_fat(poly: Polygon, c: float) -> bool:

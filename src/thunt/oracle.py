@@ -8,10 +8,10 @@ One rule admits the pairs, the first case that applies deciding:
 
 * ends that share a boundary edge: admitted (the pair is that edge);
 * marked blocked by `vecgeom.pairwise_edge_classification`: rejected;
-* marked ambiguous by it: the exact `segment_in_terrain` decides;
 * leaving a vertex end into an obstacle or out of the outer polygon, by
   the vertex's free-space wedge (free space on the left: the outer ring
   as stored, obstacle rings reversed): rejected;
+* marked ambiguous by the kernel: the exact `segment_in_terrain` decides;
 * running along an edge at one of its ends: the exact test decides;
 * otherwise the segment meets the boundary only at its ends: admitted.
 
@@ -180,7 +180,7 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
 
     edge = ((E[I, 1] == E[J, 0]) | (E[I, 0] == E[J, 1])) & (E[I, 0] >= 0)
     admit = edge | ~(blocked | out | along | ambiguous)
-    for k in np.flatnonzero(~edge & ~blocked & (ambiguous | (along & ~out))):
+    for k in np.flatnonzero(~edge & ~blocked & ~out & (ambiguous | along)):
         admit[k] = segment_in_terrain(nodes[I[k]], nodes[J[k]], t)
     ai, aj = I[admit].tolist(), J[admit].tolist()
     return nodes, ai, aj, [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from thunt import Point, Polygon, Terrain, convex_hull
+from thunt import GeometryError, Point, Polygon, Terrain, convex_hull
 
 settings.register_profile(
     "default",
@@ -71,6 +71,53 @@ def brute_enclosing_circle(points):
                     best = ((ux, uy), r)
     assert best is not None
     return best
+
+
+
+def brute_inscribed_circle(poly):
+    """Reference Chebyshev center: scan the edge-line triples one at a time
+    with scalar Cramer's rule, keeping the first largest feasible radius."""
+    normals = []
+    for a, b in poly.edges():
+        ex, ey = b.x - a.x, b.y - a.y
+        L = math.hypot(ex, ey)
+        nx, ny = -ey / L, ex / L  # inward for a CCW ring
+        normals.append((nx, ny, nx * a.x + ny * a.y))
+
+    def det3(rows):
+        (a1, b1, _), (a2, b2, _), (a3, b3, _) = rows
+        # unknowns (x, y, r): rows are [nx, ny, -1 | o]
+        return (a1 * (b2 * (-1) - (-1) * b3)
+                - b1 * (a2 * (-1) - (-1) * a3)
+                + (-1) * (a2 * b3 - b2 * a3))
+
+    def det3_col(rows, col):
+        mat = [[r[0], r[1], -1.0] for r in rows]
+        for i in range(3):
+            mat[i][col] = rows[i][2]
+        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = mat
+        return a1 * (b2 * c3 - c2 * b3) - b1 * (a2 * c3 - c2 * a3) + c1 * (a2 * b3 - b2 * a3)
+
+    m = len(normals)
+    best = None
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                rows = (normals[i], normals[j], normals[k])
+                det = det3(rows)
+                if abs(det) < 1e-12:
+                    continue
+                x = det3_col(rows, 0) / det
+                y = det3_col(rows, 1) / det
+                r = det3_col(rows, 2) / det
+                if r < -1e-9:
+                    continue
+                if all(nx * x + ny * y - o >= r - 1e-9 for nx, ny, o in normals):
+                    if best is None or r > best[0]:
+                        best = (r, Point(x, y))
+    if best is None:
+        raise GeometryError("inscribed circle search failed (degenerate polygon)")
+    return best[1], best[0]
 
 
 @pytest.fixture

@@ -124,11 +124,11 @@ def test_acceptance_5_cowpath_bound():
             continue
         r = a if rng.random() < 0.5 else b
         try:
-            _, st = cow_path(poly, a, b, r, Trajectory())
+            _, dmin, walked = cow_path(poly, a, b, r, Trajectory())
         except Exception:
             continue  # chord degenerated to a tangent
-        assert st.walked <= cowpath_bound(st.dmin) + 1e-9, (st.walked, st.dmin)
-        worst = max(worst, st.walked / cowpath_bound(st.dmin))
+        assert walked <= cowpath_bound(dmin) + 1e-9, (walked, dmin)
+        worst = max(worst, walked / cowpath_bound(dmin))
         checked += 1
     _report(5, "cow-path bound",
             f"1000 triples, max walked/bound = {worst:.6f}, {time.time() - t0:.1f}s")

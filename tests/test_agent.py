@@ -66,10 +66,10 @@ def test_dir1_tie_breaks_clockwise_from_north():
 
 def test_cow_path_square_hand_simulation():
     traj = Trajectory()
-    rp, st_ = cow_path(UNIT, Point(-3, 0.5), Point(3, 0.5), Point(0, 0.5), traj)
+    rp, dmin, walked = cow_path(UNIT, Point(-3, 0.5), Point(3, 0.5), Point(0, 0.5), traj)
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
-    assert abs(st_.dmin - 2.0) < 1e-9
-    assert abs(st_.walked - 4.0) < 1e-9
+    assert abs(dmin - 2.0) < 1e-9
+    assert abs(walked - 4.0) < 1e-9
     assert [round(p.length, 9) for p in traj.pieces] == [1.0, 1.0, 2.0]
     assert all(p.kind is MoveKind.PERIMETER_WALK for p in traj.pieces)
 
@@ -79,9 +79,9 @@ def test_cow_path_found_in_first_leg():
     r = Point(0, 0.7)
     rp_expect = Point(0.2, 1.0)  # 0.3 up + 0.2 east along the top
     traj = Trajectory()
-    rp, st_ = cow_path(UNIT, r, rp_expect, r, traj)
+    rp, dmin, walked = cow_path(UNIT, r, rp_expect, r, traj)
     assert math.dist(rp, rp_expect) < 1e-9
-    assert abs(st_.walked - 0.5) < 1e-9
+    assert abs(walked - 0.5) < 1e-9
 
 
 def test_cow_path_rejects_tangent_line():
@@ -103,10 +103,10 @@ def test_cow_path_respects_doubling_bound(seed):
         return
     traj = Trajectory()
     try:
-        rp, st_ = cow_path(poly, a, b, a, traj)
+        rp, dmin, walked = cow_path(poly, a, b, a, traj)
     except GeometryError:
         return  # chord degenerated to a tangent (same edge)
-    assert st_.walked <= cowpath_bound(st_.dmin) + 1e-9
+    assert walked <= cowpath_bound(dmin) + 1e-9
 
 
 # --- the hunt --------------------------------------------------------------------
@@ -190,9 +190,9 @@ def test_cow_path_enters_at_vertex():
     # line through both extreme vertices of a diamond: r and r' are vertices
     diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
     traj = Trajectory()
-    rp, st_ = cow_path(diamond, Point(-1, 0), Point(9, 0), Point(3, 0), traj)
+    rp, dmin, walked = cow_path(diamond, Point(-1, 0), Point(9, 0), Point(3, 0), traj)
     assert math.dist(rp, (5.0, 0.0)) < 1e-9
-    assert abs(st_.dmin - 2 * math.sqrt(2)) < 1e-9
+    assert abs(dmin - 2 * math.sqrt(2)) < 1e-9
 
 
 def test_hunt_through_diamond_obstacle():

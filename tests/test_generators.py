@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,9 +10,11 @@ from thunt import (GadgetParams, GenerationError, Point, accessibility,
                    distance_to_boundary, gadget, gadget_hull, is_c_fat,
                    point_in_terrain, sees, shortest_path,
                    validate_regular_terrain)
-from thunt.generators import (CombParams, comb_terrain, random_fat_polygon,
+from thunt.generators import (CombParams, _clear_of, comb_terrain, random_fat_polygon,
                               random_regular_terrain, regular_lb_terrain)
-from thunt.geom import Terrain, Polygon, segment_segment_distance
+from thunt.geom import Terrain, Polygon, convex_hull, segment_segment_distance
+from thunt.harness import bench_scenario
+from conftest import square
 from thunt import vecgeom
 
 
@@ -204,6 +207,58 @@ def test_random_regular_terrain_is_regular():
         validate_regular_terrain(t, 2.0)
         assert point_in_terrain(p, t) and point_in_terrain(q, t)
         assert distance_to_boundary(q, t) >= 0.05
+
+
+def _min_distance(poly, rings):
+    return min(segment_segment_distance(*e, *eo)
+               for ring in rings for e in poly.edges() for eo in ring.edges())
+
+
+def test_clear_of_agrees_with_a_full_scan():
+    # candidates drawn as random_regular_terrain draws them; most rejected ones
+    # cross or overlap a placed obstacle or the outer ring
+    outcomes = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        outer = Polygon(convex_hull([Point(0.4 + 9.2 * rng.random(), 0.4 + 9.2 * rng.random())
+                                     for _ in range(14)]))
+        placed: list[Polygon] = []
+        for _ in range(40):
+            radius = 0.35 + 0.55 * rng.random()
+            center = Point(rng.uniform(outer.bbox[0], outer.bbox[2]),
+                           rng.uniform(outer.bbox[1], outer.bbox[3]))
+            poly = random_fat_polygon(rng, 2.0, radius, center)
+            clearance = rng.choice([0.1, 0.5])
+            d = _min_distance(poly, [outer, *placed])
+            clear = _clear_of(poly, placed, outer, clearance)
+            assert clear == (d >= clearance), (seed, d, clearance)
+            outcomes.add((clear, d == 0.0))
+            if clear:
+                placed.append(poly)
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_clear_of_at_exactly_the_clearance():
+    outer, placed = square(0, 0, 8), square(2, 2, 1)
+    poly = square(3.125, 2.5, 1)  # 0.125 right of placed, bboxes 0.125 apart
+    assert _min_distance(poly, [placed]) == 0.125
+    assert _clear_of(poly, [placed], outer, 0.125)
+    assert not _clear_of(poly, [placed], outer, math.nextafter(0.125, 1.0))
+    assert not _clear_of(square(0.125, 3, 1), [], outer, 0.25)  # near the outer ring
+
+
+# sha256 of the geometry of bench_scenario(0..199), recorded before generation
+# culled clearance and disjointness tests by bbox: any drift in the rng path shows
+GENERATION_DIGEST = "d39e978c28497671973d45a7b731cccdb4c423a443b18c7672cc7370a9e1dfe5"
+
+
+def test_bench_scenarios_are_generated_as_recorded():
+    rows = []
+    for s in range(200):
+        sc = bench_scenario(s)
+        rows.append((sc.terrain.outer.vertices, [o.vertices for o in sc.terrain.obstacles],
+                     sc.start, sc.treasure))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == GENERATION_DIGEST
 
 
 def test_random_regular_terrain_deterministic():

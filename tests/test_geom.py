@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import (brute_enclosing_circle, empty_square_terrain,
-                      random_convex_polygon, square)
+from conftest import (brute_enclosing_circle, brute_inscribed_circle,
+                      empty_square_terrain, random_convex_polygon, square)
 from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, line_ring_intersections,
@@ -362,6 +363,41 @@ def test_inscribed_circle_rejects_nonconvex():
         largest_inscribed_circle(notch)
 
 
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 12), st.floats(0.01, 100.0))
+def test_inscribed_circle_equals_the_scalar_triple_scan(seed, n, radius):
+    rng = random.Random(seed)
+    center = Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
+    poly = random_convex_polygon(rng, radius, center, n)
+    assert largest_inscribed_circle(poly) == brute_inscribed_circle(poly)
+
+
+@given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.01, 20), st.floats(0.01, 20),
+       st.floats(0, math.pi))
+def test_inscribed_circle_of_rectangle_equals_the_scalar_triple_scan(x0, y0, w, h, angle):
+    # opposite sides are parallel, so some triples have a vanishing determinant
+    # (exactly zero when axis-aligned, rounding-sized when rotated)
+    c, s = math.cos(angle), math.sin(angle)
+    rect = Polygon([(x0 + u * c - v * s, y0 + u * s + v * c)
+                    for u, v in ((0, 0), (w, 0), (w, h), (0, h))])
+    assert largest_inscribed_circle(rect) == brute_inscribed_circle(rect)
+
+
+
+def test_inscribed_circle_of_a_96_gon_in_bounded_memory():
+    # the triples are solved in blocks, so memory does not grow as m**4
+    m = 96
+    poly = Polygon([(math.cos(2 * math.pi * i / m), math.sin(2 * math.pi * i / m))
+                    for i in range(m)])
+    tracemalloc.start()
+    try:
+        _, r = largest_inscribed_circle(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(r - math.cos(math.pi / m)) < 1e-12
+    assert peak < 64 << 20
+
 @given(st.integers(0, 10 ** 6))
 def test_enclosing_at_least_inscribed(seed):
     poly = random_convex_polygon(random.Random(seed))
@@ -416,6 +452,17 @@ def test_terrain_rejects_outside_obstacle():
 def test_terrain_rejects_overlapping_obstacles():
     with pytest.raises(TerrainError):
         Terrain(square(0, 0, 10), [square(2, 2, 2), square(3, 3, 2)])
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10])
+def test_terrain_rejects_obstacles_meeting_at_a_corner(gap):
+    with pytest.raises(TerrainError, match="not disjoint"):
+        Terrain(square(0, 0, 10), [square(2, 2, 1), square(3 + gap, 3 + gap, 1)])
+
+
+def test_terrain_accepts_obstacles_1e_6_apart():
+    t = Terrain(square(0, 0, 10), [square(2, 2, 1), square(3 + 1e-6, 2.5, 1)])
+    assert len(t.obstacles) == 2
 
 
 # --- fat-polygon chord/perimeter property --------------------------------------------

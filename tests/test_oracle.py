@@ -247,7 +247,7 @@ def test_visibility_edges_match_scalar_predicate(make):
 
 
 def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
-    # collinear contacts on the lattice need the exact test, but at most 440 times
+    # collinear contacts on the lattice need the exact test, but at most 296 times
     calls = []
 
     def counted(a, b, t):
@@ -257,7 +257,7 @@ def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
     monkeypatch.setattr(oracle, "segment_in_terrain", counted)
     _, ai, _, _ = _visibility_graph(diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9))
     assert len(ai) == 810
-    assert len(calls) <= 440
+    assert len(calls) <= 296
 
 
 # --- grid oracle ---------------------------------------------------------------------
