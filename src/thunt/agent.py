@@ -21,9 +21,6 @@ from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon,
                    line_ring_intersections, march, point_in_terrain, sees)
 from .oracle import TileIndex, Tiling
 
-NORTH = Point(0.0, 1.0)
-
-
 class MoveKind(Enum):
     FREE_MOVE = "free_move"
     PERIMETER_WALK = "perimeter_walk"
@@ -66,27 +63,22 @@ class CowPathStats(NamedTuple):
 class HuntOutcome:
     trajectory: Trajectory
     first_sight_length: Optional[float]
-    total_length: float
     q_prime: Point
     cowpath: list[CowPathStats]
 
 
-def choose_directions(ring: Polygon, r: Point, north: Point = NORTH) -> tuple[int, int]:
+def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
     """Traversal senses (dir1, dir2) for a perimeter search starting at r.
 
     At a vertex, dir1 follows the adjacent side whose outgoing direction
-    makes the smaller angle with `north` (ties go to the smaller clockwise
-    bearing from north).  Inside a side, dir1 heads West if the side is
+    makes the smaller angle with North (ties go to the smaller clockwise
+    bearing from North).  Inside a side, dir1 heads West if the side is
     horizontal and otherwise into the northern half-plane through r.
     Senses are +1 (stored counterclockwise order) / -1.
     """
     i, _ = ring.locate(r)
     vs = ring.vertices
     n = ring.n
-    nn = math.hypot(north.x, north.y)
-    if nn <= EPS:
-        raise GeometryError("north direction must be a nonzero vector")
-    west = Point(-north.y / nn, north.x / nn)
 
     at_vertex = None
     if dist(r, vs[i]) <= 1e-7:
@@ -101,9 +93,8 @@ def choose_directions(ring: Polygon, r: Point, north: Point = NORTH) -> tuple[in
         cands = []
         for sense, other in ((1, fwd), (-1, back)):
             dx, dy = other.x - v.x, other.y - v.y
-            L = math.hypot(dx, dy)
-            cosang = (dx * north.x + dy * north.y) / (L * nn)
-            bearing = math.atan2(dx * -west.x + dy * -west.y, dx * north.x / nn + dy * north.y / nn)
+            cosang = dy / math.hypot(dx, dy)
+            bearing = math.atan2(dx, dy)  # clockwise from North
             if bearing < 0:
                 bearing += 2 * math.pi
             cands.append((sense, cosang, bearing))
@@ -116,17 +107,15 @@ def choose_directions(ring: Polygon, r: Point, north: Point = NORTH) -> tuple[in
 
     a, b = vs[i], vs[(i + 1) % n]
     ex, ey = b.x - a.x, b.y - a.y
-    L = math.hypot(ex, ey)
-    along_north = (ex * north.x + ey * north.y) / nn
-    if abs(along_north) <= EPS * L:  # horizontal side: head West
-        dir1 = 1 if (ex * west.x + ey * west.y) > 0 else -1
+    if abs(ey) <= EPS * math.hypot(ex, ey):  # horizontal side: head West
+        dir1 = 1 if ex < 0 else -1
     else:
-        dir1 = 1 if along_north > 0 else -1
+        dir1 = 1 if ey > 0 else -1
     return dir1, -dir1
 
 
 def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
-             trajectory: Trajectory, north: Point = NORTH) -> tuple[Point, float, float]:
+             trajectory: Trajectory) -> tuple[Point, float, float]:
     """Doubling perimeter search from crossing point r for the other
     crossing point of line (m_a, m_b) with the ring.
 
@@ -156,7 +145,7 @@ def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
     P = ring.perimeter
     arc_r = ring.arc_of_point(r)
     arc_rp = ring.arc_of_point(r_prime)
-    dir1, dir2 = choose_directions(ring, r, north)
+    dir1, dir2 = choose_directions(ring, r)
     d_fwd = (arc_rp - arc_r) * dir1 % P  # distance to r' going dir1
     dmin = min(d_fwd, P - d_fwd)
 
@@ -230,7 +219,7 @@ def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
     first_sight = None
     if treasure is not None:
         first_sight = _first_sight_length(traj, p, treasure, t)
-    return HuntOutcome(traj, first_sight, traj.total_length, q_prime, stats)
+    return HuntOutcome(traj, first_sight, q_prime, stats)
 
 
 def _first_sight_length(traj: Trajectory, start: Point, q: Point,

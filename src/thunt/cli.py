@@ -70,7 +70,7 @@ def _cmd_hunt(args) -> int:
     print(f"advice_bits={len(advice)}")
     end = outcome.trajectory.end or sc.start
     print(f"reached_qprime={dist(end, outcome.q_prime) <= EPS}")
-    print(f"total_length={outcome.total_length!r}")
+    print(f"total_length={outcome.trajectory.total_length!r}")
     print(f"first_sight_length={outcome.first_sight_length!r}")
     if args.svg:
         spec = oracle.accessibility(sc.terrain, sc.treasure)
@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
     print(f"advice_bits={report.advice_bits}")
     print(f"lambda={report.lam!r} rho={report.rho!r}")
     print(f"L={report.L!r}")
-    print(f"total_length={report.outcome.total_length!r}")
+    print(f"total_length={report.outcome.trajectory.total_length!r}")
     print(f"first_sight_length={report.first_sight_length!r}")
     print(f"ratio={report.ratio!r}")
     print(f"max_cowpath_ratio={report.max_cowpath_ratio!r}")
@@ -109,22 +109,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_render(args) -> int:
     sc = load_scenario(args.scenario)
-    trajectory = None
-    q_prime = None
-    lam = None
-    tiling_side = None
+    trajectory = q_prime = lam = tiling_side = None
     if args.trajectory or args.tiling:
         advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure)
-        spec = oracle.accessibility(sc.terrain, sc.treasure)
-        lam = spec.lam
-        a1, _, _ = oracle.select_tile(sc.terrain, sc.start, spec)
+        lam = oracle.accessibility(sc.terrain, sc.treasure).lam
         if args.tiling:
-            tiling_side = 1.0 / a1
-        if args.trajectory:
-            outcome = thunt(sc.terrain, sc.start, advice, treasure=sc.treasure,
-                            strict=sc.strict)
-            trajectory = outcome.trajectory
-            q_prime = outcome.q_prime
+            tiling_side = 1.0 / codec.decode(advice).a1
+        if args.trajectory:  # the picture has no first sight, so no treasure
+            outcome = thunt(sc.terrain, sc.start, advice, strict=sc.strict)
+            trajectory, q_prime = outcome.trajectory, outcome.q_prime
     doc = render_svg(sc, trajectory, q_prime=q_prime, lam=lam, tiling_side=tiling_side)
     with open(args.out, "w") as fh:
         fh.write(doc)
@@ -240,7 +233,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScenarioError, codec.AdviceError, GenerationError, GeometryError,
-            oracle.GridResolutionError, FileNotFoundError) as exc:
+            oracle.GridResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

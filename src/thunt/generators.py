@@ -188,14 +188,14 @@ def comb_terrain(params: CombParams) -> tuple[Terrain, Point, Point]:
 
 
 def random_fat_polygon(rng: random.Random, c: float, radius: float,
-                       center: Point = Point(0.0, 0.0),
-                       n_lo: int = 5, n_hi: int = 9) -> Polygon:
-    """Random convex polygon with enclosing/inscribed radius ratio <= c."""
+                       center: Point = Point(0.0, 0.0)) -> Polygon:
+    """Random convex polygon (the hull of 5 to 9 points) with
+    enclosing/inscribed radius ratio <= c."""
     if c <= 1:
         raise GenerationError("fatness parameter must exceed 1")
     r_lo = min(0.92, max(0.5, 1.2 / c))
     for _ in range(300):
-        n = rng.randint(n_lo, n_hi)
+        n = rng.randint(5, 9)
         gaps = [0.35 + rng.random() for _ in range(n)]
         total = sum(gaps)
         ang = 0.0
@@ -230,15 +230,14 @@ def _clear_of(poly: Polygon, others: list[Polygon], outer: Polygon, clearance: f
 
 
 def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
-                           extent: float = 10.0, clearance: float = 0.1,
-                           point_clearance: float = 0.15,
+                           extent: float = 10.0,
                            min_pq_dist: float = 1.0) -> tuple[Terrain, Point, Point]:
     """Seeded random regular terrain plus start and treasure points.
 
     The outer polygon is a convex hull of random points scaled to `extent`;
     obstacles are rejection-sampled convex c-fat polygons with pairwise and
-    outer clearance at least `clearance`.  Start and treasure keep
-    `point_clearance` from every boundary.
+    outer clearance at least 0.1.  Start and treasure keep 0.15 from every
+    boundary and `min_pq_dist` from each other.
     """
     if c <= 1 or extent <= 0:
         raise GenerationError("need c > 1 and a positive extent")
@@ -265,7 +264,7 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
             continue
         if any(point_in_polygon(v, outer) is not Location.INTERIOR for v in poly.vertices):
             continue
-        if not _clear_of(poly, obstacles, outer, clearance):
+        if not _clear_of(poly, obstacles, outer, 0.1):
             continue
         if any(point_in_polygon(o.vertices[0], poly) is not Location.EXTERIOR
                or point_in_polygon(poly.vertices[0], o) is not Location.EXTERIOR
@@ -288,6 +287,6 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
             return pt
         raise GenerationError("could not sample a free point with the requested clearance")
 
-    p = sample_point(point_clearance)
-    q = sample_point(point_clearance, away_from=p)
+    p = sample_point(0.15)
+    q = sample_point(0.15, away_from=p)
     return terrain, p, q

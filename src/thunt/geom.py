@@ -76,17 +76,17 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
 
 
-def segments_separated(a: Point, b: Point, c: Point, d: Point, margin: float = EPS) -> bool:
+def segments_separated(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True if segments ab and cd provably have no contact.
 
     Uses the two supporting lines as separating axes with an absolute
-    distance margin.  Conservative: may return False for disjoint segments
-    in near-degenerate positions.
+    distance margin of EPS.  Conservative: may return False for disjoint
+    segments in near-degenerate positions.
     """
     abx, aby = b.x - a.x, b.y - a.y
     lab = math.hypot(abx, aby)
     if lab > EPS:
-        m = margin * lab
+        m = EPS * lab
         s0 = abx * (c.y - a.y) - aby * (c.x - a.x)
         s1 = abx * (d.y - a.y) - aby * (d.x - a.x)
         if (s0 > m and s1 > m) or (s0 < -m and s1 < -m):
@@ -94,7 +94,7 @@ def segments_separated(a: Point, b: Point, c: Point, d: Point, margin: float = E
     cdx, cdy = d.x - c.x, d.y - c.y
     lcd = math.hypot(cdx, cdy)
     if lcd > EPS:
-        m = margin * lcd
+        m = EPS * lcd
         w0 = cdx * (a.y - c.y) - cdy * (a.x - c.x)
         w1 = cdx * (b.y - c.y) - cdy * (b.x - c.x)
         if (w0 > m and w1 > m) or (w0 < -m and w1 < -m):
@@ -497,6 +497,20 @@ def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
     return out
 
 
+def _first_exit(a: Point, b: Point, t: Terrain) -> Optional[tuple[float, Point]]:
+    """First interval of segment ab, between consecutive boundary events,
+    whose midpoint leaves the terrain: its start parameter and that
+    midpoint.  None when every midpoint stays in (or on) the terrain."""
+    if dist(a, b) <= EPS:
+        return None
+    ts = _segment_boundary_params(a, b, t)
+    for i in range(len(ts) - 1):
+        mid = lerp(a, b, 0.5 * (ts[i] + ts[i + 1]))
+        if not point_in_terrain(mid, t):
+            return ts[i], mid
+    return None
+
+
 def segment_in_terrain(a: Point, b: Point, t: Terrain) -> bool:
     """True iff every point of segment ab lies in the terrain.
 
@@ -504,16 +518,7 @@ def segment_in_terrain(a: Point, b: Point, t: Terrain) -> bool:
     midpoints between boundary events land on the boundary, which belongs
     to the terrain.
     """
-    if not point_in_terrain(a, t) or not point_in_terrain(b, t):
-        return False
-    if dist(a, b) <= EPS:
-        return True
-    ts = _segment_boundary_params(a, b, t)
-    for i in range(len(ts) - 1):
-        mid = lerp(a, b, 0.5 * (ts[i] + ts[i + 1]))
-        if not point_in_terrain(mid, t):
-            return False
-    return True
+    return point_in_terrain(a, t) and point_in_terrain(b, t) and _first_exit(a, b, t) is None
 
 
 def sees(p: Point, q: Point, t: Terrain) -> bool:
@@ -540,22 +545,13 @@ def first_hit(frm: Point, toward: Point, t: Terrain) -> Optional[HitEvent]:
     """
     if not point_in_terrain(frm, t):
         raise GeometryError("free move must start inside the terrain")
-    L = dist(frm, toward)
-    if L <= EPS:
+    found = _first_exit(frm, toward, t)
+    if found is None:
         return None
-    ts = _segment_boundary_params(frm, toward, t)
-    for i in range(len(ts) - 1):
-        mid = lerp(frm, toward, 0.5 * (ts[i] + ts[i + 1]))
-        if point_in_terrain(mid, t):
-            continue
-        hp = lerp(frm, toward, ts[i])
-        ring = OUTER_RING
-        for k, obs in enumerate(t.obstacles):
-            if point_in_polygon(mid, obs) is Location.INTERIOR:
-                ring = k
-                break
-        return HitEvent(hp, ring, ts[i] * L)
-    return None
+    s, mid = found
+    ring = next((k for k, obs in enumerate(t.obstacles)
+                 if point_in_polygon(mid, obs) is Location.INTERIOR), OUTER_RING)
+    return HitEvent(lerp(frm, toward, s), ring, s * dist(frm, toward))
 
 
 def line_ring_intersections(a: Point, b: Point, ring: Polygon) -> list[tuple[Point, bool]]:

@@ -220,11 +220,18 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def _as_float(value, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"field '{where}' holds a number too large for a float") from None
+
+
 def _as_point(value, where: str) -> Point:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise ScenarioError(f"field '{where}' must be a [x, y] pair of numbers")
-    return Point(float(value[0]), float(value[1]))
+    return Point(_as_float(value[0], where), _as_float(value[1], where))
 
 
 def _as_ring(value, where: str) -> Polygon:
@@ -246,6 +253,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         if key not in data:
             raise ScenarioError(f"missing field '{key}'")
     outer = _as_ring(data["outer"], "outer")
+    if not isinstance(data["obstacles"], list):
+        raise ScenarioError("field 'obstacles' must be a list")
     obstacles = [_as_ring(o, f"obstacles[{i}]") for i, o in enumerate(data["obstacles"])]
     try:
         terrain = Terrain(outer, obstacles)
@@ -254,12 +263,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     start = _as_point(data["start"], "start")
     treasure = _as_point(data["treasure"], "treasure")
     fatness = data.get("fatness_c", 2.0)
-    if not isinstance(fatness, (int, float)) or fatness <= 1:
+    if not isinstance(fatness, (int, float)) or not fatness > 1:  # NaN too
         raise ScenarioError("field 'fatness_c' must be a number > 1")
     strict = data.get("strict", True)
     if not isinstance(strict, bool):
         raise ScenarioError("field 'strict' must be a boolean")
-    return Scenario(terrain, start, treasure, float(fatness), strict)
+    return Scenario(terrain, start, treasure, _as_float(fatness, "fatness_c"), strict)
 
 
 def save_scenario(sc: Scenario, path: str) -> None:
@@ -274,4 +283,6 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {exc.reason}") from exc
     return scenario_from_dict(data)

@@ -15,8 +15,9 @@ One rule admits the pairs, the first case that applies deciding:
 * running along an edge at one of its ends: the exact test decides;
 * otherwise the segment meets the boundary only at its ends: admitted.
 
-An independent lattice oracle with 8-neighbor connectivity cross-checks
-the shortest path from above.
+A lattice oracle with 8-neighbor connectivity cross-checks the shortest
+path from above.  It keeps the lattice edges that the same kernel marks
+neither blocked nor ambiguous, and shares no other rule with the graph.
 """
 from __future__ import annotations
 
@@ -225,6 +226,14 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     px = gx.ravel()
     py = gy.ravel()
     mask = vecgeom.terrain_membership(px, py, t)
+    # the kernel's points: the lattice nodes, then an endpoint as one more
+    # row; none is a ring vertex, so no boundary edge is left out at its ends
+    pts = np.column_stack((px, py))
+    no_edges = np.full((len(px) + 1, 2), -1)
+
+    def clear(P: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        blocked, ambiguous = vecgeom.pairwise_edge_classification(P, src, dst, t, no_edges)
+        return ~(blocked | ambiguous)
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -246,27 +255,23 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
         dst = ids[tx, ty][ok]
         if len(src) == 0:
             continue
-        p0 = np.column_stack((px[src], py[src]))
-        p1 = np.column_stack((px[dst], py[dst]))
-        clear = vecgeom.segments_clear_of_boundary(p0, p1, t)
-        rows.append(src[clear])
-        cols.append(dst[clear])
-        vals.append(np.full(int(clear.sum()), w))
+        keep = clear(pts, src, dst)
+        rows.append(src[keep])
+        cols.append(dst[keep])
+        vals.append(np.full(int(keep.sum()), w))
 
     # hook the off-lattice endpoints in with exact segments; a generous link
     # radius keeps the endpoint overhead well below the lattice distortion
     n_nodes = nx * ny
     link_radius = min(1.0, 10 * h)
     for endpoint_id, pt in ((n_nodes, p), (n_nodes + 1, q)):
+        with_pt = np.vstack((pts, [pt]))
         for attempt in range(4):
             r = link_radius * (2.0 ** attempt)
             near = np.nonzero(mask & (np.hypot(px - pt.x, py - pt.y) <= r))[0]
             if len(near) == 0:
                 continue
-            p0 = np.repeat([[pt.x, pt.y]], len(near), axis=0)
-            p1 = np.column_stack((px[near], py[near]))
-            clear = vecgeom.segments_clear_of_boundary(p0, p1, t)
-            chosen = near[clear]
+            chosen = near[clear(with_pt, np.full(len(near), n_nodes), near)]
             if len(chosen) == 0:
                 # conservative test failed everywhere; try exact checks on
                 # the closest few nodes

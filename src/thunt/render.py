@@ -35,7 +35,7 @@ def _path(points, close: bool = False) -> str:
 
 def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
                q_prime: Optional[Point] = None, lam: Optional[float] = None,
-               tiling_side: Optional[float] = None, width: int = 800) -> str:
+               tiling_side: Optional[float] = None) -> str:
     """SVG document for a scenario, optionally with the agent trajectory,
     the treasure visibility disc, the target tile center, and the tiling
     grid anchored at the start.  Identical inputs yield identical bytes."""
@@ -44,12 +44,12 @@ def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
     margin = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     vx, vy = x0 - margin, y0 - margin
     vw, vh = (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin
-    height = round(width * vh / vw)
+    height = round(800 * vh / vw)
     stroke = vw / 400.0
     dot = 2.5 * stroke
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="{height}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
         # flip y so north is up
         f'<g transform="translate(0 {_fmt(vy * 2 + vh)}) scale(1 -1)">',

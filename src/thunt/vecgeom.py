@@ -1,10 +1,13 @@
 """Vectorized (numpy) geometry kernels backing the path machinery.
 
-These trade the scalar kernel's boundary-exact semantics for speed and are
-used in two conservative ways: candidate visibility edges that cannot be
-classified with a clear margin fall back to the exact scalar predicates,
-and lattice edges for the grid oracle are simply rejected when ambiguous
-(which can only lengthen the resulting upper-bound path).
+One segment-vs-boundary kernel, `pairwise_edge_classification`, runs the
+separating-axis test of every candidate segment against every boundary
+edge with an EPS margin.  It trades the scalar kernel's boundary-exact
+semantics for speed and is used in two conservative ways: the visibility
+graph sends the pairs it marks ambiguous to the exact scalar predicate,
+and the grid oracle keeps only the lattice edges it marks neither blocked
+nor ambiguous (rejecting a free edge can only lengthen the upper bound).
+Bulk point-in-terrain by parity serves the grid oracle's lattice nodes.
 """
 from __future__ import annotations
 
@@ -51,45 +54,8 @@ def terrain_membership(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray
     return mask
 
 
-def segments_clear_of_boundary(p0: np.ndarray, p1: np.ndarray, t: Terrain,
-                               margin: float = EPS) -> np.ndarray:
-    """For each candidate segment, True when it provably avoids every
-    boundary edge (strict separating-line test with margin).
-
-    Conservative: contact or near-degenerate cases yield False.
-    """
-    ea, eb = edge_arrays(t)
-    n = p0.shape[0]
-    clear = np.ones(n, dtype=bool)
-    d = p1 - p0
-    ld = np.hypot(d[:, 0], d[:, 1])
-    md = margin * np.maximum(ld, 1.0)
-    for k in range(ea.shape[0]):
-        if not clear.any():
-            break
-        ax, ay = ea[k]
-        bx, by = eb[k]
-        ex, ey = bx - ax, by - ay
-        le = float(np.hypot(ex, ey))
-        me = margin * max(le, 1.0)
-        idx = np.nonzero(clear)[0]
-        q0 = p0[idx]
-        q1 = p1[idx]
-        s0 = d[idx, 0] * (ay - q0[:, 1]) - d[idx, 1] * (ax - q0[:, 0])
-        s1 = d[idx, 0] * (by - q0[:, 1]) - d[idx, 1] * (bx - q0[:, 0])
-        m = md[idx]
-        sep = ((s0 > m) & (s1 > m)) | ((s0 < -m) & (s1 < -m))
-        if not sep.all():
-            w0 = ex * (q0[:, 1] - ay) - ey * (q0[:, 0] - ax)
-            w1 = ex * (q1[:, 1] - ay) - ey * (q1[:, 0] - ax)
-            sep |= ((w0 > me) & (w1 > me)) | ((w0 < -me) & (w1 < -me))
-        clear[idx[~sep]] = False
-    return clear
-
-
 def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
-                                 t: Terrain, incident: np.ndarray,
-                                 margin: float = EPS):
+                                 t: Terrain, incident: np.ndarray):
     """Classify candidate segments P[I]->P[J] against all boundary edges.
 
     Returns (blocked, ambiguous): `blocked` marks pairs with a certain
@@ -104,12 +70,12 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     B = P[J]
     D = B - A
     ld = np.hypot(D[:, 0], D[:, 1])
-    md = (margin * np.maximum(ld, 1.0))[:, None]
+    md = (EPS * np.maximum(ld, 1.0))[:, None]
 
     ex = (eb[:, 0] - ea[:, 0])[None, :]
     ey = (eb[:, 1] - ea[:, 1])[None, :]
     le = np.hypot(ex, ey)
-    me = margin * np.maximum(le, 1.0)
+    me = EPS * np.maximum(le, 1.0)
 
     # side of each edge endpoint w.r.t. the candidate line
     s0 = D[:, 0:1] * (ea[None, :, 1] - A[:, 1:2]) - D[:, 1:2] * (ea[None, :, 0] - A[:, 0:1])
@@ -137,7 +103,7 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
               + (ea[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]
         t1 = ((eb[None, :, 0] - A[:, 0:1]) * D[:, 0:1]
               + (eb[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]
-        eps_len = margin * np.maximum(ld, 1.0)[:, None]
+        eps_len = EPS * np.maximum(ld, 1.0)[:, None]
         far = (np.maximum(t0, t1) < -eps_len) | (np.minimum(t0, t1) > ld[:, None] + eps_len)
         amb &= ~(collinear & far)
 

@@ -116,7 +116,7 @@ def test_hunt_straight_line():
     out = thunt(t, Point(0, 0), encode(2, 2, 1), treasure=Point(0.75, 0.75))
     assert_arrives(out, Point(0, 0))
     assert math.dist(out.q_prime, (0.75, 0.25)) < 1e-12
-    assert abs(out.total_length - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
+    assert abs(out.trajectory.total_length - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
     assert len(out.trajectory.pieces) == 1
     assert out.trajectory.pieces[0].kind is MoveKind.FREE_MOVE
 
@@ -150,7 +150,7 @@ def test_hunt_first_sight_bracketed():
     advice = make_advice(t, Point(0, 0), q)
     out = thunt(t, Point(0, 0), advice, treasure=q)
     assert out.first_sight_length is not None
-    assert 0 < out.first_sight_length <= out.total_length
+    assert 0 < out.first_sight_length <= out.trajectory.total_length
     # straight walk toward a tile center near q: visibility starts around
     # distance |pq| - 1 = 4
     assert abs(out.first_sight_length - 4.0) < 0.2
@@ -182,7 +182,7 @@ def test_hunt_deterministic():
     a = thunt(t, p, advice, treasure=q)
     b = thunt(t, p, advice, treasure=q)
     assert a.trajectory.pieces == b.trajectory.pieces
-    assert a.total_length == b.total_length
+    assert a.trajectory.total_length == b.trajectory.total_length
     assert a.first_sight_length == b.first_sight_length
 
 
@@ -218,7 +218,7 @@ def test_hunt_rides_along_obstacle_edge():
     assert_arrives(out, p)
     assert out.cowpath == []
     assert len(out.trajectory.pieces) == 1
-    assert abs(out.total_length - math.dist(p, out.q_prime)) < 1e-9
+    assert abs(out.trajectory.total_length - math.dist(p, out.q_prime)) < 1e-9
 
 
 def test_hunt_first_sight_through_narrow_slit():

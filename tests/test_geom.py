@@ -181,6 +181,25 @@ def test_first_hit_consistent_with_containment(seed):
         assert point_in_terrain(hit.point, t)
 
 
+@given(st.integers(0, 10 ** 6))
+def test_segment_in_terrain_is_no_first_hit_and_an_end_inside(seed):
+    rng = random.Random(seed)
+    t = Terrain(square(0, 0, 10), [square(3, 3, 2), square(6.5, 6.5, 1.5)])
+    corners = [v for _, ring in t.rings() for v in ring.vertices]
+
+    def sample(lo, hi):
+        # ring vertices now and then, so that segments run along edges
+        if rng.random() < 0.3:
+            return rng.choice(corners)
+        return Point(rng.uniform(lo, hi), rng.uniform(lo, hi))
+    a = sample(0, 10)
+    while not point_in_terrain(a, t):
+        a = sample(0, 10)
+    b = sample(-2, 12)
+    assert segment_in_terrain(a, b, t) == (point_in_terrain(b, t)
+                                           and first_hit(a, b, t) is None)
+
+
 # --- line/ring intersections ---------------------------------------------------
 
 def test_line_through_square_center():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,7 +92,7 @@ def test_run_scenario_passes_and_reports():
     assert report.passed, report.failures
     assert report.advice_bits == len(report.advice)
     assert report.advice_bits <= advice_bits_budget(report.L, report.lam)
-    assert report.first_sight_length <= report.outcome.total_length
+    assert report.first_sight_length <= report.outcome.trajectory.total_length
     assert report.ratio >= 0
     assert report.L >= 8.0  # crow-flight distance
 
@@ -270,6 +271,31 @@ def test_cli_bad_scenario_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "thunt-scenario"}))
     assert cli_main(["run", str(bad)]) == 2
+
+
+def _scenario_bytes(**fields) -> bytes:
+    data = scenario_to_dict(simple_scenario())
+    data.update(fields)
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("body, message", [
+    (_scenario_bytes(start=[10 ** 400, 5]), "'start' holds a number too large"),
+    (_scenario_bytes(fatness_c=10 ** 400), "'fatness_c' holds a number too large"),
+    (_scenario_bytes(fatness_c=math.nan), "'fatness_c' must be a number > 1"),
+    (_scenario_bytes(obstacles="abc"), "'obstacles' must be a list$"),
+    (b'{"format": "thunt-sc\xe9nario"}', "not UTF-8 text"),
+    (None, "Is a directory"),
+], ids=["huge-int", "huge-fatness", "nan-fatness", "obstacles-string", "latin-1",
+        "directory"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
+    path = tmp_path / "scen.json"
+    if body is None:
+        path.mkdir()
+    else:
+        path.write_bytes(body)
+    assert cli_main(["run", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err, re.MULTILINE)
 
 
 def test_cli_lb_generate(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from thunt.geom import dist
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
 from thunt.oracle import TileIndex, Tiling, TreasureSpec, _visibility_graph
+from thunt.vecgeom import pairwise_edge_classification
 
 
 def brute_select_tile(p, spec, window=64):
@@ -261,6 +263,17 @@ def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
 
 
 # --- grid oracle ---------------------------------------------------------------------
+
+def test_kernel_on_segments_along_an_edge_line_with_no_incident_edges():
+    # the grid oracle's call: no point is a ring vertex, so every edge counts
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])  # bottom edge (4,4)-(6,4)
+    P = np.array([[0.5, 4], [3, 4], [3, 4], [5, 4], [5, 3], [5, 5]], dtype=float)
+    I, J = np.array([0, 2, 4]), np.array([1, 3, 5])
+    blocked, ambiguous = pairwise_edge_classification(P, I, J, t, np.full((6, 2), -1))
+    # collinear and apart: clear; collinear and overlapping: ambiguous; crossing: blocked
+    assert blocked.tolist() == [False, False, True]
+    assert ambiguous.tolist() == [False, True, False]
+
 
 def test_grid_oracle_empty_terrain_distortion():
     t = empty_square_terrain()
