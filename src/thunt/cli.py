@@ -42,7 +42,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_advise(args) -> int:
     sc = load_scenario(args.scenario)
-    advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure)
+    spec = oracle.accessibility(sc.terrain, sc.treasure)
+    advice = oracle.make_advice(sc.terrain, sc.start, spec)
     if args.out:
         mode = "wb" if args.packed else "w"
         data = codec.pack_bits(advice) if args.packed else advice + "\n"
@@ -111,8 +112,9 @@ def _cmd_render(args) -> int:
     sc = load_scenario(args.scenario)
     trajectory = q_prime = lam = tiling_side = None
     if args.trajectory or args.tiling:
-        advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure)
-        lam = oracle.accessibility(sc.terrain, sc.treasure).lam
+        spec = oracle.accessibility(sc.terrain, sc.treasure)
+        advice = oracle.make_advice(sc.terrain, sc.start, spec)
+        lam = spec.lam
         if args.tiling:
             tiling_side = 1.0 / codec.decode(advice).a1
         if args.trajectory:  # the picture has no first sight, so no treasure

@@ -310,9 +310,7 @@ def _check_simple(verts: Sequence[Point]) -> None:
             raise GeometryError("polygon is not simple (fold-back at a vertex)")
     # non-adjacent edges must not touch; spatial hash plus bbox rejection
     # keeps dense rings (combs with thousands of teeth) near-linear
-    boxes = []
-    for a, b in edges:
-        boxes.append((min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)))
+    boxes = [_segment_bbox(a, b) for a, b in edges]
     avg_len = sum(dist(a, b) for a, b in edges) / n
     cell = max(avg_len * 2.0, EPS * 10)
     grid: dict[tuple[int, int], list[int]] = {}
@@ -352,11 +350,15 @@ class Terrain:
     def __init__(self, outer: Polygon, obstacles: Sequence[Polygon] = ()):
         self.outer = outer
         self.obstacles = tuple(obstacles)
+        outer_edges = [(_segment_bbox(*eo), eo) for eo in outer.edges()]
         for i, obs in enumerate(self.obstacles):
             if any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices):
                 raise TerrainError(f"obstacle {i} is not inside the outer polygon")
+            # an outer edge more than EPS from the obstacle's box is more than
+            # EPS from each of its edges, so it cannot cross one properly
+            near = [eo for box, eo in outer_edges if bbox_gap(box, obs.bbox) <= EPS]
             for e in obs.edges():
-                for eo in outer.edges():
+                for eo in near:
                     if segments_properly_cross(*e, *eo):
                         raise TerrainError(
                             f"obstacle {i} crosses the outer boundary")
@@ -395,6 +397,10 @@ def bbox_gap(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     """Largest axis gap between two (x0, y0, x1, y1) boxes; no two points
     of them are closer than that."""
     return max(b[0] - a[2], a[0] - b[2], b[1] - a[3], a[1] - b[3])
+
+
+def _segment_bbox(a: Point, b: Point) -> tuple[float, float, float, float]:
+    return (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
 
 def _ring_distance(a: Polygon, b: Polygon) -> float:

@@ -96,7 +96,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
             raise ScenarioError(f"terrain is not regular: {exc}") from exc
 
     spec = oracle.accessibility(t, q)
-    advice = oracle.make_advice(t, p, q)
+    advice = oracle.make_advice(t, p, spec)
     L, _ = oracle.shortest_path(t, p, q)
     outcome = thunt(t, p, advice, treasure=q, strict=scenario.strict)
 
@@ -263,7 +263,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     start = _as_point(data["start"], "start")
     treasure = _as_point(data["treasure"], "treasure")
     fatness = data.get("fatness_c", 2.0)
-    if not isinstance(fatness, (int, float)) or not fatness > 1:  # NaN too
+    if not isinstance(fatness, (int, float)) or not 1 < fatness < math.inf:  # NaN, inf too
         raise ScenarioError("field 'fatness_c' must be a number > 1")
     strict = data.get("strict", True)
     if not isinstance(strict, bool):

@@ -11,13 +11,18 @@ One rule admits the pairs, the first case that applies deciding:
 * leaving a vertex end into an obstacle or out of the outer polygon, by
   the vertex's free-space wedge (free space on the left: the outer ring
   as stored, obstacle rings reversed): rejected;
-* marked ambiguous by the kernel: the exact `segment_in_terrain` decides;
+* marked ambiguous by the kernel: the exact test decides;
 * running along an edge at one of its ends: the exact test decides;
 * otherwise the segment meets the boundary only at its ends: admitted.
+
+The exact test is `geom.segment_in_terrain`, run on all the pairs it
+decides at once as `vecgeom.segments_in_terrain` (same formulas, same
+answers).
 
 A lattice oracle with 8-neighbor connectivity cross-checks the shortest
 path from above.  It keeps the lattice edges that the same kernel marks
 neither blocked nor ambiguous, and shares no other rule with the graph.
+It calls the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
 """
 from __future__ import annotations
 
@@ -136,11 +141,11 @@ def select_tile(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[int, TileInde
     return a1, idx, tiling.tile_center(idx)
 
 
-def make_advice(t: Terrain, p: Point, q: Point) -> str:
-    """Advice string steering an agent at p to a point that sees q."""
+def make_advice(t: Terrain, p: Point, spec: TreasureSpec) -> str:
+    """Advice string steering an agent at p to a point that sees the
+    treasure of `spec` (from `accessibility`)."""
     if not point_in_terrain(p, t):
         raise GeometryError("start point must lie in the terrain")
-    spec = accessibility(t, q)
     a1, idx, _ = select_tile(t, p, spec)
     return encode(a1, idx.col, idx.row)
 
@@ -181,8 +186,8 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
 
     edge = ((E[I, 1] == E[J, 0]) | (E[I, 0] == E[J, 1])) & (E[I, 0] >= 0)
     admit = edge | ~(blocked | out | along | ambiguous)
-    for k in np.flatnonzero(~edge & ~blocked & ~out & (ambiguous | along)):
-        admit[k] = segment_in_terrain(nodes[I[k]], nodes[J[k]], t)
+    exact = ~edge & ~blocked & ~out & (ambiguous | along)
+    admit[exact] = vecgeom.segments_in_terrain(P[I[exact]], P[J[exact]], t)
     ai, aj = I[admit].tolist(), J[admit].tolist()
     return nodes, ai, aj, [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]
 
@@ -231,9 +236,16 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     pts = np.column_stack((px, py))
     no_edges = np.full((len(px) + 1, 2), -1)
 
+    step = max(1, vecgeom.CHUNK_CELLS // len(t.boundary_edges))
+
     def clear(P: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        blocked, ambiguous = vecgeom.pairwise_edge_classification(P, src, dst, t, no_edges)
-        return ~(blocked | ambiguous)
+        # each pair is classified on its own, so chunks only bound the arrays
+        keep = np.empty(len(src), dtype=bool)
+        for lo in range(0, len(src), step):
+            blocked, ambiguous = vecgeom.pairwise_edge_classification(
+                P, src[lo:lo + step], dst[lo:lo + step], t, no_edges)
+            keep[lo:lo + step] = ~(blocked | ambiguous)
+        return keep
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []

@@ -4,18 +4,27 @@ One segment-vs-boundary kernel, `pairwise_edge_classification`, runs the
 separating-axis test of every candidate segment against every boundary
 edge with an EPS margin.  It trades the scalar kernel's boundary-exact
 semantics for speed and is used in two conservative ways: the visibility
-graph sends the pairs it marks ambiguous to the exact scalar predicate,
-and the grid oracle keeps only the lattice edges it marks neither blocked
-nor ambiguous (rejecting a free edge can only lengthen the upper bound).
-Bulk point-in-terrain by parity serves the grid oracle's lattice nodes.
+graph sends the pairs it marks ambiguous to the exact test, and the grid
+oracle keeps only the lattice edges it marks neither blocked nor
+ambiguous (rejecting a free edge can only lengthen the upper bound).
+
+The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
+arrays: the same formulas and thresholds, so the same answer for every
+segment.  Bulk point-in-terrain by parity serves the grid oracle's
+lattice nodes.  Batches hold at most CHUNK_CELLS segment x edge cells.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .geom import EPS, Terrain
+from .geom import EPS, Polygon, Terrain
 
 _CACHE_KEY = "edge_arrays"
+# Segment x boundary-edge cells per batch, for the exact test and for the
+# grid oracle's kernel calls: bounds their arrays whatever the input size.
+CHUNK_CELLS = 1 << 20
 
 
 def edge_arrays(t: Terrain) -> tuple[np.ndarray, np.ndarray]:
@@ -110,3 +119,143 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     blocked = (proper & relevant).any(axis=1)
     ambiguous = amb.any(axis=1)
     return blocked, ambiguous
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`math.hypot` elementwise: the scalar rule's bits at its EPS thresholds."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+
+
+def _within_eps(px: np.ndarray, py: np.ndarray, a, b) -> np.ndarray:
+    """`geom.point_segment_distance(p, a, b) <= EPS` for each point.  A point
+    whose squared offset exceeds (2 EPS)^2 is farther than EPS whatever the
+    rounding, so only the others need the scalar hypot's bits."""
+    dx, dy = b.x - a.x, b.y - a.y
+    L2 = dx * dx + dy * dy
+    if L2 <= EPS * EPS:
+        ox, oy = px - a.x, py - a.y
+    else:
+        s = ((px - a.x) * dx + (py - a.y) * dy) / L2
+        s = np.where(s < 0.0, 0.0, np.where(s > 1.0, 1.0, s))
+        ox, oy = px - (a.x + s * dx), py - (a.y + s * dy)
+    near = np.flatnonzero(ox * ox + oy * oy <= 4 * EPS * EPS)
+    within = np.zeros(len(px), dtype=bool)
+    within[near] = _hypot(ox[near], oy[near]) <= EPS
+    return within
+
+
+def _ring_location(px: np.ndarray, py: np.ndarray, ring: Polygon):
+    """`geom.point_in_polygon` over arrays, as (on the boundary, interior):
+    within EPS of an edge is on it, and parity decides the other points."""
+    x0, y0, x1, y1 = ring.bbox
+    on = np.zeros(px.shape, dtype=bool)
+    inner = np.zeros(px.shape, dtype=bool)
+    k = np.flatnonzero((px >= x0 - EPS) & (px <= x1 + EPS) & (py >= y0 - EPS) & (py <= y1 + EPS))
+    qx, qy = px[k], py[k]
+    hit = np.zeros(len(k), dtype=bool)
+    for a, b in ring.edges():
+        far = (((qx < a.x - EPS) & (qx < b.x - EPS)) | ((qx > a.x + EPS) & (qx > b.x + EPS))
+               | ((qy < a.y - EPS) & (qy < b.y - EPS)) | ((qy > a.y + EPS) & (qy > b.y + EPS)))
+        m = np.flatnonzero(~far & ~hit)
+        if len(m):
+            hit[m] = _within_eps(qx[m], qy[m], a, b)
+    on[k] = hit
+    inner[k] = ~hit & _parity(qx, qy, np.array(ring.vertices, dtype=float))
+    return on, inner
+
+
+def _in_terrain(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray:
+    """`geom.point_in_terrain` over arrays: the outer ring first, then each
+    obstacle, the first ring that decides a point deciding it."""
+    on, inner = _ring_location(px, py, t.outer)
+    inside = on | inner
+    todo = np.flatnonzero(inner)
+    for obs in t.obstacles:
+        on, inner = _ring_location(px[todo], py[todo], obs)
+        inside[todo[inner]] = False
+        todo = todo[~(on | inner)]
+    return inside
+
+
+def _interval_midpoints(A: np.ndarray, B: np.ndarray, t: Terrain, le: np.ndarray):
+    """Segment index and parameter of the midpoint of every interval between
+    consecutive boundary events of the segments A[k]->B[k] longer than EPS.
+
+    The events are `geom._segment_boundary_params`: the crossings and
+    collinear overlap ends on the edges its bbox cull keeps, clamped to
+    [0, 1], with 0 and 1, sorted, then deduplicated by its chain rule (keep
+    a value more than 1e-12 above the last one kept)."""
+    ea, eb = edge_arrays(t)
+    D = B - A
+    L = _hypot(D[:, 0], D[:, 1])
+    elo, ehi = np.minimum(ea, eb), np.maximum(ea, eb)
+    slo, shi = np.minimum(A, B) - EPS, np.maximum(A, B) + EPS
+    culled = ((ehi[None, :, 0] < slo[:, None, 0]) | (elo[None, :, 0] > shi[:, None, 0])
+              | (ehi[None, :, 1] < slo[:, None, 1]) | (elo[None, :, 1] > shi[:, None, 1]))
+    culled[L <= EPS] = True
+    r, c = np.nonzero(~culled)
+
+    dx, dy, Lr, Le = D[r, 0], D[r, 1], L[r], le[c]
+    ex, ey = (eb[c] - ea[c]).T
+    wx, wy = (ea[c] - A[r]).T
+    tol = EPS / Lr
+    denom = dx * ey - dy * ex
+    cross = np.abs(denom) > 1e-12 * Lr * Le
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tt = (wx * ey - wy * ex) / denom
+        ss = (wx * dy - wy * dx) / denom
+    hit = (cross & (-tol <= tt) & (tt <= 1.0 + tol)
+           & (-EPS / Le <= ss) & (ss <= 1.0 + EPS / Le))
+    # parallel: a collinear overlap adds both of its ends
+    tu = (wx * dx + wy * dy) / (Lr * Lr)
+    tv = ((eb[c, 0] - A[r, 0]) * dx + (eb[c, 1] - A[r, 1]) * dy) / (Lr * Lr)
+    tlo, thi = np.minimum(tu, tv), np.maximum(tu, tv)
+    overlap = (~cross & (np.abs(wx * dy - wy * dx) / Lr <= EPS)
+               & (thi >= -tol) & (tlo <= 1.0 + tol))
+
+    long = np.flatnonzero(L > EPS)
+    rows = np.concatenate((long, long, r[hit], r[overlap], r[overlap]))
+    vals = np.concatenate((np.zeros(len(long)), np.ones(len(long)),
+                           tt[hit], tlo[overlap], thi[overlap]))
+    vals = np.minimum(1.0, np.maximum(0.0, vals))
+    order = np.lexsort((vals, rows))
+    rows, vals = rows[order], vals[order]
+
+    # one row of sorted events per segment, then the dedup chain column by column
+    counts = np.bincount(rows, minlength=len(A))
+    pos = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    S = np.zeros((len(A), int(counts.max(initial=1))))  # a column even with no events
+    S[rows, pos] = vals
+    keep = np.zeros(S.shape, dtype=bool)
+    keep[:, 0] = counts > 0
+    last = S[:, 0].copy()
+    for j in range(1, S.shape[1]):
+        kj = (S[:, j] - last > 1e-12) & (j < counts)
+        keep[:, j] = kj
+        last = np.where(kj, S[:, j], last)
+    kr, kc = np.nonzero(keep)
+    kv = S[kr, kc]
+    inner = kr[1:] == kr[:-1]
+    return kr[:-1][inner], 0.5 * (kv[:-1] + kv[1:])[inner]
+
+
+def segments_in_terrain(A: np.ndarray, B: np.ndarray, t: Terrain) -> np.ndarray:
+    """`geom.segment_in_terrain` of every segment A[k]->B[k]: both ends in
+    the terrain and, unless it is at most EPS long, the `lerp` midpoint of
+    every interval between its boundary events in the terrain."""
+    ea, eb = edge_arrays(t)
+    le = _hypot(eb[:, 0] - ea[:, 0], eb[:, 1] - ea[:, 1])
+    ok = np.empty(len(A), dtype=bool)
+    step = max(1, CHUNK_CELLS // len(ea))
+    for lo in range(0, len(A), step):
+        a, b = A[lo:lo + step], B[lo:lo + step]
+        row, s = _interval_midpoints(a, b, t, le)
+        d = b - a
+        px = np.concatenate((a[:, 0], b[:, 0], a[row, 0] + d[row, 0] * s))
+        py = np.concatenate((a[:, 1], b[:, 1], a[row, 1] + d[row, 1] * s))
+        n = len(a)
+        owner = np.concatenate((np.arange(n), np.arange(n), row))
+        out = np.zeros(n, dtype=bool)
+        out[owner[~_in_terrain(px, py, t)]] = True
+        ok[lo:lo + step] = ~out
+    return ok

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
 from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Terrain,
-                   choose_directions, cow_path, encode, make_advice, sees,
-                   segment_in_terrain, thunt)
+                   accessibility, choose_directions, cow_path, encode, make_advice,
+                   sees, segment_in_terrain, thunt)
 from thunt.agent import MoveKind, Trajectory
 from thunt.generators import random_fat_polygon
 
@@ -124,7 +124,7 @@ def test_hunt_straight_line():
 def test_hunt_around_one_obstacle():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2)])
     p, q = Point(0, 0.7), Point(6, 0.75)
-    advice = make_advice(t, p, q)
+    advice = make_advice(t, p, accessibility(t, q))
     out = thunt(t, p, advice, treasure=q)
     assert_arrives(out, p)
     assert math.dist(out.trajectory.pieces[-1].points[-1], out.q_prime) < 1e-9
@@ -147,7 +147,7 @@ def test_hunt_first_sight_zero_when_visible_at_start():
 def test_hunt_first_sight_bracketed():
     t = empty_square_terrain(20, -10)
     q = Point(4.0, 3.0)  # distance 5 from start
-    advice = make_advice(t, Point(0, 0), q)
+    advice = make_advice(t, Point(0, 0), accessibility(t, q))
     out = thunt(t, Point(0, 0), advice, treasure=q)
     assert out.first_sight_length is not None
     assert 0 < out.first_sight_length <= out.trajectory.total_length
@@ -178,7 +178,7 @@ def test_hunt_strict_mode_rejects_nonconvex():
 def test_hunt_deterministic():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2), square(4.1, -0.4, 0.9)])
     p, q = Point(0, 0.7), Point(6.5, 0.75)
-    advice = make_advice(t, p, q)
+    advice = make_advice(t, p, accessibility(t, q))
     a = thunt(t, p, advice, treasure=q)
     b = thunt(t, p, advice, treasure=q)
     assert a.trajectory.pieces == b.trajectory.pieces
@@ -200,7 +200,7 @@ def test_hunt_through_diamond_obstacle():
     t = Terrain(square(-2, -3, 12), [diamond])
     p = Point(0, 0.25)
     q = Point(8, 0.25)
-    advice = make_advice(t, p, q)
+    advice = make_advice(t, p, accessibility(t, q))
     out = thunt(t, p, advice, treasure=q)
     assert_arrives(out, p)
     assert len(out.cowpath) == 1
@@ -213,7 +213,7 @@ def test_hunt_rides_along_obstacle_edge():
     t = Terrain(square(-2, -4, 14), [square(3, 0.25, 1.0)])
     p = Point(0, 0.25)
     q = Point(8, 0.25)
-    advice = make_advice(t, p, q)
+    advice = make_advice(t, p, accessibility(t, q))
     out = thunt(t, p, advice, treasure=q)
     assert_arrives(out, p)
     assert out.cowpath == []

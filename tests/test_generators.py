@@ -270,8 +270,8 @@ def test_random_regular_terrain_deterministic():
 
 
 def test_empty_random_terrain_straight_hunt():
-    from thunt import make_advice, thunt as run_hunt
+    from thunt import accessibility, make_advice, thunt as run_hunt
     t, p, q = random_regular_terrain(3, 0)
-    out = run_hunt(t, p, make_advice(t, p, q), treasure=q)
+    out = run_hunt(t, p, make_advice(t, p, accessibility(t, q)), treasure=q)
     assert len(out.trajectory.pieces) == 1
     assert out.cowpath == []

@@ -283,11 +283,12 @@ def _scenario_bytes(**fields) -> bytes:
     (_scenario_bytes(start=[10 ** 400, 5]), "'start' holds a number too large"),
     (_scenario_bytes(fatness_c=10 ** 400), "'fatness_c' holds a number too large"),
     (_scenario_bytes(fatness_c=math.nan), "'fatness_c' must be a number > 1"),
+    (_scenario_bytes(fatness_c=math.inf), "'fatness_c' must be a number > 1"),
     (_scenario_bytes(obstacles="abc"), "'obstacles' must be a list$"),
     (b'{"format": "thunt-sc\xe9nario"}', "not UTF-8 text"),
     (None, "Is a directory"),
-], ids=["huge-int", "huge-fatness", "nan-fatness", "obstacles-string", "latin-1",
-        "directory"])
+], ids=["huge-int", "huge-fatness", "nan-fatness", "infinite-fatness", "obstacles-string",
+        "latin-1", "directory"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
     path = tmp_path / "scen.json"
     if body is None:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from conftest import empty_square_terrain, square
 from thunt import (GeometryError, Point, Polygon, Terrain, accessibility,
                    encode, grid_path_oracle, make_advice, segment_in_terrain,
                    select_tile, shortest_path)
-from thunt import oracle
-from thunt.geom import dist
+from thunt import oracle, vecgeom
+from thunt.geom import EPS, dist, lerp
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
+from thunt.harness import bench_scenario
 from thunt.oracle import TileIndex, Tiling, TreasureSpec, _visibility_graph
-from thunt.vecgeom import pairwise_edge_classification
+from thunt.vecgeom import pairwise_edge_classification, segments_in_terrain
 
 
 def brute_select_tile(p, spec, window=64):
@@ -146,12 +148,12 @@ def test_tiling_has_no_zero_index():
 
 def test_make_advice_worked_example():
     t = empty_square_terrain(10, -5)
-    assert make_advice(t, Point(0, 0), Point(0.75, 0.75)) == encode(2, 2, 1)
+    assert make_advice(t, Point(0, 0), accessibility(t, Point(0.75, 0.75))) == encode(2, 2, 1)
 
 
 def test_make_advice_mirrored_southwest():
     t = empty_square_terrain(10, -5)
-    advice = make_advice(t, Point(0, 0), Point(-0.75, -0.75))
+    advice = make_advice(t, Point(0, 0), accessibility(t, Point(-0.75, -0.75)))
     from thunt import decode
     _, a2, a3 = decode(advice)
     assert a2 < 0 and a3 < 0
@@ -160,7 +162,7 @@ def test_make_advice_mirrored_southwest():
 def test_make_advice_near_start_nonzero_indices():
     t = empty_square_terrain(10, -5)
     from thunt import decode
-    _, a2, a3 = decode(make_advice(t, Point(0, 0), Point(0.05, 0.05)))
+    _, a2, a3 = decode(make_advice(t, Point(0, 0), accessibility(t, Point(0.05, 0.05))))
     assert a2 != 0 and a3 != 0
 
 
@@ -249,7 +251,7 @@ def test_visibility_edges_match_scalar_predicate(make):
 
 
 def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
-    # collinear contacts on the lattice need the exact test, but at most 296 times
+    # collinear contacts on the lattice need the exact test, which runs as one batch
     calls = []
 
     def counted(a, b, t):
@@ -259,7 +261,54 @@ def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
     monkeypatch.setattr(oracle, "segment_in_terrain", counted)
     _, ai, _, _ = _visibility_graph(diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9))
     assert len(ai) == 810
-    assert len(calls) <= 296
+    assert len(calls) == 0
+
+
+def suite_terrain():
+    sc = bench_scenario(7)
+    return sc.terrain, sc.start, sc.treasure
+
+
+def _probe_points(t, p, q):
+    """p, q, then per boundary edge: its start, its midpoint and the two
+    points EPS off the midpoint along the edge normal."""
+    pts = [p, q]
+    for a, b in t.boundary_edges:
+        m = lerp(a, b, 0.5)
+        nx, ny = (a.y - b.y) / dist(a, b), (b.x - a.x) / dist(a, b)
+        pts += [a, m, Point(m.x + EPS * nx, m.y + EPS * ny), Point(m.x - EPS * nx, m.y - EPS * ny)]
+    return pts
+
+
+@pytest.mark.parametrize("make", [suite_terrain, lattice_3x3, comb, gadget_grid])
+@given(data=st.data())
+@settings(max_examples=15)
+def test_batch_exact_test_is_the_scalar_test(make, data):
+    t, p, q = make()
+    pts = _probe_points(t, p, q)
+    any_point = st.integers(0, len(pts) - 1)
+    edge_start = st.integers(0, len(t.boundary_edges) - 1).map(lambda k: 2 + 4 * k)
+    pair = st.one_of(
+        st.tuples(any_point, any_point),
+        any_point.map(lambda i: (i, i)),                            # zero length
+        edge_start.map(lambda i: (i, i + 1)),                       # along an edge
+        # from the edge midpoint, or a point EPS off it, back to the edge start
+        st.tuples(edge_start, st.sampled_from([1, 2, 3])).map(lambda s: (s[0] + s[1], s[0])),
+    )
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=300))
+    A = np.array([pts[i] for i, _ in pairs])
+    B = np.array([pts[j] for _, j in pairs])
+    got = segments_in_terrain(A, B, t)
+    assert got.tolist() == [segment_in_terrain(pts[i], pts[j], t) for i, j in pairs]
+
+
+def test_batch_exact_test_answers_do_not_depend_on_the_batch_size(monkeypatch):
+    t, p, q = lattice_3x3()
+    pts = np.array(_probe_points(t, p, q))
+    I, J = np.triu_indices(len(pts), k=1)
+    whole = segments_in_terrain(pts[I], pts[J], t)
+    monkeypatch.setattr(vecgeom, "CHUNK_CELLS", 997 * len(t.boundary_edges))
+    assert (segments_in_terrain(pts[I], pts[J], t) == whole).all()
 
 
 # --- grid oracle ---------------------------------------------------------------------
@@ -286,6 +335,21 @@ def test_grid_oracle_empty_terrain_distortion():
 def test_grid_oracle_degenerate():
     t = empty_square_terrain()
     assert grid_path_oracle(t, Point(2, 2), Point(2, 2), 0.1) == 0.0
+
+
+def test_grid_oracle_on_a_comb_in_bounded_memory():
+    # the lattice edges are classified in chunks, so memory does not grow
+    # with the number of lattice edges times boundary edges
+    t, p, q = comb_terrain(CombParams(12, 3, 0.25))
+    tracemalloc.start()
+    try:
+        G = grid_path_oracle(t, p, q, 0.0625)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    L, _ = shortest_path(t, p, q)
+    assert L <= G <= 1.09 * L
+    assert peak < 100 << 20
 
 
 def test_grid_oracle_upper_bounds_geodesic():
