@@ -4,9 +4,12 @@ The agent decodes the advice triple, rebuilds the tiling anchored at its
 start point, and free-moves along the line toward the designated tile
 center.  Every time the move is interrupted by an obstacle it runs a
 doubling (cow-path) search along the obstacle perimeter for the point
-where the line re-crosses it, then continues.  The simulator additionally
-records when the treasure first became visible; the agent itself never
-uses the treasure position.
+where the line re-crosses it, then continues.  It returns only its
+trajectory and the tile center it aimed for; it is never given the
+treasure and keeps no account of its own costs.
+
+`_first_sight_length` measures, for the verifier, where along a
+trajectory the treasure first becomes visible.
 """
 from __future__ import annotations
 
@@ -53,18 +56,10 @@ class Trajectory:
         return self.pieces[-1].points[-1] if self.pieces else None
 
 
-class CowPathStats(NamedTuple):
-    ring: int
-    dmin: float
-    walked: float
-
-
 @dataclass
 class HuntOutcome:
     trajectory: Trajectory
-    first_sight_length: Optional[float]
     q_prime: Point
-    cowpath: list[CowPathStats]
 
 
 def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
@@ -115,13 +110,13 @@ def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
 
 
 def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
-             trajectory: Trajectory) -> tuple[Point, float, float]:
+             trajectory: Trajectory) -> Point:
     """Doubling perimeter search from crossing point r for the other
     crossing point of line (m_a, m_b) with the ring.
 
     Walks legs of length 1, 2, 4, ... alternating dir1/dir2 (returning to r
     after each failed leg), appending every walked piece to the trajectory.
-    Returns the found point, dmin and the length walked.
+    Returns the found point.
     """
     events = line_ring_intersections(m_a, m_b, ring)
     crossings = [pt for pt, crossing in events if crossing]
@@ -147,9 +142,7 @@ def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
     arc_rp = ring.arc_of_point(r_prime)
     dir1, dir2 = choose_directions(ring, r)
     d_fwd = (arc_rp - arc_r) * dir1 % P  # distance to r' going dir1
-    dmin = min(d_fwd, P - d_fwd)
 
-    walked = 0.0
     leg = 1.0
     sense = dir1
     while True:
@@ -158,30 +151,24 @@ def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
             pts = march(ring, arc_r, target, sense)
             pts[-1] = r_prime  # exact landing, no arc rounding
             trajectory.append(pts, MoveKind.PERIMETER_WALK)
-            walked += target
-            break
+            return r_prime
         out = march(ring, arc_r, leg, sense)
         trajectory.append(out, MoveKind.PERIMETER_WALK)
         trajectory.append(list(reversed(out)), MoveKind.PERIMETER_WALK)
-        walked += 2 * leg
         leg *= 2
         sense = dir2 if sense == dir1 else dir1
-    return r_prime, dmin, walked
 
 
 def _all_convex(t: Terrain) -> bool:
     return t.outer.is_convex and all(o.is_convex for o in t.obstacles)
 
 
-def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
-          strict: bool = True) -> HuntOutcome:
+def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome:
     """Execute the hunt from p using only the advice string.
 
     With `strict` the terrain must be regular (convex outer polygon and
     convex obstacles); without it the agent still targets the next line
-    crossing on whatever ring it hits, with no cost guarantees.  When the
-    simulator is given the treasure position it reports the arc length at
-    which the treasure first became visible.
+    crossing on whatever ring it hits, with no cost guarantees.
     """
     if not point_in_terrain(p, t):
         raise GeometryError("agent start must lie in the terrain")
@@ -197,7 +184,6 @@ def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
         raise AdviceError("advice points outside the terrain (corrupt advice?)")
 
     traj = Trajectory()
-    stats: list[CowPathStats] = []
     pos = p
     guard = 0
     while dist(pos, q_prime) > EPS:
@@ -211,15 +197,8 @@ def thunt(t: Terrain, p: Point, advice: str, treasure: Optional[Point] = None,
             break
         if hit.travel > EPS:
             traj.append([pos, hit.point], MoveKind.FREE_MOVE)
-        ring = t.ring(hit.ring)
-        r_prime, dmin, walked = cow_path(ring, p, q_prime, hit.point, traj)
-        stats.append(CowPathStats(hit.ring, dmin, walked))
-        pos = r_prime
-
-    first_sight = None
-    if treasure is not None:
-        first_sight = _first_sight_length(traj, p, treasure, t)
-    return HuntOutcome(traj, first_sight, q_prime, stats)
+        pos = cow_path(t.ring(hit.ring), p, q_prime, hit.point, traj)
+    return HuntOutcome(traj, q_prime)
 
 
 def _first_sight_length(traj: Trajectory, start: Point, q: Point,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import codec, oracle
+from . import agent, codec, oracle
 from .agent import thunt
 from .generators import (CombParams, GenerationError, comb_terrain,
                          random_regular_terrain, regular_lb_terrain)
@@ -66,13 +66,14 @@ def _read_advice(args) -> str:
 def _cmd_hunt(args) -> int:
     sc = load_scenario(args.scenario)
     advice = _read_advice(args)
-    outcome = thunt(sc.terrain, sc.start, advice, treasure=sc.treasure,
-                    strict=sc.strict)
+    outcome = thunt(sc.terrain, sc.start, advice, strict=sc.strict)
+    first_sight = agent._first_sight_length(outcome.trajectory, sc.start, sc.treasure,
+                                            sc.terrain)
     print(f"advice_bits={len(advice)}")
     end = outcome.trajectory.end or sc.start
     print(f"reached_qprime={dist(end, outcome.q_prime) <= EPS}")
     print(f"total_length={outcome.trajectory.total_length!r}")
-    print(f"first_sight_length={outcome.first_sight_length!r}")
+    print(f"first_sight_length={first_sight!r}")
     if args.svg:
         spec = oracle.accessibility(sc.terrain, sc.treasure)
         doc = render_svg(sc, outcome.trajectory, q_prime=outcome.q_prime, lam=spec.lam)
@@ -117,7 +118,7 @@ def _cmd_render(args) -> int:
         lam = spec.lam
         if args.tiling:
             tiling_side = 1.0 / codec.decode(advice).a1
-        if args.trajectory:  # the picture has no first sight, so no treasure
+        if args.trajectory:
             outcome = thunt(sc.terrain, sc.start, advice, strict=sc.strict)
             trajectory, q_prime = outcome.trajectory, outcome.q_prime
     doc = render_svg(sc, trajectory, q_prime=q_prime, lam=lam, tiling_side=tiling_side)
@@ -143,11 +144,11 @@ def _cmd_bench(args) -> int:
     print(f"scenarios={len(reports)} failed={len(failed)} max_ratio={worst!r}",
           file=sys.stderr)
     if reports:
-        # the observed constants; the cost ratio is first_sight / max(L, 1)
+        # the observed constants
         lams, Ls = [r.lam for r in reports], [r.L for r in reports]
         margins = [advice_bits_budget(r.L, r.lam) - r.advice_bits for r in reports]
-        ratios = [r.first_sight_length / max(r.L, 1.0) for r in reports]
-        cp = [st.walked / cowpath_bound(st.dmin) for r in reports for st in r.outcome.cowpath]
+        ratios = [r.ratio for r in reports]
+        cp = [walked / cowpath_bound(dmin) for r in reports for dmin, walked in r.searches]
         print(f"lambda range   : [{min(lams):.3f}, {max(lams):.3f}]\n"
               f"L range        : [{min(Ls):.3f}, {max(Ls):.3f}]\n"
               f"advice bits    : max {max(r.advice_bits for r in reports)}, "

@@ -1,10 +1,13 @@
 """Scenario files, end-to-end runs with verification, and the bench suite.
 
 A run computes the advice from full knowledge, replays the hunt from the
-advice alone, and checks the books: the agent must reach the target tile
-center and see the treasure from it, the advice must stay within its size
-budget, every trajectory piece must stay inside the terrain, and each
-perimeter search must respect the doubling-search bound.
+advice alone, and checks the trajectory, taking nothing else from the
+agent: it must lead from the start to the center of the tile the oracle
+selected, which must see the treasure; free moves must stay inside the
+terrain and perimeter pieces must follow their ring; each cow-path search,
+a maximal run of perimeter pieces on one ring, must walk (the run's
+length) within the doubling-search bound of its dmin (the shorter arc
+between the run's ends); the advice must fit its size budget.
 """
 from __future__ import annotations
 
@@ -14,11 +17,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import oracle
+from . import agent, oracle
 from .agent import HuntOutcome, MoveKind, thunt
-from .geom import (EPS, GeometryError, Point, Polygon, Terrain, TerrainError,
-                   dist, distance_to_boundary, point_in_terrain, sees,
-                   segment_in_terrain, validate_regular_terrain)
+from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain,
+                   TerrainError, dist, distance_to_boundary, perimeter_split,
+                   point_in_terrain, sees, segment_in_terrain,
+                   validate_regular_terrain)
 from .generators import random_regular_terrain
 
 CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_ratio"
@@ -61,6 +65,7 @@ class RunReport:
     first_sight_length: float
     ratio: float
     max_cowpath_ratio: float = 0.0
+    searches: list[tuple[float, float]] = field(default_factory=list)  # (dmin, walked)
     failures: list[str] = field(default_factory=list)
     seed: Optional[int] = None
 
@@ -97,54 +102,61 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
 
     spec = oracle.accessibility(t, q)
     advice = oracle.make_advice(t, p, spec)
+    _, _, q_prime = oracle.select_tile(t, p, spec)
     L, _ = oracle.shortest_path(t, p, q)
-    outcome = thunt(t, p, advice, treasure=q, strict=scenario.strict)
+    outcome = thunt(t, p, advice, strict=scenario.strict)
 
     # arrival is checked on the trajectory itself: a path from p to q'
     pieces = outcome.trajectory.pieces
     ends = [p] + [piece.points[-1] for piece in pieces]
     if any(dist(end, piece.points[0]) > PIECE_JOIN_TOL for end, piece in zip(ends, pieces)):
         failures.append("trajectory is not continuous from the start point")
-    if dist(ends[-1], outcome.q_prime) > EPS:
+    if dist(ends[-1], q_prime) > EPS:
         failures.append("agent did not reach the target tile center")
     try:
-        if not sees(outcome.q_prime, q, t):
+        if not sees(q_prime, q, t):
             failures.append("target tile center does not see the treasure")
     except GeometryError:
         failures.append("target tile center left the terrain")
-    if outcome.first_sight_length is None:
+    # called through the module, so that a wrapper installed there sees it
+    first_sight = agent._first_sight_length(outcome.trajectory, p, q, t)
+    if first_sight is None:
         failures.append("treasure never became visible along the trajectory")
         first_sight = math.inf
-    else:
-        first_sight = outcome.first_sight_length
 
     budget = advice_bits_budget(L, spec.lam)
     if len(advice) > budget:
         failures.append(f"advice length {len(advice)} exceeds budget {budget}")
 
-    for piece in outcome.trajectory.pieces:
+    runs: list[list] = []  # per search: [ring, first point, last point, walked]
+    ring = None
+    for piece in pieces:
         if piece.kind is MoveKind.FREE_MOVE:
+            ring = None
             if not segment_in_terrain(piece.points[0], piece.points[-1], t):
                 failures.append("free move leaves the terrain")
                 break
+            continue
+        prev, ring = ring, next((r for _, r in t.rings() if _follows(piece.points, r)), None)
+        if ring is None:
+            failures.append("perimeter walk leaves its ring")
+            break
+        if ring is prev:
+            runs[-1][2] = piece.points[-1]
+            runs[-1][3] += piece.length
         else:
-            ring_ok = any(
-                all(_on_ring(pt, ring) for pt in piece.points)
-                for _, ring in t.rings())
-            if not ring_ok:
-                failures.append("perimeter walk leaves its ring")
-                break
+            runs.append([ring, piece.points[0], piece.points[-1], piece.length])
+    searches = [(perimeter_split(r, a, b)[0], walked) for r, a, b, walked in runs]
 
     max_cp = 0.0
-    for st in outcome.cowpath:
-        if st.walked > cowpath_bound(st.dmin) + COWPATH_SLACK:
+    for dmin, walked in searches:
+        if walked > cowpath_bound(dmin) + COWPATH_SLACK:
             failures.append(
-                f"perimeter search walked {st.walked:.6f} over bound "
-                f"{cowpath_bound(st.dmin):.6f}")
-        if st.dmin > EPS:
-            max_cp = max(max_cp, st.walked / st.dmin)
+                f"perimeter search walked {walked:.6f} over bound "
+                f"{cowpath_bound(dmin):.6f}")
+        if dmin > EPS:
+            max_cp = max(max_cp, walked / dmin)
 
-    ratio = first_sight / max(L, EPS)
     return RunReport(
         advice=advice,
         advice_bits=len(advice),
@@ -153,19 +165,27 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
         L=L,
         outcome=outcome,
         first_sight_length=first_sight,
-        ratio=ratio,
+        ratio=first_sight / max(L, 1.0),
         max_cowpath_ratio=max_cp,
+        searches=searches,
         failures=failures,
         seed=seed,
     )
 
 
-def _on_ring(pt: Point, ring: Polygon) -> bool:
+def _follows(points: Sequence[Point], ring: Polygon) -> bool:
+    """Whether a polyline runs along the ring: every point lies on it, and
+    each step spans the shorter arc between its ends, not a chord."""
     try:
-        ring.arc_of_point(pt, tol=1e-6)
-        return True
+        arcs = [ring.arc_of_point(pt, tol=1e-6) for pt in points]
     except GeometryError:
         return False
+    P = ring.perimeter
+    for a, b, sa, sb in zip(points, points[1:], arcs, arcs[1:]):
+        gap = (sb - sa) % P
+        if abs(min(gap, P - gap) - dist(a, b)) > ARC_TOL:
+            return False
+    return True
 
 
 def bench_scenario(seed: int, n_obstacles: Optional[int] = None, c: float = 2.0,

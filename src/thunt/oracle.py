@@ -20,9 +20,13 @@ decides at once as `vecgeom.segments_in_terrain` (same formulas, same
 answers).
 
 A lattice oracle with 8-neighbor connectivity cross-checks the shortest
-path from above.  It keeps the lattice edges that the same kernel marks
-neither blocked nor ambiguous, and shares no other rule with the graph.
-It calls the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
+path from above.  Its nodes are the lattice points that
+`vecgeom.points_in_terrain`, the exact test's point test, puts in the
+terrain, and it keeps the lattice edges that the same kernel marks neither
+blocked nor ambiguous; it shares no other rule with the graph.  It calls
+the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
+
+The verifier checks the agent's arrival at the center `select_tile` picks.
 """
 from __future__ import annotations
 
@@ -230,7 +234,7 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     px = gx.ravel()
     py = gy.ravel()
-    mask = vecgeom.terrain_membership(px, py, t)
+    mask = vecgeom.points_in_terrain(px, py, t)
     # the kernel's points: the lattice nodes, then an endpoint as one more
     # row; none is a ring vertex, so no boundary edge is left out at its ends
     pts = np.column_stack((px, py))

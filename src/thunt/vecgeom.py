@@ -10,8 +10,9 @@ ambiguous (rejecting a free edge can only lengthen the upper bound).
 
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every
-segment.  Bulk point-in-terrain by parity serves the grid oracle's
-lattice nodes.  Batches hold at most CHUNK_CELLS segment x edge cells.
+segment.  Its point test, `points_in_terrain`, is `geom.point_in_terrain`
+over arrays, and also places the grid oracle's lattice nodes.  Batches
+hold at most CHUNK_CELLS segment x edge cells.
 """
 from __future__ import annotations
 
@@ -50,17 +51,6 @@ def _parity(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
             xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
             inside ^= cond & (px < xint)
     return inside
-
-
-def terrain_membership(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray:
-    """Bulk point-in-terrain via parity (boundary-adjacent points undefined)."""
-    outer = np.array(t.outer.vertices, dtype=float)
-    mask = _parity(px, py, outer)
-    for obs in t.obstacles:
-        if not mask.any():
-            break
-        mask &= ~_parity(px, py, np.array(obs.vertices, dtype=float))
-    return mask
 
 
 def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
@@ -164,7 +154,7 @@ def _ring_location(px: np.ndarray, py: np.ndarray, ring: Polygon):
     return on, inner
 
 
-def _in_terrain(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray:
+def points_in_terrain(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray:
     """`geom.point_in_terrain` over arrays: the outer ring first, then each
     obstacle, the first ring that decides a point deciding it."""
     on, inner = _ring_location(px, py, t.outer)
@@ -256,6 +246,6 @@ def segments_in_terrain(A: np.ndarray, B: np.ndarray, t: Terrain) -> np.ndarray:
         n = len(a)
         owner = np.concatenate((np.arange(n), np.arange(n), row))
         out = np.zeros(n, dtype=bool)
-        out[owner[~_in_terrain(px, py, t)]] = True
+        out[owner[~points_in_terrain(px, py, t)]] = True
         ok[lo:lo + step] = ~out
     return ok

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
-from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Terrain,
+from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Scenario, Terrain,
                    accessibility, choose_directions, cow_path, encode, make_advice,
-                   sees, segment_in_terrain, thunt)
-from thunt.agent import MoveKind, Trajectory
+                   perimeter_split, run_scenario, sees, segment_in_terrain, thunt)
+from thunt.agent import MoveKind, Trajectory, _first_sight_length
 from thunt.generators import random_fat_polygon
 
 UNIT = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -66,7 +66,8 @@ def test_dir1_tie_breaks_clockwise_from_north():
 
 def test_cow_path_square_hand_simulation():
     traj = Trajectory()
-    rp, dmin, walked = cow_path(UNIT, Point(-3, 0.5), Point(3, 0.5), Point(0, 0.5), traj)
+    rp = cow_path(UNIT, Point(-3, 0.5), Point(3, 0.5), Point(0, 0.5), traj)
+    dmin, walked = perimeter_split(UNIT, Point(0, 0.5), rp)[0], traj.total_length
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
     assert abs(dmin - 2.0) < 1e-9
     assert abs(walked - 4.0) < 1e-9
@@ -79,9 +80,9 @@ def test_cow_path_found_in_first_leg():
     r = Point(0, 0.7)
     rp_expect = Point(0.2, 1.0)  # 0.3 up + 0.2 east along the top
     traj = Trajectory()
-    rp, dmin, walked = cow_path(UNIT, r, rp_expect, r, traj)
+    rp = cow_path(UNIT, r, rp_expect, r, traj)
     assert math.dist(rp, rp_expect) < 1e-9
-    assert abs(walked - 0.5) < 1e-9
+    assert abs(traj.total_length - 0.5) < 1e-9
 
 
 def test_cow_path_rejects_tangent_line():
@@ -103,9 +104,10 @@ def test_cow_path_respects_doubling_bound(seed):
         return
     traj = Trajectory()
     try:
-        rp, dmin, walked = cow_path(poly, a, b, a, traj)
+        rp = cow_path(poly, a, b, a, traj)
     except GeometryError:
         return  # chord degenerated to a tangent (same edge)
+    dmin, walked = perimeter_split(poly, a, rp)[0], traj.total_length
     assert walked <= cowpath_bound(dmin) + 1e-9
 
 
@@ -113,7 +115,7 @@ def test_cow_path_respects_doubling_bound(seed):
 
 def test_hunt_straight_line():
     t = empty_square_terrain(10, -5)
-    out = thunt(t, Point(0, 0), encode(2, 2, 1), treasure=Point(0.75, 0.75))
+    out = thunt(t, Point(0, 0), encode(2, 2, 1))
     assert_arrives(out, Point(0, 0))
     assert math.dist(out.q_prime, (0.75, 0.25)) < 1e-12
     assert abs(out.trajectory.total_length - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
@@ -124,14 +126,14 @@ def test_hunt_straight_line():
 def test_hunt_around_one_obstacle():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2)])
     p, q = Point(0, 0.7), Point(6, 0.75)
-    advice = make_advice(t, p, accessibility(t, q))
-    out = thunt(t, p, advice, treasure=q)
+    report = run_scenario(Scenario(t, p, q))
+    out = report.outcome
     assert_arrives(out, p)
     assert math.dist(out.trajectory.pieces[-1].points[-1], out.q_prime) < 1e-9
     assert sees(out.q_prime, q, t)
     kinds = {piece.kind for piece in out.trajectory.pieces}
     assert kinds == {MoveKind.FREE_MOVE, MoveKind.PERIMETER_WALK}
-    assert len(out.cowpath) == 1
+    assert len(report.searches) == 1
     # every sub-segment of every piece must stay in the terrain
     for piece in out.trajectory.pieces:
         for a, b in zip(piece.points, piece.points[1:]):
@@ -140,26 +142,28 @@ def test_hunt_around_one_obstacle():
 
 def test_hunt_first_sight_zero_when_visible_at_start():
     t = empty_square_terrain(10, -5)
-    out = thunt(t, Point(0, 0), encode(2, 2, 1), treasure=Point(0.3, 0.4))
-    assert out.first_sight_length == 0.0
+    q = Point(0.3, 0.4)
+    out = thunt(t, Point(0, 0), encode(2, 2, 1))
+    assert _first_sight_length(out.trajectory, Point(0, 0), q, t) == 0.0
 
 
 def test_hunt_first_sight_bracketed():
     t = empty_square_terrain(20, -10)
     q = Point(4.0, 3.0)  # distance 5 from start
     advice = make_advice(t, Point(0, 0), accessibility(t, q))
-    out = thunt(t, Point(0, 0), advice, treasure=q)
-    assert out.first_sight_length is not None
-    assert 0 < out.first_sight_length <= out.trajectory.total_length
+    out = thunt(t, Point(0, 0), advice)
+    first_sight = _first_sight_length(out.trajectory, Point(0, 0), q, t)
+    assert first_sight is not None
+    assert 0 < first_sight <= out.trajectory.total_length
     # straight walk toward a tile center near q: visibility starts around
     # distance |pq| - 1 = 4
-    assert abs(out.first_sight_length - 4.0) < 0.2
+    assert abs(first_sight - 4.0) < 0.2
 
 
 def test_hunt_rejects_malformed_advice():
     t = empty_square_terrain(10, -5)
     with pytest.raises(AdviceError):
-        thunt(t, Point(0, 0), "110110", treasure=Point(1, 1))
+        thunt(t, Point(0, 0), "110110")
 
 
 def test_hunt_rejects_advice_pointing_outside():
@@ -179,20 +183,21 @@ def test_hunt_deterministic():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2), square(4.1, -0.4, 0.9)])
     p, q = Point(0, 0.7), Point(6.5, 0.75)
     advice = make_advice(t, p, accessibility(t, q))
-    a = thunt(t, p, advice, treasure=q)
-    b = thunt(t, p, advice, treasure=q)
+    a = thunt(t, p, advice)
+    b = thunt(t, p, advice)
     assert a.trajectory.pieces == b.trajectory.pieces
     assert a.trajectory.total_length == b.trajectory.total_length
-    assert a.first_sight_length == b.first_sight_length
+    assert (_first_sight_length(a.trajectory, p, q, t)
+            == _first_sight_length(b.trajectory, p, q, t))
 
 
 def test_cow_path_enters_at_vertex():
     # line through both extreme vertices of a diamond: r and r' are vertices
     diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
     traj = Trajectory()
-    rp, dmin, walked = cow_path(diamond, Point(-1, 0), Point(9, 0), Point(3, 0), traj)
+    rp = cow_path(diamond, Point(-1, 0), Point(9, 0), Point(3, 0), traj)
     assert math.dist(rp, (5.0, 0.0)) < 1e-9
-    assert abs(dmin - 2 * math.sqrt(2)) < 1e-9
+    assert abs(perimeter_split(diamond, Point(3, 0), rp)[0] - 2 * math.sqrt(2)) < 1e-9
 
 
 def test_hunt_through_diamond_obstacle():
@@ -200,10 +205,10 @@ def test_hunt_through_diamond_obstacle():
     t = Terrain(square(-2, -3, 12), [diamond])
     p = Point(0, 0.25)
     q = Point(8, 0.25)
-    advice = make_advice(t, p, accessibility(t, q))
-    out = thunt(t, p, advice, treasure=q)
+    report = run_scenario(Scenario(t, p, q))
+    out = report.outcome
     assert_arrives(out, p)
-    assert len(out.cowpath) == 1
+    assert len(report.searches) == 1
     assert sees(out.q_prime, q, t)
 
 
@@ -213,10 +218,10 @@ def test_hunt_rides_along_obstacle_edge():
     t = Terrain(square(-2, -4, 14), [square(3, 0.25, 1.0)])
     p = Point(0, 0.25)
     q = Point(8, 0.25)
-    advice = make_advice(t, p, accessibility(t, q))
-    out = thunt(t, p, advice, treasure=q)
+    report = run_scenario(Scenario(t, p, q))
+    out = report.outcome
     assert_arrives(out, p)
-    assert out.cowpath == []
+    assert report.searches == []
     assert len(out.trajectory.pieces) == 1
     assert abs(out.trajectory.total_length - math.dist(p, out.q_prime)) < 1e-9
 
@@ -230,7 +235,7 @@ def test_hunt_first_sight_through_narrow_slit():
             Polygon([(0.002, 0.3), (4, 0.3), (4, 0.4), (0.002, 0.4)])]
     t = Terrain(square(-5, -5, 10), wall)
     p, q = Point(-0.8, 0.9), Point(0.0, 0.0)
-    out = thunt(t, p, encode(100, 160, 1), treasure=q)
+    out = thunt(t, p, encode(100, 160, 1))
     assert_arrives(out, p)
     assert len(out.trajectory.pieces) == 1
     e = out.q_prime
@@ -238,5 +243,6 @@ def test_hunt_first_sight_through_narrow_slit():
     u = -(p.y + 200 * p.x) / ((e.y - p.y) + 200 * (e.x - p.x))
     expected = u * math.dist(p, e)
     assert abs(expected - 0.79549) < 1e-4
-    assert out.first_sight_length is not None
-    assert abs(out.first_sight_length - expected) < 1e-9
+    first_sight = _first_sight_length(out.trajectory, p, q, t)
+    assert first_sight is not None
+    assert abs(first_sight - expected) < 1e-9

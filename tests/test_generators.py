@@ -25,7 +25,7 @@ def free_space_labels(terrain, step, offset=0.5):
     xs = np.arange(x0 + offset * step, x1, step)
     ys = np.arange(y0 + offset * step, y1, step)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    mask = vecgeom.terrain_membership(gx.ravel(), gy.ravel(), terrain)
+    mask = vecgeom.points_in_terrain(gx.ravel(), gy.ravel(), terrain)
     grid = mask.reshape(len(xs), len(ys))
     labels, _ = ndimage.label(grid, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
 
@@ -169,7 +169,7 @@ def test_comb_structure_and_connectivity():
     gxs = np.arange(xs0, t.bbox[2], step)
     gys = np.arange(ys0, t.bbox[3], step)
     gx, gy = np.meshgrid(gxs, gys, indexing="ij")
-    mask = vecgeom.terrain_membership(gx.ravel(), gy.ravel(), t).reshape(len(gxs), len(gys))
+    mask = vecgeom.points_in_terrain(gx.ravel(), gy.ravel(), t).reshape(len(gxs), len(gys))
     mouth = ((gx >= (2 * i - 2) * x) & (gx <= (2 * i - 1) * x)
              & (gy >= A / 2 - x) & (gy <= A / 2))
     mask2 = mask & ~mouth
@@ -270,8 +270,8 @@ def test_random_regular_terrain_deterministic():
 
 
 def test_empty_random_terrain_straight_hunt():
-    from thunt import accessibility, make_advice, thunt as run_hunt
+    from thunt import Scenario, run_scenario
     t, p, q = random_regular_terrain(3, 0)
-    out = run_hunt(t, p, make_advice(t, p, accessibility(t, q)), treasure=q)
-    assert len(out.trajectory.pieces) == 1
-    assert out.cowpath == []
+    report = run_scenario(Scenario(t, p, q))
+    assert len(report.outcome.trajectory.pieces) == 1
+    assert report.searches == []

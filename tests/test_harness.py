@@ -13,7 +13,8 @@ from conftest import square
 from thunt import (Point, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
-from thunt import cli, harness
+from thunt import agent, cli, harness
+from thunt.codec import AdviceTriple
 from thunt.agent import Trajectory
 from thunt.cli import main as cli_main
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
@@ -130,6 +131,53 @@ def test_run_scenario_checks_arrival_on_the_trajectory(monkeypatch):
     assert "agent did not reach the target tile center" in report.failures
 
 
+# Each agent below is broken on purpose in a way it would not report: the
+# verifier must catch it from the trajectory alone.
+
+def test_run_scenario_bounds_the_walked_search_not_the_agents_count(monkeypatch):
+    # the failed legs (lengths 1, 2, 4, ...) run five times as far out and
+    # back as the doubling rule says; the last leg is left as it is
+    march = agent.march
+
+    def stretched(ring, start_arc, length, direction):
+        failed = math.log2(length).is_integer()
+        return march(ring, start_arc, 5 * length if failed else length, direction)
+
+    monkeypatch.setattr(agent, "march", stretched)
+    report = run_scenario(simple_scenario())
+    assert any(f.startswith("perimeter search walked") for f in report.failures)
+
+
+def test_run_scenario_rejects_a_chord_across_an_obstacle(monkeypatch):
+    # every perimeter leg cuts straight from its first point to its last,
+    # both on the ring, through the obstacle
+    march = agent.march
+
+    def chord(ring, start_arc, length, direction):
+        pts = march(ring, start_arc, length, direction)
+        return [pts[0], pts[-1]]
+
+    monkeypatch.setattr(agent, "march", chord)
+    report = run_scenario(simple_scenario())
+    assert "perimeter walk leaves its ring" in report.failures
+
+
+def test_run_scenario_checks_arrival_at_the_oracles_tile(monkeypatch):
+    # the agent decodes the neighbouring column, walks to that tile center
+    # and reports it as q'; that center sees the treasure too
+    decode = agent.decode
+
+    def shifted(advice):
+        a1, a2, a3 = decode(advice)
+        return AdviceTriple(a1, a2 + 1 if a2 != -1 else 1, a3)
+
+    monkeypatch.setattr(agent, "decode", shifted)
+    report = run_scenario(simple_scenario())
+    assert harness.sees(report.outcome.q_prime, simple_scenario().treasure,
+                        simple_scenario().terrain)
+    assert "agent did not reach the target tile center" in report.failures
+
+
 def Polygon_rect():
     from thunt import Polygon
     return Polygon([(5, 5), (15, 5), (15, 6), (5, 6)])  # 10x1: not 2-fat
@@ -162,7 +210,7 @@ def test_render_deterministic():
     sc = simple_scenario()
     report = run_scenario(sc)
     from thunt import thunt as run_hunt
-    out = run_hunt(sc.terrain, sc.start, report.advice, treasure=sc.treasure)
+    out = run_hunt(sc.terrain, sc.start, report.advice)
     svg1 = render_svg(sc, out.trajectory, q_prime=out.q_prime, lam=report.lam,
                       tiling_side=0.5)
     svg2 = render_svg(sc, out.trajectory, q_prime=out.q_prime, lam=report.lam,
@@ -177,7 +225,7 @@ def test_render_empty_terrain_minimal_structure():
     sc = Scenario(t, Point(2, 2), Point(10, 10))
     report = run_scenario(sc)
     from thunt import thunt as run_hunt
-    out = run_hunt(t, sc.start, report.advice, treasure=sc.treasure)
+    out = run_hunt(t, sc.start, report.advice)
     svg = render_svg(sc, out.trajectory)
     assert svg.count("<path") == 2  # outer ring + the single straight move
 

@@ -269,18 +269,40 @@ def suite_terrain():
     return sc.terrain, sc.start, sc.treasure
 
 
+NOTCH = Terrain(Polygon([(-4, 0), (0, 0), (1, 1), (2, 0), (4, 0), (4, 4), (-4, 4)]))
+
+
+def notch_apex():
+    # p -> q passes 1e-5 below the apex (1, 1) of a V notch cut into the
+    # bottom side: it leaves the terrain for 2e-5, about 3e-6 of its length,
+    # between two crossing events that the dedup chain must both keep
+    return NOTCH, Point(-3, 1 - 1e-5), Point(3, 1 - 1e-5)
+
+
+def notch_floor():
+    # p -> q runs 0.9 EPS below the bottom side, under the notch.  At the
+    # notch's 45-degree corners it passes 1.27 EPS from the sides, so they
+    # give no crossing event: only the ends of its collinear overlaps with
+    # the bottom side mark where it leaves and re-enters the terrain
+    return NOTCH, Point(-3.9, -0.9 * EPS), Point(2.5, -0.9 * EPS)
+
+
 def _probe_points(t, p, q):
     """p, q, then per boundary edge: its start, its midpoint and the two
-    points EPS off the midpoint along the edge normal."""
+    points EPS off the midpoint along the edge normal; then points 3e-12
+    and 6e-12 along the first edge from its start."""
     pts = [p, q]
     for a, b in t.boundary_edges:
         m = lerp(a, b, 0.5)
         nx, ny = (a.y - b.y) / dist(a, b), (b.x - a.x) / dist(a, b)
         pts += [a, m, Point(m.x + EPS * nx, m.y + EPS * ny), Point(m.x - EPS * nx, m.y - EPS * ny)]
+    a, b = t.boundary_edges[0]
+    pts += [lerp(a, b, s / dist(a, b)) for s in (3e-12, 6e-12)]
     return pts
 
 
-@pytest.mark.parametrize("make", [suite_terrain, lattice_3x3, comb, gadget_grid])
+@pytest.mark.parametrize("make", [suite_terrain, lattice_3x3, comb, gadget_grid,
+                                  notch_apex, notch_floor])
 @given(data=st.data())
 @settings(max_examples=15)
 def test_batch_exact_test_is_the_scalar_test(make, data):
@@ -295,7 +317,8 @@ def test_batch_exact_test_is_the_scalar_test(make, data):
         # from the edge midpoint, or a point EPS off it, back to the edge start
         st.tuples(edge_start, st.sampled_from([1, 2, 3])).map(lambda s: (s[0] + s[1], s[0])),
     )
-    pairs = data.draw(st.lists(pair, min_size=1, max_size=300))
+    # p -> q always: the notch makers put their decisive segment there
+    pairs = [(0, 1)] + data.draw(st.lists(pair, min_size=1, max_size=300))
     A = np.array([pts[i] for i, _ in pairs])
     B = np.array([pts[j] for _, j in pairs])
     got = segments_in_terrain(A, B, t)
