@@ -185,10 +185,14 @@ def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome
 
     traj = Trajectory()
     pos = p
-    guard = 0
+    # Each pass lands on a later crossing of the segment p q' with the
+    # boundary (cow_path returns the first one beyond the hit, which lies
+    # beyond pos), and the segment crosses each boundary edge at most once;
+    # so one pass per boundary edge, plus the last free move, is enough.
+    passes = 0
     while dist(pos, q_prime) > EPS:
-        guard += 1
-        if guard > 1000:
+        passes += 1
+        if passes > len(t.boundary_edges) + 1:
             raise GeometryError("hunt failed to make progress (non-regular terrain?)")
         hit = first_hit(pos, q_prime, t)
         if hit is None:

@@ -154,20 +154,20 @@ def segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Counterclockwise convex hull (Andrew's monotone chain)."""
-    pts = sorted(set((float(p[0]), float(p[1])) for p in points))
+    pts = sorted(set(Point(float(p[0]), float(p[1])) for p in points))
     if len(pts) < 3:
-        return [Point(*p) for p in pts]
-    lower: list[tuple[float, float]] = []
+        return pts
+    lower: list[Point] = []
     for p in pts:
-        while len(lower) >= 2 and cross3(Point(*lower[-2]), Point(*lower[-1]), Point(*p)) <= 0:
+        while len(lower) >= 2 and cross3(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[tuple[float, float]] = []
+    upper: list[Point] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross3(Point(*upper[-2]), Point(*upper[-1]), Point(*p)) <= 0:
+        while len(upper) >= 2 and cross3(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return [Point(*p) for p in lower[:-1] + upper[:-1]]
+    return lower[:-1] + upper[:-1]
 
 
 class Polygon:
@@ -775,12 +775,38 @@ def _triples(m: int) -> np.ndarray:
 
 
 def is_c_fat(poly: Polygon, c: float) -> bool:
-    """Enclosing-to-inscribed radius ratio at most c."""
+    """Enclosing-to-inscribed radius ratio at most c.
+
+    A cheap proof comes first.  Take c0, the mean of the vertices.  The
+    disc about c0 of radius R+ = max |v - c0| holds every vertex, so the
+    polygon, so R <= R+.  Let rho be the least signed distance from c0 to
+    an edge line, inward for the CCW ring.  If rho > 0, the disc about c0
+    of radius rho lies in every inner half-plane, so in the polygon, so
+    r >= rho.  Then R+ (1 + 1e-9) <= c rho proves R <= c r; the relative
+    margin covers rounding.  Offsets are taken as v - c0, which nearby
+    coordinates give exactly, so the proof survives translation.  Only
+    when it fails are Welzl's circle and the Chebyshev center computed;
+    a non-convex polygon always takes that path, and raises there.
+    """
     if c <= 1:
         raise GeometryError("fatness parameter must exceed 1")
+    if poly.is_convex and _certified_fat(poly, c):
+        return True
     _, R = smallest_enclosing_circle(poly)
     _, r = largest_inscribed_circle(poly)
     return R <= c * r + EPS
+
+
+def _certified_fat(poly: Polygon, c: float) -> bool:
+    """The vertex-mean proof of c-fatness in `is_c_fat`; False proves nothing."""
+    vs = poly.vertices
+    cx = sum(v.x for v in vs) / poly.n
+    cy = sum(v.y for v in vs) / poly.n
+    offsets = [(v.x - cx, v.y - cy) for v in vs]
+    R_plus = max(math.hypot(ux, uy) for ux, uy in offsets)
+    rho = min((ux * wy - uy * wx) / math.hypot(wx - ux, wy - uy)
+              for (ux, uy), (wx, wy) in zip(offsets, offsets[1:] + offsets[:1]))
+    return rho > 0.0 and R_plus * (1.0 + 1e-9) <= c * rho
 
 
 def validate_regular_terrain(t: Terrain, c: float) -> None:

@@ -7,7 +7,8 @@ selected, which must see the treasure; free moves must stay inside the
 terrain and perimeter pieces must follow their ring; each cow-path search,
 a maximal run of perimeter pieces on one ring, must walk (the run's
 length) within the doubling-search bound of its dmin (the shorter arc
-between the run's ends); the advice must fit its size budget.
+between the run's ends); the treasure must come into sight within
+RATIO_GATE times max(L, 1); the advice must fit its size budget.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_rat
 ADVICE_BITS_BUDGET_BASE = 10
 ADVICE_BITS_BUDGET_SLOPE = 6
 COWPATH_SLACK = 1e-9
+RATIO_GATE = 200.0  # first_sight / max(L, 1): the paper's O(L) cost claim
 PIECE_JOIN_TOL = 1e-6
 
 
@@ -123,6 +125,9 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     if first_sight is None:
         failures.append("treasure never became visible along the trajectory")
         first_sight = math.inf
+    ratio = first_sight / max(L, 1.0)
+    if math.isfinite(ratio) and ratio > RATIO_GATE:
+        failures.append(f"cost ratio {ratio:.3f} exceeds the gate {RATIO_GATE:g}")
 
     budget = advice_bits_budget(L, spec.lam)
     if len(advice) > budget:
@@ -165,7 +170,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
         L=L,
         outcome=outcome,
         first_sight_length=first_sight,
-        ratio=first_sight / max(L, 1.0),
+        ratio=ratio,
         max_cowpath_ratio=max_cp,
         searches=searches,
         failures=failures,

@@ -9,6 +9,7 @@ from conftest import empty_square_terrain, square
 from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Scenario, Terrain,
                    accessibility, choose_directions, cow_path, encode, make_advice,
                    perimeter_split, run_scenario, sees, segment_in_terrain, thunt)
+from thunt import agent
 from thunt.agent import MoveKind, Trajectory, _first_sight_length
 from thunt.generators import random_fat_polygon
 
@@ -158,6 +159,25 @@ def test_hunt_first_sight_bracketed():
     # straight walk toward a tile center near q: visibility starts around
     # distance |pq| - 1 = 4
     assert abs(first_sight - 4.0) < 0.2
+
+
+def test_a_hunt_that_never_advances_stops_within_the_boundary_bound(monkeypatch):
+    # first_hit keeps answering with the first obstacle entry, so every pass
+    # lands back on the same exit; the guard is one pass per boundary edge
+    # plus the last free move
+    t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2)])
+    p, q = Point(0, 0.7), Point(6, 0.75)
+    advice = make_advice(t, p, accessibility(t, q))
+    first_hit, hits = agent.first_hit, []
+
+    def stuck(frm, toward, terrain):
+        hits.append(hits[0] if hits else first_hit(frm, toward, terrain))
+        return hits[-1]
+
+    monkeypatch.setattr(agent, "first_hit", stuck)
+    with pytest.raises(GeometryError, match="progress"):
+        thunt(t, p, advice)
+    assert len(hits) == len(t.boundary_edges) + 1
 
 
 def test_hunt_rejects_malformed_advice():

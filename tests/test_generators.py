@@ -15,7 +15,7 @@ from thunt.generators import (CombParams, _clear_of, comb_terrain, random_fat_po
 from thunt.geom import Terrain, Polygon, convex_hull, segment_segment_distance
 from thunt.harness import bench_scenario
 from conftest import square
-from thunt import vecgeom
+from thunt import generators, geom, vecgeom
 
 
 def free_space_labels(terrain, step, offset=0.5):
@@ -259,6 +259,29 @@ def test_bench_scenarios_are_generated_as_recorded():
         rows.append((sc.terrain.outer.vertices, [o.vertices for o in sc.terrain.obstacles],
                      sc.start, sc.treasure))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == GENERATION_DIGEST
+
+
+def test_the_fatness_certificate_settles_most_suite_calls(monkeypatch):
+    # counted from outside: the certificate must keep firing on the suite
+    # (2,969 of 3,259 calls when it was introduced)
+    calls, certified = [], []
+    is_fat, certify = generators.is_c_fat, geom._certified_fat
+
+    def counted_is_fat(poly, c):
+        calls.append(poly)
+        return is_fat(poly, c)
+
+    def counted_certify(poly, c):
+        ok = certify(poly, c)
+        certified.append(ok)
+        return ok
+
+    monkeypatch.setattr(generators, "is_c_fat", counted_is_fat)
+    monkeypatch.setattr(geom, "_certified_fat", counted_certify)
+    for s in range(200):
+        bench_scenario(s)
+    assert len(calls) == len(certified) == 3259
+    assert sum(certified) >= 2900
 
 
 def test_random_regular_terrain_deterministic():

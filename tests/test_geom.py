@@ -14,6 +14,7 @@ from thunt import (GeometryError, Location, Point, Polygon,
                    perimeter_split, point_in_polygon, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
+from thunt import geom
 from thunt.generators import CombParams, comb_terrain, random_fat_polygon
 from thunt.geom import march
 
@@ -391,14 +392,18 @@ def test_inscribed_circle_equals_the_scalar_triple_scan(seed, n, radius):
     assert largest_inscribed_circle(poly) == brute_inscribed_circle(poly)
 
 
+def _rotated_rectangle(x0, y0, w, h, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return Polygon([(x0 + u * c - v * s, y0 + u * s + v * c)
+                    for u, v in ((0, 0), (w, 0), (w, h), (0, h))])
+
+
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.01, 20), st.floats(0.01, 20),
        st.floats(0, math.pi))
 def test_inscribed_circle_of_rectangle_equals_the_scalar_triple_scan(x0, y0, w, h, angle):
     # opposite sides are parallel, so some triples have a vanishing determinant
     # (exactly zero when axis-aligned, rounding-sized when rotated)
-    c, s = math.cos(angle), math.sin(angle)
-    rect = Polygon([(x0 + u * c - v * s, y0 + u * s + v * c)
-                    for u, v in ((0, 0), (w, 0), (w, h), (0, h))])
+    rect = _rotated_rectangle(x0, y0, w, h, angle)
     assert largest_inscribed_circle(rect) == brute_inscribed_circle(rect)
 
 
@@ -442,6 +447,48 @@ def test_exact_ratio_is_fat():
     _, R = smallest_enclosing_circle(UNIT)
     _, r = largest_inscribed_circle(UNIT)
     assert is_c_fat(UNIT, R / r)
+
+
+# c a hair below, at, or above the exact R/r; rectangles are where the
+# certificate is tight (the vertex mean is both centers)
+NEAR_RATIO = st.sampled_from([-1e-3, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9, 1e-6, 1e-3, 0.5])
+
+
+def _certificate_is_a_proof(poly, rel):
+    _, R = smallest_enclosing_circle(poly)
+    _, r = largest_inscribed_circle(poly)
+    c = R / r * (1 + rel)
+    if geom._certified_fat(poly, c):
+        assert R <= c * r + geom.EPS
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 12), st.floats(0.01, 100.0), NEAR_RATIO)
+def test_fatness_certificate_is_a_proof_on_convex_polygons(seed, n, radius, rel):
+    rng = random.Random(seed)
+    center = Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
+    poly = random_convex_polygon(rng, radius, center, n)
+    _certificate_is_a_proof(poly, rel)
+
+
+@given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.01, 20), st.floats(1e-3, 1),
+       st.floats(0, math.pi), NEAR_RATIO)
+def test_fatness_certificate_is_a_proof_on_thin_rectangles(x0, y0, w, aspect, angle, rel):
+    _certificate_is_a_proof(_rotated_rectangle(x0, y0, w, w * aspect, angle), rel)
+
+
+def test_is_c_fat_rejects_an_l_shape():
+    ell = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    with pytest.raises(GeometryError, match="convex"):
+        is_c_fat(ell, 2.0)
+
+
+def test_a_translated_square_is_certified_without_circles(monkeypatch):
+    def never(poly):
+        raise AssertionError("the certificate should have settled this call")
+
+    monkeypatch.setattr(geom, "smallest_enclosing_circle", never)
+    monkeypatch.setattr(geom, "largest_inscribed_circle", never)
+    assert is_c_fat(square(1e7 + 0.1, 1e7 - 0.3, 0.7), 2.0)
 
 
 # --- regularity ---------------------------------------------------------------------

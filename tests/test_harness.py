@@ -15,7 +15,7 @@ from thunt import (Point, Scenario, ScenarioError, Terrain, load_scenario,
 import thunt
 from thunt import agent, cli, harness
 from thunt.codec import AdviceTriple
-from thunt.agent import Trajectory
+from thunt.agent import MoveKind, Trajectory
 from thunt.cli import main as cli_main
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
                            scenario_from_dict, scenario_to_dict)
@@ -176,6 +176,29 @@ def test_run_scenario_checks_arrival_at_the_oracles_tile(monkeypatch):
     assert harness.sees(report.outcome.q_prime, simple_scenario().treasure,
                         simple_scenario().terrain)
     assert "agent did not reach the target tile center" in report.failures
+
+
+def test_run_scenario_gates_the_cost_ratio(monkeypatch):
+    # before setting off, the agent paces the wall x = 1 out of sight range
+    # of the treasure; every piece stays in the terrain and it still arrives
+    hunt = harness.thunt
+
+    def detours(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        walk = Trajectory()
+        walk.append([p, Point(1, 9.5)], MoveKind.FREE_MOVE)
+        for k in range(250):
+            walk.append([walk.end, Point(1, 0.5 if k % 2 == 0 else 9.5)], MoveKind.FREE_MOVE)
+        walk.append([walk.end, p], MoveKind.FREE_MOVE)
+        for piece in out.trajectory.pieces:
+            walk.append(list(piece.points), piece.kind)
+        return dataclasses.replace(out, trajectory=walk)
+
+    monkeypatch.setattr(harness, "thunt", detours)
+    report = run_scenario(simple_scenario())
+    assert report.ratio > harness.RATIO_GATE
+    assert report.failures == [
+        f"cost ratio {report.ratio:.3f} exceeds the gate {harness.RATIO_GATE:g}"]
 
 
 def Polygon_rect():
