@@ -9,20 +9,19 @@ the verification suites.
 from .agent import HuntOutcome, MoveKind, Trajectory, choose_directions, cow_path, thunt
 from .codec import AdviceError, AdviceTriple, decode, encode, pack_bits, unpack_bits
 from .generators import (CombParams, GadgetParams, GenerationError, comb_terrain,
-                         gadget, gadget_hull, random_fat_polygon,
-                         random_regular_terrain, regular_lb_terrain)
+                         gadget, random_fat_polygon, random_regular_terrain,
+                         regular_lb_terrain)
 from .geom import (EPS, OUTER_RING, GeometryError, HitEvent,
                    Location, Point, Polygon, Terrain,
                    TerrainError, convex_hull, distance_to_boundary, first_hit,
-                   is_c_fat, largest_inscribed_circle, line_ring_intersections,
-                   perimeter_split, point_in_polygon, point_in_terrain, sees,
+                   is_c_fat, largest_inscribed_circle, perimeter_split,
+                   point_in_polygon, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
 from .harness import (Scenario, ScenarioError, RunReport, bench, bench_scenario,
                       load_scenario, reports_to_csv, run_scenario, save_scenario)
-from .oracle import (GridResolutionError, TileIndex, Tiling, TreasureSpec,
-                     accessibility, grid_path_oracle, make_advice, select_tile,
-                     shortest_path)
+from .oracle import (TileIndex, Tiling, TreasureSpec, accessibility, make_advice,
+                     select_tile, shortest_path)
 from .render import render_svg
 
 __version__ = "0.1.0"

@@ -1,12 +1,14 @@
 """Advice-only side: the hunting agent.
 
 The agent decodes the advice triple, rebuilds the tiling anchored at its
-start point, and free-moves along the line toward the designated tile
-center.  Every time the move is interrupted by an obstacle it runs a
-doubling (cow-path) search along the obstacle perimeter for the point
-where the line re-crosses it, then continues.  It returns only its
-trajectory and the tile center it aimed for; it is never given the
-treasure and keeps no account of its own costs.
+start point, and free-moves along the segment toward the designated tile
+center.  One rule, `geom.first_hit`, decides both ends of every contact
+with an obstacle: the boundary event where the segment leaves the terrain
+and the one where it comes back.  The agent runs a doubling (cow-path)
+search along the perimeter from the first until it walks onto the second,
+then continues.  It returns only its trajectory and the tile center it
+aimed for; it is never given the treasure and keeps no account of its own
+costs.
 
 `_first_sight_length` measures, for the verifier, where along a
 trajectory the treasure first becomes visible.
@@ -19,9 +21,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .codec import AdviceError, decode
-from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon,
-                   Terrain, dist, first_hit, lerp,
-                   line_ring_intersections, march, point_in_terrain, sees)
+from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain,
+                   dist, first_hit, lerp, march, point_in_terrain, sees)
 from .oracle import TileIndex, Tiling
 
 class MoveKind(Enum):
@@ -109,34 +110,15 @@ def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
     return dir1, -dir1
 
 
-def cow_path(ring: Polygon, m_a: Point, m_b: Point, r: Point,
-             trajectory: Trajectory) -> Point:
-    """Doubling perimeter search from crossing point r for the other
-    crossing point of line (m_a, m_b) with the ring.
+def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: Trajectory) -> Point:
+    """Doubling perimeter search from the hit point r for r_prime, the
+    point of the ring where the free move's segment comes back out.
 
     Walks legs of length 1, 2, 4, ... alternating dir1/dir2 (returning to r
-    after each failed leg), appending every walked piece to the trajectory.
-    Returns the found point.
+    after each failed leg), appending every walked piece to the trajectory,
+    and stops on the first leg that reaches r_prime.  Both points must lie
+    on the ring.  Returns r_prime.
     """
-    events = line_ring_intersections(m_a, m_b, ring)
-    crossings = [pt for pt, crossing in events if crossing]
-    if len(crossings) < 2:
-        raise GeometryError("line does not cross the ring twice (tangential contact?)")
-    dxm, dym = m_b.x - m_a.x, m_b.y - m_a.y
-    L2 = dxm * dxm + dym * dym
-
-    def along(pt: Point) -> float:
-        return ((pt.x - m_a.x) * dxm + (pt.y - m_a.y) * dym) / L2
-
-    r_par = along(r)
-    by_dist = sorted(crossings, key=lambda c: dist(c, r))
-    if dist(by_dist[0], r) > 1e-6:
-        raise GeometryError("start point is not a crossing of the line with the ring")
-    ahead = [c for c in crossings if along(c) > r_par + 1e-9]
-    if not ahead:
-        raise GeometryError("no crossing beyond the hit point toward the target")
-    r_prime = min(ahead, key=along)
-
     P = ring.perimeter
     arc_r = ring.arc_of_point(r)
     arc_rp = ring.arc_of_point(r_prime)
@@ -167,8 +149,9 @@ def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome
     """Execute the hunt from p using only the advice string.
 
     With `strict` the terrain must be regular (convex outer polygon and
-    convex obstacles); without it the agent still targets the next line
-    crossing on whatever ring it hits, with no cost guarantees.
+    convex obstacles).  Without it the agent still searches the ring it
+    hits for the segment's re-entry, with no cost guarantees; a re-entry
+    on another ring raises GeometryError.
     """
     if not point_in_terrain(p, t):
         raise GeometryError("agent start must lie in the terrain")
@@ -185,10 +168,11 @@ def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome
 
     traj = Trajectory()
     pos = p
-    # Each pass lands on a later crossing of the segment p q' with the
-    # boundary (cow_path returns the first one beyond the hit, which lies
-    # beyond pos), and the segment crosses each boundary edge at most once;
-    # so one pass per boundary edge, plus the last free move, is enough.
+    # Each pass lands on a later boundary event of the segment pos q'
+    # (first_hit's re-entry ends a run of outside intervals, so it lies
+    # beyond the hit and beyond pos), and the segment p q' crosses each
+    # boundary edge at most once; so one pass per boundary edge, plus the
+    # last free move, is enough.
     passes = 0
     while dist(pos, q_prime) > EPS:
         passes += 1
@@ -201,7 +185,7 @@ def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome
             break
         if hit.travel > EPS:
             traj.append([pos, hit.point], MoveKind.FREE_MOVE)
-        pos = cow_path(t.ring(hit.ring), p, q_prime, hit.point, traj)
+        pos = cow_path(t.ring(hit.ring), hit.point, hit.reentry, traj)
     return HuntOutcome(traj, q_prime)
 
 

@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScenarioError, codec.AdviceError, GenerationError, GeometryError,
-            oracle.GridResolutionError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

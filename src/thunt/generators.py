@@ -66,13 +66,6 @@ def gadget(params: GadgetParams) -> list[Polygon]:
     return [_square(cx, cy, x) for cx, cy in centers]
 
 
-def gadget_hull(params: GadgetParams) -> Polygon:
-    """The bounding square of the gadget (side 5*lam centered at o)."""
-    h = params.hull_side / 2.0
-    o = params.o
-    return _square(o.x, o.y, 2 * h)
-
-
 def regular_lb_terrain(k: int, lam: float) -> tuple[Terrain, Point, list[Point]]:
     """Square terrain of side 20*k*lam whose top-right quadrant carries a
     grid of blinding gadgets; returns the terrain, the start at the

@@ -503,17 +503,18 @@ def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
     return out
 
 
-def _first_exit(a: Point, b: Point, t: Terrain) -> Optional[tuple[float, Point]]:
+def _first_exit(a: Point, b: Point, t: Terrain) -> Optional[tuple[list[float], int, Point]]:
     """First interval of segment ab, between consecutive boundary events,
-    whose midpoint leaves the terrain: its start parameter and that
-    midpoint.  None when every midpoint stays in (or on) the terrain."""
+    whose midpoint leaves the terrain: the events, the interval's index
+    and its midpoint.  None when every midpoint stays in (or on) the
+    terrain."""
     if dist(a, b) <= EPS:
         return None
     ts = _segment_boundary_params(a, b, t)
     for i in range(len(ts) - 1):
         mid = lerp(a, b, 0.5 * (ts[i] + ts[i + 1]))
         if not point_in_terrain(mid, t):
-            return ts[i], mid
+            return ts, i, mid
     return None
 
 
@@ -540,85 +541,35 @@ class HitEvent(NamedTuple):
     point: Point
     ring: int  # OUTER_RING or obstacle index
     travel: float
+    reentry: Point
 
 
 def first_hit(frm: Point, toward: Point, t: Terrain) -> Optional[HitEvent]:
     """First point along segment frm->toward where continuing would leave
-    the terrain (enter an obstacle interior or exit the outer polygon).
+    the terrain (enter an obstacle interior or exit the outer polygon),
+    and the point where the segment comes back into the terrain.
 
-    Tangential touches and stretches riding along a boundary do not count.
-    Returns None when the whole segment stays navigable.
+    Both are boundary events of the segment: the hit starts the first run
+    of intervals whose midpoints lie outside, and the re-entry ends that
+    run (it is `toward` itself when the segment ends outside).  Tangential
+    touches and stretches riding along a boundary do not count, neither as
+    a hit nor as a re-entry.  Returns None when the whole segment stays
+    navigable.
     """
     if not point_in_terrain(frm, t):
         raise GeometryError("free move must start inside the terrain")
     found = _first_exit(frm, toward, t)
     if found is None:
         return None
-    s, mid = found
+    ts, i, mid = found
     ring = next((k for k, obs in enumerate(t.obstacles)
                  if point_in_polygon(mid, obs) is Location.INTERIOR), OUTER_RING)
-    return HitEvent(lerp(frm, toward, s), ring, s * dist(frm, toward))
-
-
-def line_ring_intersections(a: Point, b: Point, ring: Polygon) -> list[tuple[Point, bool]]:
-    """Intersections of the infinite line through a,b with a ring.
-
-    Each entry is (point, crossing): crossing=True when the ring passes
-    from one side of the line to the other there, False for tangential
-    contact.  A contact stretch collinear with the line contributes its two
-    endpoints.  Results are ordered along the a->b direction.
-    """
-    dx, dy = b.x - a.x, b.y - a.y
-    L = math.hypot(dx, dy)
-    if L <= EPS:
-        raise GeometryError("line requires two distinct points")
-    vs = ring.vertices
-    n = ring.n
-    sigma = []
-    for v in vs:
-        s = dx * (v.y - a.y) - dy * (v.x - a.x)
-        sigma.append(0.0 if abs(s) <= EPS * L else s)
-    if all(s == 0.0 for s in sigma):
-        raise GeometryError("degenerate ring: all vertices on the line")
-
-    events: list[tuple[float, Point, bool]] = []
-
-    def param(p: Point) -> float:
-        return ((p.x - a.x) * dx + (p.y - a.y) * dy) / (L * L)
-
-    # transversal crossings strictly inside edges
-    for i in range(n):
-        s0, s1 = sigma[i], sigma[(i + 1) % n]
-        if s0 != 0.0 and s1 != 0.0 and (s0 > 0) != (s1 > 0):
-            t = s0 / (s0 - s1)
-            p = lerp(vs[i], vs[(i + 1) % n], t)
-            events.append((param(p), p, True))
-
-    # vertex-contact runs (single vertices or chains of collinear edges)
-    zero_idx = [i for i in range(n) if sigma[i] == 0.0]
-    if zero_idx:
-        zset = set(zero_idx)
-        runs: list[list[int]] = []
-        for i in zero_idx:
-            if (i - 1) % n in zset:
-                continue  # not a run start
-            run = [i]
-            j = (i + 1) % n
-            while j in zset and j != i:
-                run.append(j)
-                j = (j + 1) % n
-            runs.append(run)
-        for run in runs:
-            before = sigma[(run[0] - 1) % n]
-            after = sigma[(run[-1] + 1) % n]
-            crossing = (before > 0) != (after > 0)
-            first, last = vs[run[0]], vs[run[-1]]
-            events.append((param(first), first, crossing))
-            if len(run) > 1:
-                events.append((param(last), last, crossing))
-
-    events.sort(key=lambda e: e[0])
-    return [(p, c) for _, p, c in events]
+    j = i + 1
+    while j + 1 < len(ts) and not point_in_terrain(
+            lerp(frm, toward, 0.5 * (ts[j] + ts[j + 1])), t):
+        j += 1
+    return HitEvent(lerp(frm, toward, ts[i]), ring, ts[i] * dist(frm, toward),
+                    lerp(frm, toward, ts[j]))
 
 
 def march(ring: Polygon, start_arc: float, length: float, direction: int) -> list[Point]:

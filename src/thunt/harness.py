@@ -254,7 +254,8 @@ def _as_float(value, where: str) -> float:
 
 def _as_point(value, where: str) -> Point:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in value)):
         raise ScenarioError(f"field '{where}' must be a [x, y] pair of numbers")
     return Point(_as_float(value[0], where), _as_float(value[1], where))
 

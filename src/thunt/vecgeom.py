@@ -3,16 +3,13 @@
 One segment-vs-boundary kernel, `pairwise_edge_classification`, runs the
 separating-axis test of every candidate segment against every boundary
 edge with an EPS margin.  It trades the scalar kernel's boundary-exact
-semantics for speed and is used in two conservative ways: the visibility
-graph sends the pairs it marks ambiguous to the exact test, and the grid
-oracle keeps only the lattice edges it marks neither blocked nor
-ambiguous (rejecting a free edge can only lengthen the upper bound).
+semantics for speed, so the visibility graph sends the pairs it marks
+ambiguous to the exact test.
 
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every
 segment.  Its point test, `points_in_terrain`, is `geom.point_in_terrain`
-over arrays, and also places the grid oracle's lattice nodes.  Batches
-hold at most CHUNK_CELLS segment x edge cells.
+over arrays.  Batches hold at most CHUNK_CELLS segment x edge cells.
 """
 from __future__ import annotations
 
@@ -23,8 +20,8 @@ import numpy as np
 from .geom import EPS, Polygon, Terrain
 
 _CACHE_KEY = "edge_arrays"
-# Segment x boundary-edge cells per batch, for the exact test and for the
-# grid oracle's kernel calls: bounds their arrays whatever the input size.
+# Segment x boundary-edge cells per batch of the exact test: bounds its
+# arrays whatever the input size.
 CHUNK_CELLS = 1 << 20
 
 

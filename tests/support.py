@@ -1,0 +1,133 @@
+"""Helpers that only the tests use: a lattice path oracle that bounds
+shortest paths from above, and the bounding square of a blinding gadget.
+
+The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
+lattice points that `vecgeom.points_in_terrain`, the exact test's point
+test, puts in the terrain, and it keeps the lattice edges that
+`vecgeom.pairwise_edge_classification` marks neither blocked nor
+ambiguous (rejecting a free edge can only lengthen the upper bound); it
+shares no other rule with the visibility graph of `oracle.shortest_path`.
+It calls the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
+"""
+import math
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+from thunt import vecgeom
+from thunt.generators import GadgetParams
+from thunt.geom import EPS, GeometryError, Point, Polygon, Terrain, dist, segment_in_terrain
+
+
+class GridResolutionError(RuntimeError):
+    pass
+
+
+def gadget_hull(params: GadgetParams) -> Polygon:
+    """The bounding square of the gadget (side 5*lam centered at o)."""
+    h = params.hull_side / 2.0
+    o = params.o
+    return Polygon([(o.x - h, o.y - h), (o.x + h, o.y - h), (o.x + h, o.y + h), (o.x - h, o.y + h)])
+
+
+def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float:
+    """Upper bound on the geodesic via an 8-neighbor lattice restricted to
+    terrain-contained edges; converges to the geodesic as resolution -> 0."""
+    if resolution <= 0:
+        raise GeometryError("resolution must be positive")
+    if dist(p, q) <= EPS:
+        return 0.0
+    h = resolution
+    x0, y0, x1, y1 = t.bbox
+    xs = np.arange(x0 - h, x1 + 2 * h, h)
+    ys = np.arange(y0 - h, y1 + 2 * h, h)
+    nx, ny = len(xs), len(ys)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    px = gx.ravel()
+    py = gy.ravel()
+    mask = vecgeom.points_in_terrain(px, py, t)
+    # the kernel's points: the lattice nodes, then an endpoint as one more
+    # row; none is a ring vertex, so no boundary edge is left out at its ends
+    pts = np.column_stack((px, py))
+    no_edges = np.full((len(px) + 1, 2), -1)
+
+    step = max(1, vecgeom.CHUNK_CELLS // len(t.boundary_edges))
+
+    def clear(P: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        # each pair is classified on its own, so chunks only bound the arrays
+        keep = np.empty(len(src), dtype=bool)
+        for lo in range(0, len(src), step):
+            blocked, ambiguous = vecgeom.pairwise_edge_classification(
+                P, src[lo:lo + step], dst[lo:lo + step], t, no_edges)
+            keep[lo:lo + step] = ~(blocked | ambiguous)
+        return keep
+
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    steps = [(1, 0, h), (0, 1, h), (1, 1, h * math.sqrt(2)), (1, -1, h * math.sqrt(2))]
+    ids = np.arange(nx * ny).reshape(nx, ny)
+    mask2 = mask.reshape(nx, ny)
+    for dx, dy, w in steps:
+        sx = slice(None, -dx) if dx else slice(None)
+        tx = slice(dx, None) if dx else slice(None)
+        if dy >= 0:
+            sy = slice(None, -dy) if dy else slice(None)
+            ty = slice(dy, None) if dy else slice(None)
+        else:
+            sy = slice(-dy, None)
+            ty = slice(None, dy)
+        ok = mask2[sx, sy] & mask2[tx, ty]
+        src = ids[sx, sy][ok]
+        dst = ids[tx, ty][ok]
+        if len(src) == 0:
+            continue
+        keep = clear(pts, src, dst)
+        rows.append(src[keep])
+        cols.append(dst[keep])
+        vals.append(np.full(int(keep.sum()), w))
+
+    # hook the off-lattice endpoints in with exact segments; a generous link
+    # radius keeps the endpoint overhead well below the lattice distortion
+    n_nodes = nx * ny
+    link_radius = min(1.0, 10 * h)
+    for endpoint_id, pt in ((n_nodes, p), (n_nodes + 1, q)):
+        with_pt = np.vstack((pts, [pt]))
+        for attempt in range(4):
+            r = link_radius * (2.0 ** attempt)
+            near = np.nonzero(mask & (np.hypot(px - pt.x, py - pt.y) <= r))[0]
+            if len(near) == 0:
+                continue
+            chosen = near[clear(with_pt, np.full(len(near), n_nodes), near)]
+            if len(chosen) == 0:
+                # conservative test failed everywhere; try exact checks on
+                # the closest few nodes
+                order = near[np.argsort(np.hypot(px[near] - pt.x, py[near] - pt.y))][:32]
+                chosen = np.array([i for i in order
+                                   if segment_in_terrain(pt, Point(px[i], py[i]), t)],
+                                  dtype=int)
+            if len(chosen) > 0:
+                rows.append(np.full(len(chosen), endpoint_id))
+                cols.append(chosen)
+                vals.append(np.hypot(px[chosen] - pt.x, py[chosen] - pt.y))
+                break
+        else:
+            raise GridResolutionError(
+                "endpoint cannot be linked to the lattice (resolution too coarse)")
+    # degenerate short hops only; anything longer must route via the lattice
+    if dist(p, q) <= 3 * h and segment_in_terrain(p, q, t):
+        rows.append(np.array([n_nodes]))
+        cols.append(np.array([n_nodes + 1]))
+        vals.append(np.array([dist(p, q)]))
+
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
+    v = np.concatenate(vals)
+    graph = csr_matrix((np.concatenate([v, v]), (np.concatenate([r, c]), np.concatenate([c, r]))),
+                       shape=(n_nodes + 2, n_nodes + 2))
+    d = dijkstra(graph, directed=False, indices=n_nodes)
+    L = float(d[n_nodes + 1])
+    if not math.isfinite(L):
+        raise GridResolutionError("lattice disconnects the endpoints (resolution too coarse)")
+    return L

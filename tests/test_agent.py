@@ -67,7 +67,7 @@ def test_dir1_tie_breaks_clockwise_from_north():
 
 def test_cow_path_square_hand_simulation():
     traj = Trajectory()
-    rp = cow_path(UNIT, Point(-3, 0.5), Point(3, 0.5), Point(0, 0.5), traj)
+    rp = cow_path(UNIT, Point(0, 0.5), Point(1, 0.5), traj)
     dmin, walked = perimeter_split(UNIT, Point(0, 0.5), rp)[0], traj.total_length
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
     assert abs(dmin - 2.0) < 1e-9
@@ -81,15 +81,9 @@ def test_cow_path_found_in_first_leg():
     r = Point(0, 0.7)
     rp_expect = Point(0.2, 1.0)  # 0.3 up + 0.2 east along the top
     traj = Trajectory()
-    rp = cow_path(UNIT, r, rp_expect, r, traj)
+    rp = cow_path(UNIT, r, rp_expect, traj)
     assert math.dist(rp, rp_expect) < 1e-9
     assert abs(traj.total_length - 0.5) < 1e-9
-
-
-def test_cow_path_rejects_tangent_line():
-    traj = Trajectory()
-    with pytest.raises(GeometryError):
-        cow_path(UNIT, Point(-1, 1.0), Point(2, 1.0), Point(0.5, 1.0), traj)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -98,17 +92,10 @@ def test_cow_path_respects_doubling_bound(seed):
     rng = random.Random(seed)
     c = rng.choice([1.5, 2.0, 3.0])
     poly = random_fat_polygon(rng, c, radius=0.5 + 2.5 * rng.random())
-    u, v = rng.random(), rng.random()
-    a = poly.point_at_arc(u * poly.perimeter)
-    b = poly.point_at_arc(v * poly.perimeter)
-    if math.dist(a, b) < 1e-6:
-        return
+    r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
     traj = Trajectory()
-    try:
-        rp = cow_path(poly, a, b, a, traj)
-    except GeometryError:
-        return  # chord degenerated to a tangent (same edge)
-    dmin, walked = perimeter_split(poly, a, rp)[0], traj.total_length
+    assert cow_path(poly, r, r_prime, traj) == r_prime
+    dmin, walked = perimeter_split(poly, r, r_prime)[0], traj.total_length
     assert walked <= cowpath_bound(dmin) + 1e-9
 
 
@@ -212,12 +199,17 @@ def test_hunt_deterministic():
 
 
 def test_cow_path_enters_at_vertex():
-    # line through both extreme vertices of a diamond: r and r' are vertices
+    # a free move through both extreme vertices of a diamond: the hit and
+    # the re-entry are vertices, and the search walks from one to the other
     diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
+    hit = agent.first_hit(Point(-1, 0), Point(9, 0), Terrain(square(-2, -3, 12), [diamond]))
     traj = Trajectory()
-    rp = cow_path(diamond, Point(-1, 0), Point(9, 0), Point(3, 0), traj)
+    rp = cow_path(diamond, hit.point, hit.reentry, traj)
     assert math.dist(rp, (5.0, 0.0)) < 1e-9
     assert abs(perimeter_split(diamond, Point(3, 0), rp)[0] - 2 * math.sqrt(2)) < 1e-9
+    # (5, 0) lies 2*sqrt(2) away either way: the legs of 1 (north-east, dir1)
+    # and 2 (south-east) fail and come back, the leg of 4 reaches it
+    assert abs(traj.total_length - (6 + 2 * math.sqrt(2))) < 1e-9
 
 
 def test_hunt_through_diamond_obstacle():

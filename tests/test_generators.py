@@ -7,7 +7,7 @@ import pytest
 from scipy import ndimage
 
 from thunt import (GadgetParams, GenerationError, Point, accessibility,
-                   distance_to_boundary, gadget, gadget_hull, is_c_fat,
+                   distance_to_boundary, gadget, is_c_fat,
                    point_in_terrain, sees, shortest_path,
                    validate_regular_terrain)
 from thunt.generators import (CombParams, _clear_of, comb_terrain, random_fat_polygon,
@@ -15,6 +15,7 @@ from thunt.generators import (CombParams, _clear_of, comb_terrain, random_fat_po
 from thunt.geom import Terrain, Polygon, convex_hull, segment_segment_distance
 from thunt.harness import bench_scenario
 from conftest import square
+from support import gadget_hull
 from thunt import generators, geom, vecgeom
 
 

@@ -10,8 +10,7 @@ from conftest import (brute_enclosing_circle, brute_inscribed_circle,
                       empty_square_terrain, random_convex_polygon, square)
 from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, distance_to_boundary, first_hit,
-                   is_c_fat, largest_inscribed_circle, line_ring_intersections,
-                   perimeter_split, point_in_polygon, point_in_terrain, sees,
+                   is_c_fat, largest_inscribed_circle, perimeter_split, point_in_polygon, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
 from thunt import geom
@@ -161,6 +160,45 @@ def test_first_hit_riding_outer_wall():
     assert first_hit(Point(0, 2), Point(0, 8), t) is None
 
 
+def test_first_hit_reentry_through_opposite_vertex():
+    diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
+    t = Terrain(square(-2, -3, 12), [diamond])
+    hit = first_hit(Point(0, 0), Point(8, 0), t)
+    assert hit.ring == 0
+    assert math.dist(hit.point, (3, 0)) < 1e-12
+    assert math.dist(hit.reentry, (5, 0)) < 1e-12
+
+
+def test_first_hit_reentry_skips_a_graze_outside():
+    # a notch cut from the top of the outer ring, with a spike rising from
+    # its floor to touch y = 6 at (5, 6): the walk along y = 6 leaves at
+    # x = 3, grazes the spike from outside and comes back in at x = 7
+    outer = Polygon([(0, 0), (10, 0), (10, 10), (7, 10), (7, 4), (5, 6), (3, 4),
+                     (3, 10), (0, 10)])
+    hit = first_hit(Point(1, 6), Point(9, 6), Terrain(outer))
+    assert hit.ring == -1
+    assert math.dist(hit.point, (3, 6)) < 1e-12
+    assert math.dist(hit.reentry, (7, 6)) < 1e-12
+
+
+@given(st.integers(0, 10 ** 6))
+def test_first_hit_finds_both_ends_of_a_chord(seed):
+    rng = random.Random(seed)
+    poly = random_fat_polygon(rng, rng.choice([1.5, 2.0, 3.0]),
+                              radius=0.5 + 2.5 * rng.random())
+    t = Terrain(square(-20, -20, 40), [poly])
+    # chord ends inside two different edges, so the chord runs through the
+    # interior; extended beyond both ends it starts and ends in free space
+    vs = poly.vertices
+    a, b = (geom.lerp(vs[k], vs[(k + 1) % poly.n], rng.uniform(0.1, 0.9))
+            for k in rng.sample(range(poly.n), 2))
+    hit = first_hit(geom.lerp(a, b, -rng.uniform(0.1, 2)),
+                    geom.lerp(b, a, -rng.uniform(0.1, 2)), t)
+    assert hit.ring == 0
+    assert math.dist(hit.point, a) <= 1e-9
+    assert math.dist(hit.reentry, b) <= 1e-9
+
+
 @given(st.integers(0, 10 ** 6))
 def test_first_hit_consistent_with_containment(seed):
     rng = random.Random(seed)
@@ -199,46 +237,6 @@ def test_segment_in_terrain_is_no_first_hit_and_an_end_inside(seed):
     b = sample(-2, 12)
     assert segment_in_terrain(a, b, t) == (point_in_terrain(b, t)
                                            and first_hit(a, b, t) is None)
-
-
-# --- line/ring intersections ---------------------------------------------------
-
-def test_line_through_square_center():
-    hits = line_ring_intersections(Point(-1, 0.5), Point(2, 0.5), UNIT)
-    crossings = [p for p, c in hits if c]
-    assert len(crossings) == 2
-    xs = sorted(p.x for p in crossings)
-    assert abs(xs[0] - 0.0) < 1e-9 and abs(xs[1] - 1.0) < 1e-9
-
-
-def test_line_supporting_vertex_is_tangential():
-    tri = Polygon([(0, 0), (2, 0), (1, 1)])
-    hits = line_ring_intersections(Point(-1, 1), Point(3, 1), tri)
-    assert len(hits) == 1
-    assert hits[0][1] is False
-
-
-def test_line_missing_ring():
-    assert line_ring_intersections(Point(-1, 5), Point(2, 5), UNIT) == []
-
-
-def test_line_collinear_with_edge():
-    hits = line_ring_intersections(Point(-1, 0), Point(2, 0), UNIT)
-    # the whole bottom edge lies on the line: two tangential endpoints
-    assert len(hits) == 2
-    assert all(c is False for _, c in hits)
-
-
-def test_line_crossing_at_vertex():
-    diamond = Polygon([(1, 0), (2, 1), (1, 2), (0, 1)])
-    hits = line_ring_intersections(Point(-1, 0), Point(3, 2), diamond)
-    crossings = [p for p, c in hits if c]
-    assert len(crossings) == 2  # enters at vertex (1,0)? no: y=x/2+0.5 line
-    # vertical line through the top/bottom vertices crosses at both
-    hits2 = line_ring_intersections(Point(1, -1), Point(1, 3), diamond)
-    crossings2 = [p for p, c in hits2 if c]
-    assert len(crossings2) == 2
-    assert all(abs(p.x - 1.0) < 1e-9 for p in crossings2)
 
 
 # --- boundary walks ------------------------------------------------------------

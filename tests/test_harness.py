@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import square
-from thunt import (Point, Scenario, ScenarioError, Terrain, load_scenario,
+from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
 from thunt import agent, cli, harness
@@ -356,10 +357,11 @@ def _scenario_bytes(**fields) -> bytes:
     (_scenario_bytes(fatness_c=math.nan), "'fatness_c' must be a number > 1"),
     (_scenario_bytes(fatness_c=math.inf), "'fatness_c' must be a number > 1"),
     (_scenario_bytes(obstacles="abc"), "'obstacles' must be a list$"),
+    (_scenario_bytes(start=[True, True]), r"'start' must be a \[x, y\] pair of numbers"),
     (b'{"format": "thunt-sc\xe9nario"}', "not UTF-8 text"),
     (None, "Is a directory"),
 ], ids=["huge-int", "huge-fatness", "nan-fatness", "infinite-fatness", "obstacles-string",
-        "latin-1", "directory"])
+        "boolean-start", "latin-1", "directory"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
     path = tmp_path / "scen.json"
     if body is None:
@@ -394,3 +396,35 @@ def test_cli_render(tmp_path):
                      "--tiling"]) == 0
     body = out.read_text()
     assert body.startswith("<svg") and "<line" in body
+
+
+# --- metamorphic: how the terrain is listed changes nothing ------------------------
+
+@pytest.fixture(scope="module")
+def suite_head():
+    scenarios = [bench_scenario(seed) for seed in range(40)]
+    return [(sc, run_scenario(sc)) for sc in scenarios]
+
+
+def _rotated(ring, rng):
+    k = rng.randrange(len(ring))
+    return ring[k:] + ring[:k]
+
+
+@pytest.mark.parametrize("relist", [
+    lambda rings, rng: rings[:1] + rng.sample(rings[1:], len(rings) - 1),
+    lambda rings, rng: [ring[::-1] for ring in rings],
+    lambda rings, rng: [_rotated(ring, rng) for ring in rings],
+], ids=["permute-obstacles", "reverse-rings", "rotate-rings"])
+def test_relisting_the_terrain_changes_nothing(suite_head, relist):
+    # rings are given as vertex lists, the outer one first
+    rng = random.Random(0xAB1E)
+    for sc, base in suite_head:
+        rings = relist([list(ring.vertices) for _, ring in sc.terrain.rings()], rng)
+        terrain = Terrain(Polygon(rings[0]), [Polygon(ring) for ring in rings[1:]])
+        other = run_scenario(dataclasses.replace(sc, terrain=terrain))
+        assert other.advice == base.advice
+        assert other.L == pytest.approx(base.L, rel=1e-9, abs=0)
+        assert other.passed == base.passed
+        assert other.first_sight_length == pytest.approx(base.first_sight_length,
+                                                         rel=1e-9, abs=0)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
+from support import grid_path_oracle
 from thunt import (GeometryError, Point, Polygon, Terrain, accessibility,
-                   encode, grid_path_oracle, make_advice, segment_in_terrain,
-                   select_tile, shortest_path)
+                   encode, make_advice, segment_in_terrain, select_tile,
+                   shortest_path)
 from thunt import oracle, vecgeom
 from thunt.geom import EPS, dist, lerp
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
