@@ -76,73 +76,19 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
 
 
-def segments_separated(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True if segments ab and cd provably have no contact.
-
-    Uses the two supporting lines as separating axes with an absolute
-    distance margin of EPS.  Conservative: may return False for disjoint
-    segments in near-degenerate positions.
-    """
-    abx, aby = b.x - a.x, b.y - a.y
-    lab = math.hypot(abx, aby)
-    if lab > EPS:
-        m = EPS * lab
-        s0 = abx * (c.y - a.y) - aby * (c.x - a.x)
-        s1 = abx * (d.y - a.y) - aby * (d.x - a.x)
-        if (s0 > m and s1 > m) or (s0 < -m and s1 < -m):
-            return True
-    cdx, cdy = d.x - c.x, d.y - c.y
-    lcd = math.hypot(cdx, cdy)
-    if lcd > EPS:
-        m = EPS * lcd
-        w0 = cdx * (a.y - c.y) - cdy * (a.x - c.x)
-        w1 = cdx * (b.y - c.y) - cdy * (b.x - c.x)
-        if (w0 > m and w1 > m) or (w0 < -m and w1 < -m):
-            return True
-    return False
-
-
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point, margin: float = EPS) -> bool:
-    """True if the open segments cross transversally, away from all endpoints."""
+def segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
+    """Least distance between segments ab and cd: 0 when they cross
+    transversally, else the least distance from an endpoint to the other
+    segment."""
     abx, aby = b.x - a.x, b.y - a.y
     cdx, cdy = d.x - c.x, d.y - c.y
-    lab = math.hypot(abx, aby)
-    lcd = math.hypot(cdx, cdy)
-    if lab <= EPS or lcd <= EPS:
-        return False
-    ma = margin * lab
-    mc = margin * lcd
+    # cross3(a, b, c), cross3(a, b, d), cross3(c, d, a), cross3(c, d, b)
     s0 = abx * (c.y - a.y) - aby * (c.x - a.x)
     s1 = abx * (d.y - a.y) - aby * (d.x - a.x)
     w0 = cdx * (a.y - c.y) - cdy * (a.x - c.x)
     w1 = cdx * (b.y - c.y) - cdy * (b.x - c.x)
-    straddle_cd = (s0 > ma and s1 < -ma) or (s0 < -ma and s1 > ma)
-    straddle_ab = (w0 > mc and w1 < -mc) or (w0 < -mc and w1 > mc)
-    return straddle_cd and straddle_ab
-
-
-def segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Contact test that also resolves collinear segment pairs exactly.
-
-    Unresolvable near-degenerate cases count as touching (conservative).
-    """
-    if segments_separated(a, b, c, d):
-        return False
-    abx, aby = b.x - a.x, b.y - a.y
-    lab = math.hypot(abx, aby)
-    if lab > EPS:
-        dc = abs(abx * (c.y - a.y) - aby * (c.x - a.x)) / lab
-        dd = abs(abx * (d.y - a.y) - aby * (d.x - a.x)) / lab
-        if dc <= EPS and dd <= EPS:
-            tc = ((c.x - a.x) * abx + (c.y - a.y) * aby) / lab
-            td = ((d.x - a.x) * abx + (d.y - a.y) * aby) / lab
-            lo, hi = min(tc, td), max(tc, td)
-            return hi >= -EPS and lo <= lab + EPS
-    return True
-
-
-def segment_segment_distance(a: Point, b: Point, c: Point, d: Point) -> float:
-    if segments_properly_cross(a, b, c, d, margin=0.0):
+    if ((s0 > 0.0 > s1 or s0 < 0.0 < s1) and (w0 > 0.0 > w1 or w0 < 0.0 < w1)
+            and math.hypot(abx, aby) > EPS and math.hypot(cdx, cdy) > EPS):
         return 0.0
     return min(
         point_segment_distance(a, c, d),
@@ -308,31 +254,23 @@ def _check_simple(verts: Sequence[Point]) -> None:
         dot = e1[0] * e2[0] + e1[1] * e2[1]
         if abs(crs) <= EPS * max(1.0, math.hypot(*e1) * math.hypot(*e2)) and dot < 0:
             raise GeometryError("polygon is not simple (fold-back at a vertex)")
-    # non-adjacent edges must not touch; spatial hash plus bbox rejection
-    # keeps dense rings (combs with thousands of teeth) near-linear
+    # non-adjacent edges must not come within EPS of each other.  A sweep
+    # by leftmost x (Shamos & Hoey 1976) tests each edge only against the
+    # earlier edges whose x-range still reaches its own: near-linear on
+    # dense rings such as combs with thousands of narrow teeth
     boxes = [_segment_bbox(a, b) for a, b in edges]
-    avg_len = sum(dist(a, b) for a, b in edges) / n
-    cell = max(avg_len * 2.0, EPS * 10)
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i, (x0, y0, x1, y1) in enumerate(boxes):
-        for cx in range(int(x0 // cell), int(x1 // cell) + 1):
-            for cy in range(int(y0 // cell), int(y1 // cell) + 1):
-                grid.setdefault((cx, cy), []).append(i)
-    for bucket in grid.values():
-        for ii in range(len(bucket)):
-            i = bucket[ii]
-            ix0, iy0, ix1, iy1 = boxes[i]
-            for jj in range(ii + 1, len(bucket)):
-                j = bucket[jj]
-                jb = boxes[j]
-                if (jb[0] > ix1 + EPS or jb[2] < ix0 - EPS
-                        or jb[1] > iy1 + EPS or jb[3] < iy0 - EPS):
-                    continue
-                if j == (i + 1) % n or i == (j + 1) % n:
-                    continue
-                if segments_touch(*edges[i], *edges[j]):
-                    raise GeometryError(
-                        f"polygon is not simple (edges {i} and {j} touch)")
+    active: list[int] = []
+    for i in sorted(range(n), key=lambda k: boxes[k][0]):
+        x0, y0, _, y1 = boxes[i]
+        active = [j for j in active if boxes[j][2] >= x0 - EPS]
+        for j in active:
+            if (boxes[j][1] > y1 + EPS or boxes[j][3] < y0 - EPS
+                    or j == (i + 1) % n or i == (j + 1) % n):
+                continue
+            if segment_segment_distance(*edges[i], *edges[j]) <= EPS:
+                raise GeometryError(
+                    f"polygon is not simple (edges {min(i, j)} and {max(i, j)} touch)")
+        active.append(i)
 
 
 class Terrain:
@@ -350,21 +288,13 @@ class Terrain:
     def __init__(self, outer: Polygon, obstacles: Sequence[Polygon] = ()):
         self.outer = outer
         self.obstacles = tuple(obstacles)
-        outer_edges = [(_segment_bbox(*eo), eo) for eo in outer.edges()]
+        # an obstacle lies in the outer polygon when its boundary does: no
+        # vertex outside, and no edge leaving it between boundary events
+        bare = Terrain(outer) if self.obstacles else None
         for i, obs in enumerate(self.obstacles):
-            if any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices):
+            if (any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices)
+                    or any(_first_exit(a, b, bare) is not None for a, b in obs.edges())):
                 raise TerrainError(f"obstacle {i} is not inside the outer polygon")
-            # an outer edge more than EPS from the obstacle's box is more than
-            # EPS from each of its edges, so it cannot cross one properly
-            near = [eo for box, eo in outer_edges if bbox_gap(box, obs.bbox) <= EPS]
-            for e in obs.edges():
-                for eo in near:
-                    if segments_properly_cross(*e, *eo):
-                        raise TerrainError(
-                            f"obstacle {i} crosses the outer boundary")
-                mid = lerp(e[0], e[1], 0.5)
-                if point_in_polygon(mid, outer) is Location.EXTERIOR:
-                    raise TerrainError(f"obstacle {i} is not inside the outer polygon")
         for i in range(len(self.obstacles)):
             for j in range(i + 1, len(self.obstacles)):
                 a, b = self.obstacles[i], self.obstacles[j]

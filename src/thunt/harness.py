@@ -275,6 +275,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario file must contain a JSON object")
     if data.get("format") != "thunt-scenario":
         raise ScenarioError("field 'format' must be 'thunt-scenario'")
+    version = data.get("version", 1)
+    if type(version) is not int or version != 1:  # not True, not 1.0
+        raise ScenarioError("field 'version' must be 1")
     for key in ("start", "treasure", "outer", "obstacles"):
         if key not in data:
             raise ScenarioError(f"missing field '{key}'")

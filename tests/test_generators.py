@@ -192,6 +192,12 @@ def test_comb_default_width_is_tiny():
     assert params.k == 9 * 2 ** 8
 
 
+def test_comb_builds_at_the_default_width():
+    t, p, q = comb_terrain(CombParams(10, 3))
+    assert t.outer.n == 20486
+    assert point_in_terrain(p, t) and point_in_terrain(q, t)
+
+
 # --- random regular terrains --------------------------------------------------------
 
 def test_random_fat_polygon_respects_c():

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, brute_inscribed_circle,
@@ -42,6 +42,31 @@ def test_polygon_rejects_self_intersection():
 def test_polygon_rejects_degenerate():
     with pytest.raises(GeometryError):
         Polygon([(0, 0), (1, 0)])
+
+
+def _edges_touch_by_brute_force(ring):
+    n = len(ring)
+    return any(geom.segment_segment_distance(ring[i], ring[(i + 1) % n],
+                                             ring[j], ring[(j + 1) % n]) <= geom.EPS
+               for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i)
+
+
+GRID_RING = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=9)
+FLOAT_RING = st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=3, max_size=9)
+
+
+@settings(max_examples=300)
+@given(st.one_of(GRID_RING, FLOAT_RING))
+def test_polygon_rejects_touching_edges_exactly_when_brute_force_does(ring):
+    # grid vertices give collinear, overlapping and vertex-touching edges
+    try:
+        Polygon(ring)
+        reason = "simple"
+    except GeometryError as exc:
+        reason = str(exc)
+    assume("fold-back" not in reason and "at least 3" not in reason)
+    verts = geom._normalize_ring([Point(float(x), float(y)) for x, y in ring])
+    assert ("touch" in reason) == _edges_touch_by_brute_force(verts)
 
 
 # --- point classification ---------------------------------------------------
@@ -511,6 +536,18 @@ def test_thin_obstacle_fails_fatness():
 def test_terrain_rejects_outside_obstacle():
     with pytest.raises(TerrainError):
         Terrain(square(0, 0, 10), [square(20, 20, 2)])
+
+
+def test_terrain_rejects_obstacle_poking_out_through_outer_vertices():
+    # the obstacle's top edge runs along y = 5 through the notch's two
+    # vertices (3, 5) and (5, 5): no proper crossing, its midpoint inside,
+    # yet the stretch between them lies outside the outer polygon
+    notched = Polygon([(0, 0), (10, 0), (10, 10), (5, 10), (5, 5), (4, 4.5),
+                       (3, 5), (3, 10), (0, 10)])
+    with pytest.raises(TerrainError, match="obstacle 0 is not inside the outer polygon"):
+        Terrain(notched, [Polygon([(2, 5), (6, 2), (9.5, 5)])])
+    # lowered to y = 4.5, the edge only grazes the notch's tip from inside
+    assert len(Terrain(notched, [Polygon([(2, 4.5), (6, 2), (9.5, 4.5)])]).obstacles) == 1
 
 
 def test_terrain_rejects_overlapping_obstacles():

@@ -358,10 +358,18 @@ def _scenario_bytes(**fields) -> bytes:
     (_scenario_bytes(fatness_c=math.inf), "'fatness_c' must be a number > 1"),
     (_scenario_bytes(obstacles="abc"), "'obstacles' must be a list$"),
     (_scenario_bytes(start=[True, True]), r"'start' must be a \[x, y\] pair of numbers"),
+    (_scenario_bytes(version="x"), "'version' must be 1$"),
+    (_scenario_bytes(version=True), "'version' must be 1$"),
+    (_scenario_bytes(strict=False, start=[1, 1], treasure=[9, 1],
+                     outer=[[0, 0], [10, 0], [10, 10], [5, 10], [5, 5], [4, 4.5], [3, 5],
+                            [3, 10], [0, 10]],
+                     obstacles=[[[2, 5], [6, 2], [9.5, 5]]]),
+     "obstacle 0 is not inside the outer polygon"),
     (b'{"format": "thunt-sc\xe9nario"}', "not UTF-8 text"),
     (None, "Is a directory"),
 ], ids=["huge-int", "huge-fatness", "nan-fatness", "infinite-fatness", "obstacles-string",
-        "boolean-start", "latin-1", "directory"])
+        "boolean-start", "string-version", "boolean-version", "obstacle-pokes-out", "latin-1",
+        "directory"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
     path = tmp_path / "scen.json"
     if body is None:
