@@ -214,13 +214,15 @@ def _first_sight_length(traj: Trajectory, start: Point, q: Point,
             seg = dist(a, b)
             dx, dy = b.x - a.x, b.y - a.y
             ax, ay = a.x - q.x, a.y - q.y
-            # the part of ab inside the sight disc: |a - q + s (b - a)| <= radius
+            # the part of ab inside the sight disc: |a - q + s (b - a)| <= radius,
+            # solved about the foot s0 of the perpendicular from q: no cancellation
             A = dx * dx + dy * dy
-            B = ax * dx + ay * dy
-            disc = B * B - A * (ax * ax + ay * ay - radius * radius)
-            if A > 0.0 and disc >= 0.0:
-                root = math.sqrt(disc)
-                lo, hi = max(0.0, (-B - root) / A), min(1.0, (-B + root) / A)
+            s0 = -(ax * dx + ay * dy) / A if A > 0.0 else 0.0
+            hx, hy = ax + s0 * dx, ay + s0 * dy
+            gap = radius * radius - (hx * hx + hy * hy)
+            if A > 0.0 and gap >= 0.0:
+                w = math.sqrt(gap / A)
+                lo, hi = max(0.0, s0 - w), min(1.0, s0 + w)
                 events = [lo, hi] if lo <= hi else []
                 for v in near:
                     vx, vy = v.x - q.x, v.y - q.y

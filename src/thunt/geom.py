@@ -119,7 +119,7 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 class Polygon:
     """Simple polygon with normalized counterclockwise vertex order."""
 
-    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "area", "_bbox", "_convex")
+    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "area", "_bbox", "_convex", "_edges")
 
     def __init__(self, vertices: Sequence):
         verts = [Point(float(v[0]), float(v[1])) for v in vertices]
@@ -131,13 +131,13 @@ class Polygon:
             raise GeometryError("polygon needs at least 3 non-degenerate vertices")
         if _signed_area(verts) < 0:
             verts.reverse()
-        _check_simple(verts)
         self.vertices: tuple[Point, ...] = tuple(verts)
         self.n = len(verts)
-        lens = [dist(verts[i], verts[(i + 1) % self.n]) for i in range(self.n)]
+        self._edges = tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
+        _check_simple(self._edges)
         cum = [0.0]
-        for L in lens:
-            cum.append(cum[-1] + L)
+        for a, b in self._edges:
+            cum.append(cum[-1] + dist(a, b))
         self.cum_arc: tuple[float, ...] = tuple(cum)
         self.perimeter = cum[-1]
         self.area = _signed_area(verts)
@@ -150,10 +150,8 @@ class Polygon:
     def bbox(self) -> tuple[float, float, float, float]:
         return self._bbox
 
-    def edges(self):
-        vs = self.vertices
-        for i in range(self.n):
-            yield vs[i], vs[(i + 1) % self.n]
+    def edges(self) -> tuple[tuple[Point, Point], ...]:
+        return self._edges
 
     @property
     def is_convex(self) -> bool:
@@ -241,9 +239,8 @@ def _signed_area(verts: Sequence[Point]) -> float:
     return 0.5 * s
 
 
-def _check_simple(verts: Sequence[Point]) -> None:
-    n = len(verts)
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+def _check_simple(edges: Sequence[tuple[Point, Point]]) -> None:
+    n = len(edges)
     # adjacent edges must not fold back onto each other
     for i in range(n):
         a, b = edges[i - 1]
@@ -289,11 +286,17 @@ class Terrain:
         self.outer = outer
         self.obstacles = tuple(obstacles)
         # an obstacle lies in the outer polygon when its boundary does: no
-        # vertex outside, and no edge leaving it between boundary events
-        bare = Terrain(outer) if self.obstacles else None
+        # vertex outside, and no edge leaving it between boundary events.
+        # An outer ring that turns left at every vertex holds every edge
+        # whose ends it holds (`is_convex` forgives reflex turns up to EPS
+        # times the edge lengths, through which an edge can leave by more)
+        vs = outer.vertices
+        left = all(cross3(vs[i - 1], v, vs[(i + 1) % outer.n]) > 0 for i, v in enumerate(vs))
+        bare = Terrain(outer) if self.obstacles and not left else None
         for i, obs in enumerate(self.obstacles):
             if (any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices)
-                    or any(_first_exit(a, b, bare) is not None for a, b in obs.edges())):
+                    or (bare is not None
+                        and any(_first_exit(a, b, bare) is not None for a, b in obs.edges()))):
                 raise TerrainError(f"obstacle {i} is not inside the outer polygon")
         for i in range(len(self.obstacles)):
             for j in range(i + 1, len(self.obstacles)):
@@ -304,10 +307,8 @@ class Terrain:
                         or point_in_polygon(a.vertices[0], b) is Location.INTERIOR
                         or point_in_polygon(b.vertices[0], a) is Location.INTERIOR):
                     raise TerrainError(f"obstacles {i} and {j} are not disjoint")
-        edges: list[tuple[Point, Point]] = list(outer.edges())
-        for obs in self.obstacles:
-            edges.extend(obs.edges())
-        self.boundary_edges: tuple[tuple[Point, Point], ...] = tuple(edges)
+        self.boundary_edges: tuple[tuple[Point, Point], ...] = tuple(
+            itertools.chain(outer.edges(), *(obs.edges() for obs in self.obstacles)))
         self._cache: dict = {}
 
     def ring(self, ring_id: int) -> Polygon:

@@ -7,10 +7,11 @@ ring vertex; a pair is an edge iff its segment stays inside the terrain.
 One rule admits the pairs, the first case that applies deciding:
 
 * ends that share a boundary edge: admitted (the pair is that edge);
-* marked blocked by `vecgeom.pairwise_edge_classification`: rejected;
 * leaving a vertex end into an obstacle or out of the outer polygon, by
   the vertex's free-space wedge (free space on the left: the outer ring
   as stored, obstacle rings reversed): rejected;
+* marked blocked by `vecgeom.pairwise_edge_classification`, which sees
+  only the pairs the two cases above leave open: rejected;
 * marked ambiguous by the kernel: the exact test decides;
 * running along an edge at one of its ends: the exact test decides;
 * otherwise the segment meets the boundary only at its ends: admitted.
@@ -161,7 +162,6 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
         base += n
     P, E, W = np.array(nodes, dtype=float), np.array(edge_ids), np.array(wedges)
     I, J = np.triu_indices(len(nodes), k=1)
-    blocked, ambiguous = vecgeom.pairwise_edge_classification(P, I, J, t, E)
 
     # wedge test at both ends of every pair, the end at src heading to dst
     src, dst = np.concatenate((I, J)), np.concatenate((J, I))
@@ -178,8 +178,13 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
     along = along.reshape(2, -1).any(axis=0)
 
     edge = ((E[I, 1] == E[J, 0]) | (E[I, 0] == E[J, 1])) & (E[I, 0] >= 0)
-    admit = edge | ~(blocked | out | along | ambiguous)
-    exact = ~edge & ~blocked & ~out & (ambiguous | along)
+    # the kernel sees only the pairs that neither a shared edge nor a wedge decides
+    rest = ~edge & ~out
+    blocked, ambiguous = np.zeros_like(rest), np.zeros_like(rest)
+    blocked[rest], ambiguous[rest] = vecgeom.pairwise_edge_classification(
+        P, I[rest], J[rest], t, E)
+    admit = edge | (rest & ~(blocked | along | ambiguous))
+    exact = rest & ~blocked & (ambiguous | along)
     admit[exact] = vecgeom.segments_in_terrain(P[I[exact]], P[J[exact]], t)
     ai, aj = I[admit].tolist(), J[admit].tolist()
     return nodes, ai, aj, [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]

@@ -2,9 +2,10 @@
 
 One segment-vs-boundary kernel, `pairwise_edge_classification`, runs the
 separating-axis test of every candidate segment against every boundary
-edge with an EPS margin.  It trades the scalar kernel's boundary-exact
-semantics for speed, so the visibility graph sends the pairs it marks
-ambiguous to the exact test.
+edge with an EPS margin.  The visibility graph passes it only the pairs
+its shared-edge and wedge tests leave open.  It trades the scalar
+kernel's boundary-exact semantics for speed, so the visibility graph
+sends the pairs it marks ambiguous to the exact test.
 
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: a lattice path oracle that bounds
-shortest paths from above, and the bounding square of a blinding gadget.
+shortest paths from above, the bounding square of a blinding gadget, and
+the obstacle containment rule with no convexity certificate.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -17,7 +18,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from thunt import vecgeom
 from thunt.generators import GadgetParams
-from thunt.geom import EPS, GeometryError, Point, Polygon, Terrain, dist, segment_in_terrain
+from thunt.geom import (EPS, GeometryError, Location, Point, Polygon, Terrain, _first_exit,
+                        dist, point_in_polygon, segment_in_terrain)
 
 
 class GridResolutionError(RuntimeError):
@@ -29,6 +31,15 @@ def gadget_hull(params: GadgetParams) -> Polygon:
     h = params.hull_side / 2.0
     o = params.o
     return Polygon([(o.x - h, o.y - h), (o.x + h, o.y - h), (o.x + h, o.y + h), (o.x - h, o.y + h)])
+
+
+def obstacle_inside(outer: Polygon, obs: Polygon) -> bool:
+    """Whether `Terrain` may hold `obs` in `outer`, by the rule for any
+    outer ring: no vertex of `obs` outside `outer`, and no edge of it
+    leaving the bare outer polygon between boundary events."""
+    bare = Terrain(outer)
+    return (all(point_in_polygon(v, outer) is not Location.EXTERIOR for v in obs.vertices)
+            and all(_first_exit(a, b, bare) is None for a, b in obs.edges()))
 
 
 def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float:

@@ -148,6 +148,17 @@ def test_hunt_first_sight_bracketed():
     assert abs(first_sight - 4.0) < 0.2
 
 
+@pytest.mark.parametrize("side", [10.0 ** k for k in range(6, 14)])
+def test_first_sight_on_a_walk_long_against_the_sight_radius(side):
+    # one free move of about side/2 that ends within 0.36 of q: the entry
+    # into the sight disc must not cancel away against the walk's length
+    t = empty_square_terrain(side)
+    p, q = Point(1, 1), Point(side / 2, 1.5)
+    report = run_scenario(Scenario(t, p, q))
+    assert report.passed, report.failures
+    assert math.dist(p, q) - 1 <= report.first_sight_length <= math.dist(p, q) - 0.9
+
+
 def test_a_hunt_that_never_advances_stops_within_the_boundary_bound(monkeypatch):
     # first_hit keeps answering with the first obstacle entry, so every pass
     # lands back on the same exit; the guard is one pass per boundary edge

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, brute_inscribed_circle,
                       empty_square_terrain, random_convex_polygon, square)
+from support import obstacle_inside
 from thunt import (GeometryError, Location, Point, Polygon,
-                   Terrain, TerrainError, distance_to_boundary, first_hit,
+                   Terrain, TerrainError, convex_hull, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, perimeter_split, point_in_polygon, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
@@ -548,6 +549,78 @@ def test_terrain_rejects_obstacle_poking_out_through_outer_vertices():
         Terrain(notched, [Polygon([(2, 5), (6, 2), (9.5, 5)])])
     # lowered to y = 4.5, the edge only grazes the notch's tip from inside
     assert len(Terrain(notched, [Polygon([(2, 4.5), (6, 2), (9.5, 4.5)])]).obstacles) == 1
+
+
+def test_terrain_rejects_obstacle_cutting_under_a_shallow_dent():
+    # (1000, 4e-7) is a reflex turn that `is_convex` forgives; the obstacle's
+    # bottom edge joins two points of the outer ring on either side of it
+    # and passes 2e-7 below it, outside the outer polygon
+    h = 4e-7
+    outer = Polygon([(0, 0), (1000, h), (2000, 0), (2000, 1000), (0, 1000)])
+    assert outer.is_convex
+    with pytest.raises(TerrainError, match="obstacle 0 is not inside the outer polygon"):
+        Terrain(outer, [Polygon([(500, h / 2), (1500, h / 2), (1000, 5)])])
+    # raised to the dent's tip, the edge stays inside
+    assert len(Terrain(outer, [Polygon([(500, h), (1500, h), (1000, 5)])]).obstacles) == 1
+
+
+# an obstacle vertex: an integer point, or a point of an outer edge moved
+# outward by a nudge: a small one along the edge's normal, +-0.5 along the
+# ray from the outer ring's vertex mean (halfway to it when inward)
+NUDGES = [-0.5, -1e-6, -3e-9, -5e-10, 0.0, 5e-10, 3e-9, 1e-6, 0.5]
+
+
+@st.composite
+def convex_outer_and_obstacle(draw):
+    grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    real = st.tuples(st.floats(-8, 8), st.floats(-8, 8))
+    hull = convex_hull(draw(st.lists(st.one_of(grid, real), min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    try:
+        outer = Polygon(hull)
+    except GeometryError:
+        assume(False)
+    cx = sum(v.x for v in outer.vertices) / outer.n
+    cy = sum(v.y for v in outer.vertices) / outer.n
+    reach = draw(st.sampled_from(NUDGES))  # the farthest outward nudge
+    with_grid = draw(st.booleans())
+    vertices = []
+    for _ in range(draw(st.integers(3, 6))):
+        if with_grid and draw(st.booleans()):
+            vertices.append(Point(*map(float, draw(grid))))
+            continue
+        a, b = outer.edges()[draw(st.integers(0, outer.n - 1))]
+        s = draw(st.sampled_from([0.0, 1.0, draw(st.floats(0, 1))]))
+        x, y = a.x + s * (b.x - a.x), a.y + s * (b.y - a.y)
+        nudge = draw(st.sampled_from([n for n in NUDGES if n <= reach]))
+        if abs(nudge) == 0.5:
+            vertices.append(Point(x + nudge * (x - cx), y + nudge * (y - cy)))
+        else:
+            d = nudge / math.dist(a, b)
+            vertices.append(Point(x + d * (b.y - a.y), y - d * (b.x - a.x)))
+    # a star-shaped ring about the mean, so obstacles may be non-convex
+    mx = sum(v.x for v in vertices) / len(vertices)
+    my = sum(v.y for v in vertices) / len(vertices)
+    vertices.sort(key=lambda v: math.atan2(v.y - my, v.x - mx))
+    try:
+        obs = Polygon(vertices)
+    except GeometryError:
+        assume(False)
+    return outer, obs
+
+
+@given(convex_outer_and_obstacle())
+@settings(max_examples=300)
+def test_convex_outer_ring_certifies_obstacle_containment(case):
+    # on a convex outer ring the vertices alone decide containment
+    outer, obs = case
+    assert outer.is_convex
+    try:
+        Terrain(outer, [obs])
+        accepted = True
+    except TerrainError:
+        accepted = False
+    assert accepted == obstacle_inside(outer, obs)
 
 
 def test_terrain_rejects_overlapping_obstacles():

@@ -239,7 +239,16 @@ def comb():
     return comb_terrain(CombParams(12, 3, 1.0))
 
 
-@pytest.mark.parametrize("make", [random_regular, gadget_grid, lattice_3x3, comb])
+def suite_terrain(seed=7):
+    sc = bench_scenario(seed)
+    return sc.terrain, sc.start, sc.treasure
+
+
+@pytest.mark.parametrize("make", [
+    random_regular, gadget_grid, lattice_3x3, comb,
+    # ten obstacles each, where most pairs reach the kernel past the wedges
+    pytest.param(lambda: suite_terrain(10), id="suite_10"),
+    pytest.param(lambda: suite_terrain(21), id="suite_21")])
 def test_visibility_edges_match_scalar_predicate(make):
     # the vectorized admission rule agrees with the exact predicate on every pair
     t, p, q = make()
@@ -265,9 +274,25 @@ def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
     assert len(calls) == 0
 
 
-def suite_terrain():
-    sc = bench_scenario(7)
-    return sc.terrain, sc.start, sc.treasure
+@pytest.mark.parametrize("make, rows", [
+    pytest.param(lambda: (diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9)), 1383,
+                 id="lattice_4"),
+    pytest.param(suite_terrain, 694, id="suite_7")])
+def test_kernel_sees_only_the_pairs_the_wedges_leave_open(monkeypatch, make, rows):
+    # the shared-edge and wedge tests run first; the kernel gets what they leave
+    t, p, q = make()
+    kernel, seen = vecgeom.pairwise_edge_classification, []
+
+    def spy(P, I, J, terrain, incident):
+        seen.append(list(zip(I.tolist(), J.tolist())))
+        return kernel(P, I, J, terrain, incident)
+
+    monkeypatch.setattr(vecgeom, "pairwise_edge_classification", spy)
+    nodes, _, _, _ = _visibility_graph(t, p, q)
+    [pairs] = seen
+    sides = {frozenset(e) for e in t.boundary_edges}
+    assert not any(frozenset((nodes[i], nodes[j])) in sides for i, j in pairs)
+    assert len(pairs) == rows < len(nodes) * (len(nodes) - 1) // 2
 
 
 NOTCH = Terrain(Polygon([(-4, 0), (0, 0), (1, 1), (2, 0), (4, 0), (4, 4), (-4, 4)]))
