@@ -203,7 +203,8 @@ def _first_sight_length(traj: Trajectory, start: Point, q: Point,
     radius = 1.0 + EPS
 
     def visible(pt: Point) -> bool:
-        return dist(pt, q) <= radius and sees(pt, q, t)
+        # a free move may leave the terrain; its points outside see nothing
+        return dist(pt, q) <= radius and point_in_terrain(pt, t) and sees(pt, q, t)
 
     if visible(start):
         return 0.0

@@ -11,10 +11,17 @@ import math
 import random
 from dataclasses import dataclass
 
+# segment_segment_distance is unused, but perfbench counts calls under this name
 from .geom import (EPS, GeometryError, Location, Point, Polygon, Terrain,
-                   bbox_gap, convex_hull, dist, is_c_fat, point_in_polygon,
-                   point_in_terrain, point_segment_distance,
+                   convex_hull, dist, is_c_fat, nested, point_in_polygon,
+                   point_in_terrain, point_segment_distance, ring_distance,
                    segment_segment_distance)
+
+
+# the largest families that build in seconds; at the default width, the
+# comb's corridor count doubles with each A
+MAX_CORRIDORS = 2 ** 17
+MAX_LB_K = 16
 
 
 class GenerationError(RuntimeError):
@@ -76,8 +83,8 @@ def regular_lb_terrain(k: int, lam: float) -> tuple[Terrain, Point, list[Point]]
     occupied tiles at least 5*lam apart and fills at least a quarter of the
     quadrant.
     """
-    if k < 1:
-        raise GenerationError("k must be a positive integer")
+    if not 1 <= k <= MAX_LB_K:
+        raise GenerationError(f"k must be an integer in [1, {MAX_LB_K}]")
     if not (0 < lam <= 1):
         raise GenerationError("lam must lie in (0, 1]")
     A = 20.0 * k * lam
@@ -115,6 +122,8 @@ class CombParams:
         if width <= 0 or width >= self.A / 4.0:
             raise GenerationError("corridor width out of range")
         k = self.A / (2.0 * width)
+        if k > MAX_CORRIDORS:
+            raise GenerationError(f"more than {MAX_CORRIDORS} corridors")
         if abs(k - round(k)) > 1e-9:
             raise GenerationError("A/(2x) must be an integer")
         if not (1 <= self.open_index <= round(k)):
@@ -122,7 +131,7 @@ class CombParams:
 
     @property
     def width(self) -> float:
-        return self.x if self.x > 0 else 1.0 / (2.0 ** self.A)
+        return self.x if self.x > 0 else math.ldexp(1.0, -self.A)
 
     @property
     def k(self) -> int:
@@ -206,31 +215,16 @@ def random_fat_polygon(rng: random.Random, c: float, radius: float,
     raise GenerationError("could not sample a c-fat polygon (c too tight?)")
 
 
-def _clear_of(poly: Polygon, others: list[Polygon], outer: Polygon, clearance: float) -> bool:
-    """Whether every edge of poly keeps `clearance` from the outer ring and
-    from the other obstacles.  Rings and edges whose bbox lies clearance + EPS
-    or more from poly's are skipped: they are at least that far away."""
-    far = clearance + EPS
-    for ring in (outer, *others):
-        if bbox_gap(ring.bbox, poly.bbox) >= far:
-            continue
-        for c, d in ring.edges():
-            if bbox_gap((*map(min, c, d), *map(max, c, d)), poly.bbox) >= far:
-                continue
-            if any(segment_segment_distance(a, b, c, d) < clearance for a, b in poly.edges()):
-                return False
-    return True
-
-
 def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
                            extent: float = 10.0,
                            min_pq_dist: float = 1.0) -> tuple[Terrain, Point, Point]:
     """Seeded random regular terrain plus start and treasure points.
 
     The outer polygon is a convex hull of random points scaled to `extent`;
-    obstacles are rejection-sampled convex c-fat polygons with pairwise and
-    outer clearance at least 0.1.  Start and treasure keep 0.15 from every
-    boundary and `min_pq_dist` from each other.
+    obstacles are rejection-sampled convex c-fat polygons, kept 0.1 from it
+    and from each other by `Terrain`'s rules (`ring_distance`, `nested`).
+    Start and treasure keep 0.15 from every boundary and `min_pq_dist` from
+    each other.
     """
     if c <= 1 or extent <= 0:
         raise GenerationError("need c > 1 and a positive extent")
@@ -257,11 +251,8 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
             continue
         if any(point_in_polygon(v, outer) is not Location.INTERIOR for v in poly.vertices):
             continue
-        if not _clear_of(poly, obstacles, outer, 0.1):
-            continue
-        if any(point_in_polygon(o.vertices[0], poly) is not Location.EXTERIOR
-               or point_in_polygon(poly.vertices[0], o) is not Location.EXTERIOR
-               for o in obstacles):
+        if (any(ring_distance(poly, ring, 0.1 + EPS) < 0.1 for ring in (outer, *obstacles))
+                or any(nested(poly, o) for o in obstacles)):
             continue
         obstacles.append(poly)
     terrain = Terrain(outer, obstacles)

@@ -119,7 +119,7 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 class Polygon:
     """Simple polygon with normalized counterclockwise vertex order."""
 
-    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "area", "_bbox", "_convex", "_edges")
+    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "_bbox", "_convex", "_edges")
 
     def __init__(self, vertices: Sequence):
         verts = [Point(float(v[0]), float(v[1])) for v in vertices]
@@ -140,7 +140,6 @@ class Polygon:
             cum.append(cum[-1] + dist(a, b))
         self.cum_arc: tuple[float, ...] = tuple(cum)
         self.perimeter = cum[-1]
-        self.area = _signed_area(verts)
         xs = [v.x for v in verts]
         ys = [v.y for v in verts]
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
@@ -155,17 +154,11 @@ class Polygon:
 
     @property
     def is_convex(self) -> bool:
+        """Whether the ring turns strictly left (cross3 > 0) at every vertex."""
         if self._convex is None:
             vs = self.vertices
-            ok = True
-            for i in range(self.n):
-                o, a, b = vs[i - 1], vs[i], vs[(i + 1) % self.n]
-                c = cross3(o, a, b)
-                scale = dist(o, a) * dist(a, b)
-                if c < -EPS * max(scale, 1.0):
-                    ok = False
-                    break
-            self._convex = ok
+            self._convex = all(cross3(vs[i - 1], v, vs[(i + 1) % self.n]) > 0
+                               for i, v in enumerate(vs))
         return self._convex
 
     def point_at_arc(self, s: float) -> Point:
@@ -275,7 +268,8 @@ class Terrain:
 
     Obstacles are open sets: their interiors must lie inside the outer
     polygon's interior (a closure may touch the outer boundary from
-    within), and their closures must be pairwise disjoint.  Under those
+    within), and their closures must be pairwise disjoint: rings more than
+    EPS apart (`ring_distance`), neither `nested` in the other.  Under those
     conditions the navigable set is automatically connected, so no
     connectivity check is done here.
     """
@@ -287,26 +281,18 @@ class Terrain:
         self.obstacles = tuple(obstacles)
         # an obstacle lies in the outer polygon when its boundary does: no
         # vertex outside, and no edge leaving it between boundary events.
-        # An outer ring that turns left at every vertex holds every edge
-        # whose ends it holds (`is_convex` forgives reflex turns up to EPS
-        # times the edge lengths, through which an edge can leave by more)
-        vs = outer.vertices
-        left = all(cross3(vs[i - 1], v, vs[(i + 1) % outer.n]) > 0 for i, v in enumerate(vs))
-        bare = Terrain(outer) if self.obstacles and not left else None
+        # A convex outer ring holds every edge whose ends it holds
+        bare = Terrain(outer) if self.obstacles and not outer.is_convex else None
         for i, obs in enumerate(self.obstacles):
             if (any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices)
                     or (bare is not None
                         and any(_first_exit(a, b, bare) is not None for a, b in obs.edges()))):
                 raise TerrainError(f"obstacle {i} is not inside the outer polygon")
-        for i in range(len(self.obstacles)):
-            for j in range(i + 1, len(self.obstacles)):
-                a, b = self.obstacles[i], self.obstacles[j]
-                if bbox_gap(a.bbox, b.bbox) > 2 * EPS:
-                    continue  # can neither touch nor nest
-                if (_ring_distance(a, b) <= EPS
-                        or point_in_polygon(a.vertices[0], b) is Location.INTERIOR
-                        or point_in_polygon(b.vertices[0], a) is Location.INTERIOR):
-                    raise TerrainError(f"obstacles {i} and {j} are not disjoint")
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.obstacles), 2):
+            # rings whose bboxes lie apart can neither touch nor nest
+            if bbox_gap(a.bbox, b.bbox) <= 2 * EPS and (
+                    ring_distance(a, b, 2 * EPS) <= EPS or nested(a, b)):
+                raise TerrainError(f"obstacles {i} and {j} are not disjoint")
         self.boundary_edges: tuple[tuple[Point, Point], ...] = tuple(
             itertools.chain(outer.edges(), *(obs.edges() for obs in self.obstacles)))
         self._cache: dict = {}
@@ -334,16 +320,31 @@ def _segment_bbox(a: Point, b: Point) -> tuple[float, float, float, float]:
     return (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
 
-def _ring_distance(a: Polygon, b: Polygon) -> float:
-    best = math.inf
+def ring_distance(a: Polygon, b: Polygon, reach: float) -> float:
+    """Least distance between the rings of a and b when below `reach`, else
+    at least `reach`; edges whose bbox lies `reach` from the other ring's
+    are skipped, being at least that far away."""
+    if bbox_gap(a.bbox, b.bbox) >= reach:
+        return reach
+    near = [e for e in b.edges() if bbox_gap(_segment_bbox(*e), a.bbox) < reach]
+    best = reach
     for ea in a.edges():
-        for eb in b.edges():
+        if bbox_gap(_segment_bbox(*ea), b.bbox) >= reach:
+            continue
+        for eb in near:
             d = segment_segment_distance(*ea, *eb)
             if d < best:
-                best = d
-                if best == 0.0:
+                if d == 0.0:
                     return 0.0
+                best = d
     return best
+
+
+def nested(a: Polygon, b: Polygon) -> bool:
+    """Whether either ring holds the other's first vertex: for rings that
+    do not touch, whether one polygon lies inside the other."""
+    return (point_in_polygon(a.vertices[0], b) is not Location.EXTERIOR
+            or point_in_polygon(b.vertices[0], a) is not Location.EXTERIOR)
 
 
 def point_in_polygon(p: Point, poly: Polygon) -> Location:

@@ -312,6 +312,8 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario JSON is nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file is not UTF-8 text: {exc.reason}") from exc
     return scenario_from_dict(data)

@@ -10,9 +10,10 @@ from thunt import (GadgetParams, GenerationError, Point, accessibility,
                    distance_to_boundary, gadget, is_c_fat,
                    point_in_terrain, sees, shortest_path,
                    validate_regular_terrain)
-from thunt.generators import (CombParams, _clear_of, comb_terrain, random_fat_polygon,
+from thunt.generators import (CombParams, comb_terrain, random_fat_polygon,
                               random_regular_terrain, regular_lb_terrain)
-from thunt.geom import Terrain, Polygon, convex_hull, segment_segment_distance
+from thunt.geom import (EPS, Terrain, Polygon, convex_hull, ring_distance,
+                        segment_segment_distance)
 from thunt.harness import bench_scenario
 from conftest import square
 from support import gadget_hull
@@ -139,6 +140,19 @@ def test_comb_params_validation():
     with pytest.raises(GenerationError):
         CombParams(12, 1, 0.26)         # A/(2x) not integral
     assert CombParams(12, 1, 0.25).k == 24
+    assert CombParams(14, 1).k == 114688  # 2**17 corridors at most
+    for A in (15, 30, 1050, 2000):  # too many corridors, or a width of 0
+        with pytest.raises(GenerationError):
+            CombParams(A, 1)
+    with pytest.raises(GenerationError):
+        CombParams(12, 1, 1e-300)       # too many corridors
+
+
+def test_lb_terrain_size_limit():
+    assert len(regular_lb_terrain(1, 1.0)[0].obstacles) == 8
+    for k in (0, 17, 100000):
+        with pytest.raises(GenerationError, match=r"k must be an integer in \[1, 16\]"):
+            regular_lb_terrain(k, 0.5)
 
 
 def test_comb_structure_and_connectivity():
@@ -219,6 +233,12 @@ def test_random_regular_terrain_is_regular():
 def _min_distance(poly, rings):
     return min(segment_segment_distance(*e, *eo)
                for ring in rings for e in poly.edges() for eo in ring.edges())
+
+
+def _clear_of(poly, others, outer, clearance):
+    """The clearance rule of `random_regular_terrain`."""
+    return all(ring_distance(poly, ring, clearance + EPS) >= clearance
+               for ring in (outer, *others))
 
 
 def test_clear_of_agrees_with_a_full_scan():

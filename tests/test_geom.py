@@ -26,7 +26,7 @@ UNIT = square(0, 0, 1)
 
 def test_polygon_normalizes_orientation():
     cw = Polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
-    assert cw.area > 0
+    assert geom._signed_area(cw.vertices) > 0
     assert cw.is_convex
 
 
@@ -552,12 +552,12 @@ def test_terrain_rejects_obstacle_poking_out_through_outer_vertices():
 
 
 def test_terrain_rejects_obstacle_cutting_under_a_shallow_dent():
-    # (1000, 4e-7) is a reflex turn that `is_convex` forgives; the obstacle's
-    # bottom edge joins two points of the outer ring on either side of it
-    # and passes 2e-7 below it, outside the outer polygon
+    # (1000, 4e-7) is a shallow reflex turn, so the outer ring is not
+    # convex; the obstacle's bottom edge joins two points of the outer ring
+    # on either side of it and passes 2e-7 below it, outside the outer polygon
     h = 4e-7
     outer = Polygon([(0, 0), (1000, h), (2000, 0), (2000, 1000), (0, 1000)])
-    assert outer.is_convex
+    assert not outer.is_convex
     with pytest.raises(TerrainError, match="obstacle 0 is not inside the outer polygon"):
         Terrain(outer, [Polygon([(500, h / 2), (1500, h / 2), (1000, 5)])])
     # raised to the dent's tip, the edge stays inside
@@ -637,6 +637,44 @@ def test_terrain_rejects_obstacles_meeting_at_a_corner(gap):
 def test_terrain_accepts_obstacles_1e_6_apart():
     t = Terrain(square(0, 0, 10), [square(2, 2, 1), square(3 + 1e-6, 2.5, 1)])
     assert len(t.obstacles) == 2
+
+
+def _star_ring(points):
+    # a star-shaped ring about the mean, so the polygon may be non-convex
+    mx = sum(x for x, _ in points) / len(points)
+    my = sum(y for _, y in points) / len(points)
+    try:
+        return Polygon(sorted(points, key=lambda v: math.atan2(v[1] - my, v[0] - mx)))
+    except GeometryError:
+        assume(False)
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=6),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=6),
+       st.sampled_from([1.0, 0.25]),
+       st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       st.booleans(),
+       st.sampled_from([0.0, 5e-10, -5e-10, 3e-9, -3e-9, 1e-6, -1e-6]))
+@example([(0, 0), (0, 1), (4, 0)], [(0, 0), (-2, 0), (4, 1)], 1.0, (0, 0), True, 5e-10)
+@example([(0, 0), (0, 1), (4, 0)], [(0, 0), (-2, 0), (4, 1)], 1.0, (0, 0), True, 3e-9)
+@settings(max_examples=300)
+def test_terrain_rejects_obstacle_pairs_by_a_full_scan(pa, pb, scale, shift, abut, nudge):
+    # two rings are disjoint unless some edge pair comes within EPS or one
+    # ring holds all of the other's vertices.  With `abut`, b's leftmost
+    # x lies a nudge right of a's rightmost
+    a = _star_ring([(float(x), float(y)) for x, y in pa])
+    dx = (a.bbox[2] - scale * min(x for x, _ in pb) if abut else shift[0] / 2) + nudge
+    b = _star_ring([(scale * x + dx, scale * y + shift[1] / 2) for x, y in pb])
+    touch = min(geom.segment_segment_distance(*ea, *eb)
+                for ea in a.edges() for eb in b.edges()) <= geom.EPS
+    inside = any(all(point_in_polygon(v, outer) is not Location.EXTERIOR
+                     for v in inner.vertices) for inner, outer in ((a, b), (b, a)))
+    try:
+        Terrain(square(-20, -20, 40), [a, b])
+        accepted = True
+    except TerrainError:
+        accepted = False
+    assert accepted == (not touch and not inside)
 
 
 # --- fat-polygon chord/perimeter property --------------------------------------------

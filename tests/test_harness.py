@@ -202,6 +202,27 @@ def test_run_scenario_gates_the_cost_ratio(monkeypatch):
         f"cost ratio {report.ratio:.3f} exceeds the gate {harness.RATIO_GATE:g}"]
 
 
+def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
+    # before setting off, the agent free-moves into the obstacle [4, 6]^2
+    # and back; the treasure is in sight range of the point inside it
+    hunt = harness.thunt
+    inside = Point(5, 5.8)
+
+    def trespasses(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        walk = Trajectory()
+        walk.append([p, inside], MoveKind.FREE_MOVE)
+        walk.append([inside, p], MoveKind.FREE_MOVE)
+        for piece in out.trajectory.pieces:
+            walk.append(list(piece.points), piece.kind)
+        return dataclasses.replace(out, trajectory=walk)
+
+    monkeypatch.setattr(harness, "thunt", trespasses)
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    report = run_scenario(Scenario(t, Point(1, 5), Point(5, 6.5)))
+    assert report.failures == ["free move leaves the terrain"]
+
+
 def Polygon_rect():
     from thunt import Polygon
     return Polygon([(5, 5), (15, 5), (15, 6), (5, 6)])  # 10x1: not 2-fat
@@ -365,11 +386,15 @@ def _scenario_bytes(**fields) -> bytes:
                             [3, 10], [0, 10]],
                      obstacles=[[[2, 5], [6, 2], [9.5, 5]]]),
      "obstacle 0 is not inside the outer polygon"),
+    (_scenario_bytes(start=[10, 10], treasure=[1500, 600], obstacles=[],
+                     outer=[[0, 0], [1000, 4e-7], [2000, 0], [2000, 1000], [0, 1000]]),
+     "outer polygon is not convex"),
     (b'{"format": "thunt-sc\xe9nario"}', "not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
     (None, "Is a directory"),
 ], ids=["huge-int", "huge-fatness", "nan-fatness", "infinite-fatness", "obstacles-string",
-        "boolean-start", "string-version", "boolean-version", "obstacle-pokes-out", "latin-1",
-        "directory"])
+        "boolean-start", "string-version", "boolean-version", "obstacle-pokes-out",
+        "shallow-dent", "latin-1", "deep-nesting", "directory"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
     path = tmp_path / "scen.json"
     if body is None:
