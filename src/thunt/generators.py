@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 # segment_segment_distance is unused, but perfbench counts calls under this name
 from .geom import (EPS, GeometryError, Location, Point, Polygon, Terrain,
-                   convex_hull, dist, is_c_fat, nested, point_in_polygon,
-                   point_in_terrain, point_segment_distance, ring_distance,
+                   convex_hull, dist, distance_to_boundary, is_c_fat, nested,
+                   point_in_polygon, point_in_terrain, ring_distance,
                    segment_segment_distance)
 
 
@@ -118,6 +118,8 @@ class CombParams:
     def __post_init__(self):
         if self.A <= 8:
             raise GenerationError("A must exceed 8")
+        if not 0 <= self.x < math.inf:  # NaN too
+            raise GenerationError("corridor width x must be a finite number >= 0")
         width = self.width
         if width <= 0 or width >= self.A / 4.0:
             raise GenerationError("corridor width out of range")
@@ -193,8 +195,8 @@ def random_fat_polygon(rng: random.Random, c: float, radius: float,
                        center: Point = Point(0.0, 0.0)) -> Polygon:
     """Random convex polygon (the hull of 5 to 9 points) with
     enclosing/inscribed radius ratio <= c."""
-    if c <= 1:
-        raise GenerationError("fatness parameter must exceed 1")
+    if not 1 < c < math.inf:  # NaN too
+        raise GenerationError("fatness parameter must be a finite number > 1")
     r_lo = min(0.92, max(0.5, 1.2 / c))
     for _ in range(300):
         n = rng.randint(5, 9)
@@ -223,11 +225,13 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
     The outer polygon is a convex hull of random points scaled to `extent`;
     obstacles are rejection-sampled convex c-fat polygons, kept 0.1 from it
     and from each other by `Terrain`'s rules (`ring_distance`, `nested`).
+    A candidate lies inside the outer ring when its first vertex does and
+    it keeps that clearance, so no other vertex is tested.
     Start and treasure keep 0.15 from every boundary and `min_pq_dist` from
     each other.
     """
-    if c <= 1 or extent <= 0:
-        raise GenerationError("need c > 1 and a positive extent")
+    if not (1 < c < math.inf and extent > 0):  # NaN too
+        raise GenerationError("need a finite c > 1 and a positive extent")
     rng = random.Random(seed)
     pad = 0.04 * extent
     hull_pts = [Point(pad + rng.random() * (extent - 2 * pad),
@@ -249,9 +253,8 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
             poly = random_fat_polygon(rng, c, radius, Point(cx, cy))
         except GenerationError:
             continue
-        if any(point_in_polygon(v, outer) is not Location.INTERIOR for v in poly.vertices):
-            continue
-        if (any(ring_distance(poly, ring, 0.1 + EPS) < 0.1 for ring in (outer, *obstacles))
+        if (point_in_polygon(poly.vertices[0], outer) is not Location.INTERIOR
+                or any(ring_distance(poly, ring, 0.1 + EPS) < 0.1 for ring in (outer, *obstacles))
                 or any(nested(poly, o) for o in obstacles)):
             continue
         obstacles.append(poly)
@@ -263,8 +266,7 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
                        rng.uniform(outer.bbox[1], outer.bbox[3]))
             if not point_in_terrain(pt, terrain):
                 continue
-            if min(point_segment_distance(pt, a, b)
-                   for a, b in terrain.boundary_edges) < min_clear:
+            if distance_to_boundary(pt, terrain) < min_clear:
                 continue
             if away_from is not None and dist(pt, away_from) < min_pq_dist:
                 continue

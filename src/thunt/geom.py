@@ -32,6 +32,8 @@ ON_RING_TOL = 1e-7
 ARC_TOL = 1e-9
 
 OUTER_RING = -1  # ring id of the outer boundary (obstacles use their index)
+# the most vertices `is_c_fat` measures exactly when its certificate fails
+MAX_EXACT_FAT_VERTICES = 128
 
 
 class GeometryError(ValueError):
@@ -348,11 +350,17 @@ def nested(a: Polygon, b: Polygon) -> bool:
 
 
 def point_in_polygon(p: Point, poly: Polygon) -> Location:
+    """Within EPS of an edge is on the boundary, else an even-odd ray cast
+    decides, in one pass over the edges; the half-open rule makes vertex
+    hits unambiguous."""
     x0, y0, x1, y1 = poly.bbox
     if p.x < x0 - EPS or p.x > x1 + EPS or p.y < y0 - EPS or p.y > y1 + EPS:
         return Location.EXTERIOR
     px, py = p.x, p.y
+    inside = False
     for a, b in poly.edges():
+        if (a.y > py) != (b.y > py) and px < a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y):
+            inside = not inside
         if px < a.x - EPS and px < b.x - EPS:
             continue
         if px > a.x + EPS and px > b.x + EPS:
@@ -363,17 +371,6 @@ def point_in_polygon(p: Point, poly: Polygon) -> Location:
             continue
         if point_segment_distance(p, a, b) <= EPS:
             return Location.ON_BOUNDARY
-    # even-odd ray cast; the half-open rule makes vertex hits unambiguous and
-    # the boundary case was already handled above
-    inside = False
-    vs = poly.vertices
-    n = poly.n
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            xint = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < xint:
-                inside = not inside
     return Location.INTERIOR if inside else Location.EXTERIOR
 
 
@@ -395,8 +392,9 @@ def point_in_terrain(p: Point, t: Terrain) -> bool:
 def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
     """Sorted parameters in [0,1] where segment ab meets any boundary edge.
 
-    Collinear overlaps contribute both overlap endpoints.  Always contains
-    0 and 1, deduplicated.
+    Collinear overlaps contribute both overlap endpoints, and 0 and 1 are
+    always events.  An event within 1e-12 of the event just before it is
+    dropped, so a run of such events (a graze through a vertex) is one.
     """
     dx, dy = b.x - a.x, b.y - a.y
     L = math.hypot(dx, dy)
@@ -428,11 +426,7 @@ def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
                     ts.append(min(1.0, max(0.0, lo)))
                     ts.append(min(1.0, max(0.0, hi)))
     ts.sort()
-    out = [ts[0]]
-    for v in ts[1:]:
-        if v - out[-1] > 1e-12:
-            out.append(v)
-    return out
+    return ts[:1] + [v for u, v in zip(ts, ts[1:]) if v - u > 1e-12]
 
 
 def _first_exit(a: Point, b: Point, t: Terrain) -> Optional[tuple[list[float], int, Point]]:
@@ -563,10 +557,12 @@ def _circle_from2(a: Point, b: Point) -> tuple[Point, float]:
     return c, max(dist(c, a), dist(c, b))
 
 
-def _circle_from3(a: Point, b: Point, c: Point) -> Optional[tuple[Point, float]]:
+def _circle_from3(a: Point, b: Point, c: Point) -> tuple[Point, float]:
+    """The circle through a, b and c; for three collinear points, the circle
+    on the pair farthest apart."""
     d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
     if abs(d) < 1e-14 * max(1.0, dist(a, b) * dist(b, c)):
-        return None
+        return _circle_from2(*max((a, b), (b, c), (a, c), key=lambda e: dist(*e)))
     ax2, bx2, cx2 = a.x ** 2 + a.y ** 2, b.x ** 2 + b.y ** 2, c.x ** 2 + c.y ** 2
     ux = (ax2 * (b.y - c.y) + bx2 * (c.y - a.y) + cx2 * (a.y - b.y)) / d
     uy = (ax2 * (c.x - b.x) + bx2 * (a.x - c.x) + cx2 * (b.x - a.x)) / d
@@ -574,41 +570,31 @@ def _circle_from3(a: Point, b: Point, c: Point) -> Optional[tuple[Point, float]]
     return ctr, max(dist(ctr, a), dist(ctr, b), dist(ctr, c))
 
 
-def _in_circle(circle: Optional[tuple[Point, float]], p: Point) -> bool:
-    if circle is None:
-        return False
+def _in_circle(circle: tuple[Point, float], p: Point) -> bool:
     c, r = circle
     return dist(c, p) <= r * (1.0 + 1e-12) + 1e-14
 
 
-def _trivial_circle(boundary: list[Point]) -> Optional[tuple[Point, float]]:
-    if not boundary:
-        return None
-    if len(boundary) == 1:
-        return boundary[0], 0.0
-    if len(boundary) == 2:
-        return _circle_from2(*boundary)
-    # Welzl's recursion puts all three points on the circle
-    return _circle_from3(*boundary)
-
-
 def smallest_enclosing_circle(poly: Polygon) -> tuple[Point, float]:
-    """Minimal circle containing the polygon (Welzl over the vertex set;
+    """Minimal circle containing the polygon (Welzl's incremental loops over
+    the shuffled vertex set, so expected linear time and no recursion;
     enclosing a convex polygon equals enclosing its vertices)."""
     import random as _random
     pts = list(poly.vertices)
     _random.Random(0x5EC).shuffle(pts)
-
-    def welzl(i: int, boundary: list[Point]) -> Optional[tuple[Point, float]]:
-        if i == len(pts) or len(boundary) == 3:
-            return _trivial_circle(boundary)
-        c = welzl(i + 1, boundary)
-        if c is not None and _in_circle(c, pts[i]):
-            return c
-        return welzl(i + 1, boundary + [pts[i]])
-
-    circle = welzl(0, [])
-    assert circle is not None
+    pts.reverse()  # the visiting order sets R's last bits, which the recorded suite keeps
+    circle = (pts[0], 0.0)
+    for i, p in enumerate(pts):
+        if _in_circle(circle, p):
+            continue
+        circle = (p, 0.0)  # p is on the circle of pts[:i + 1]
+        for j, q in enumerate(pts[:i]):
+            if _in_circle(circle, q):
+                continue
+            circle = _circle_from2(p, q)  # so are p and q
+            for r in pts[:j]:
+                if not _in_circle(circle, r):
+                    circle = _circle_from3(p, q, r)
     return circle
 
 
@@ -669,12 +655,18 @@ def is_c_fat(poly: Polygon, c: float) -> bool:
     margin covers rounding.  Offsets are taken as v - c0, which nearby
     coordinates give exactly, so the proof survives translation.  Only
     when it fails are Welzl's circle and the Chebyshev center computed;
-    a non-convex polygon always takes that path, and raises there.
+    a non-convex polygon always takes that path, and raises there.  The
+    center's triple scan takes O(m^4) time on m vertices, so past
+    MAX_EXACT_FAT_VERTICES vertices an uncertified polygon raises instead.
     """
-    if c <= 1:
-        raise GeometryError("fatness parameter must exceed 1")
+    if not 1 < c < math.inf:  # NaN too
+        raise GeometryError("fatness parameter must be a finite number > 1")
     if poly.is_convex and _certified_fat(poly, c):
         return True
+    if poly.n > MAX_EXACT_FAT_VERTICES:
+        raise GeometryError(
+            f"no vertex-mean certificate for a polygon with {poly.n} vertices, and exact "
+            f"fatness is limited to MAX_EXACT_FAT_VERTICES = {MAX_EXACT_FAT_VERTICES}")
     _, R = smallest_enclosing_circle(poly)
     _, r = largest_inscribed_circle(poly)
     return R <= c * r + EPS
@@ -695,8 +687,8 @@ def _certified_fat(poly: Polygon, c: float) -> bool:
 def validate_regular_terrain(t: Terrain, c: float) -> None:
     """Check for a convex outer polygon with convex c-fat obstacles; raises
     TerrainError with the reason when the terrain is not regular."""
-    if c <= 1:
-        raise GeometryError("fatness parameter must exceed 1")
+    if not 1 < c < math.inf:  # NaN too
+        raise GeometryError("fatness parameter must be a finite number > 1")
     if not t.outer.is_convex:
         raise TerrainError("outer polygon is not convex")
     for i, obs in enumerate(t.obstacles):

@@ -10,7 +10,10 @@ sends the pairs it marks ambiguous to the exact test.
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every
 segment.  Its point test, `points_in_terrain`, is `geom.point_in_terrain`
-over arrays.  Batches hold at most CHUNK_CELLS segment x edge cells.
+over arrays, one pass over each ring's edges for both the boundary test
+and the parity.  Its boundary events keep the scalar dedup rule (an event
+more than 1e-12 above the event just before it), one comparison over all
+the sorted events.  Batches hold at most CHUNK_CELLS segment x edge cells.
 """
 from __future__ import annotations
 
@@ -35,20 +38,6 @@ def edge_arrays(t: Terrain) -> tuple[np.ndarray, np.ndarray]:
         cached = (a, b)
         t._cache[_CACHE_KEY] = cached
     return cached
-
-
-def _parity(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Even-odd point-in-polygon over arrays; boundary points are arbitrary."""
-    inside = np.zeros(px.shape, dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        cond = (y1 > py) != (y2 > py)
-        if y1 != y2:
-            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= cond & (px < xint)
-    return inside
 
 
 def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
@@ -141,14 +130,18 @@ def _ring_location(px: np.ndarray, py: np.ndarray, ring: Polygon):
     k = np.flatnonzero((px >= x0 - EPS) & (px <= x1 + EPS) & (py >= y0 - EPS) & (py <= y1 + EPS))
     qx, qy = px[k], py[k]
     hit = np.zeros(len(k), dtype=bool)
+    odd = np.zeros(len(k), dtype=bool)
     for a, b in ring.edges():
         far = (((qx < a.x - EPS) & (qx < b.x - EPS)) | ((qx > a.x + EPS) & (qx > b.x + EPS))
                | ((qy < a.y - EPS) & (qy < b.y - EPS)) | ((qy > a.y + EPS) & (qy > b.y + EPS)))
         m = np.flatnonzero(~far & ~hit)
         if len(m):
             hit[m] = _within_eps(qx[m], qy[m], a, b)
+        if a.y != b.y:
+            xint = a.x + (qy - a.y) * (b.x - a.x) / (b.y - a.y)
+            odd ^= ((a.y > qy) != (b.y > qy)) & (qx < xint)
     on[k] = hit
-    inner[k] = ~hit & _parity(qx, qy, np.array(ring.vertices, dtype=float))
+    inner[k] = ~hit & odd
     return on, inner
 
 
@@ -171,8 +164,9 @@ def _interval_midpoints(A: np.ndarray, B: np.ndarray, t: Terrain, le: np.ndarray
 
     The events are `geom._segment_boundary_params`: the crossings and
     collinear overlap ends on the edges its bbox cull keeps, clamped to
-    [0, 1], with 0 and 1, sorted, then deduplicated by its chain rule (keep
-    a value more than 1e-12 above the last one kept)."""
+    [0, 1], with 0 and 1, sorted, then deduplicated by its rule (keep an
+    event more than 1e-12 above the event just before it), which one
+    comparison over the sorted rows applies to every segment at once."""
     ea, eb = edge_arrays(t)
     D = B - A
     L = _hypot(D[:, 0], D[:, 1])
@@ -209,20 +203,9 @@ def _interval_midpoints(A: np.ndarray, B: np.ndarray, t: Terrain, le: np.ndarray
     order = np.lexsort((vals, rows))
     rows, vals = rows[order], vals[order]
 
-    # one row of sorted events per segment, then the dedup chain column by column
-    counts = np.bincount(rows, minlength=len(A))
-    pos = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    S = np.zeros((len(A), int(counts.max(initial=1))))  # a column even with no events
-    S[rows, pos] = vals
-    keep = np.zeros(S.shape, dtype=bool)
-    keep[:, 0] = counts > 0
-    last = S[:, 0].copy()
-    for j in range(1, S.shape[1]):
-        kj = (S[:, j] - last > 1e-12) & (j < counts)
-        keep[:, j] = kj
-        last = np.where(kj, S[:, j], last)
-    kr, kc = np.nonzero(keep)
-    kv = S[kr, kc]
+    keep = np.ones(len(rows), dtype=bool)  # a segment's first event, or a new value
+    keep[1:] = (rows[1:] != rows[:-1]) | (np.diff(vals) > 1e-12)
+    kr, kv = rows[keep], vals[keep]
     inner = kr[1:] == kr[:-1]
     return kr[:-1][inner], 0.5 * (kv[:-1] + kv[1:])[inner]
 

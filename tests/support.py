@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a lattice path oracle that bounds
-shortest paths from above, the bounding square of a blinding gadget, and
-the obstacle containment rule with no convexity certificate.
+shortest paths from above, the bounding square of a blinding gadget, the
+obstacle containment rule with no convexity certificate, and a fat
+obstacle that the vertex-mean fatness certificate does not settle.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -142,3 +143,11 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     if not math.isfinite(L):
         raise GridResolutionError("lattice disconnects the endpoints (resolution too coarse)")
     return L
+
+
+def crowded_arc_obstacle(n: int) -> Polygon:
+    """n vertices on the radius-2 circle about (5, 5): one at each of 0, 90,
+    180 and 270 degrees and the rest crowded on the arc from 0.1 to 0.8 rad,
+    so the vertex mean lies off the centre."""
+    angles = [0.5 * math.pi * k for k in range(4)] + [0.1 + 0.7 * i / (n - 5) for i in range(n - 4)]
+    return Polygon([(5 + 2 * math.cos(a), 5 + 2 * math.sin(a)) for a in sorted(angles)])

@@ -12,8 +12,8 @@ from thunt import (GadgetParams, GenerationError, Point, accessibility,
                    validate_regular_terrain)
 from thunt.generators import (CombParams, comb_terrain, random_fat_polygon,
                               random_regular_terrain, regular_lb_terrain)
-from thunt.geom import (EPS, Terrain, Polygon, convex_hull, ring_distance,
-                        segment_segment_distance)
+from thunt.geom import (EPS, Location, Terrain, Polygon, convex_hull, point_in_polygon,
+                        ring_distance, segment_segment_distance)
 from thunt.harness import bench_scenario
 from conftest import square
 from support import gadget_hull
@@ -146,6 +146,9 @@ def test_comb_params_validation():
             CombParams(A, 1)
     with pytest.raises(GenerationError):
         CombParams(12, 1, 1e-300)       # too many corridors
+    for x in (math.nan, math.inf, -0.25):
+        with pytest.raises(GenerationError, match="finite number >= 0"):
+            CombParams(12, 1, x)
 
 
 def test_lb_terrain_size_limit():
@@ -263,6 +266,34 @@ def test_clear_of_agrees_with_a_full_scan():
             if clear:
                 placed.append(poly)
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_clearance_and_one_vertex_settle_containment():
+    # a candidate clear of the outer ring has all its vertices on the side of
+    # its first one, so the generator tests that vertex only
+    sides = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        outer = Polygon(convex_hull([Point(0.4 + 9.2 * rng.random(), 0.4 + 9.2 * rng.random())
+                                     for _ in range(14)]))
+        for _ in range(60):
+            center = Point(rng.uniform(outer.bbox[0], outer.bbox[2]),
+                           rng.uniform(outer.bbox[1], outer.bbox[3]))
+            poly = random_fat_polygon(rng, 2.0, 0.35 + 0.55 * rng.random(), center)
+            if ring_distance(poly, outer, 0.1 + EPS) < 0.1:
+                continue
+            where = {point_in_polygon(v, outer) for v in poly.vertices}
+            assert len(where) == 1, (seed, where)
+            sides |= where
+    assert sides == {Location.INTERIOR, Location.EXTERIOR}
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_generators_reject_a_non_finite_fatness(c):
+    with pytest.raises(GenerationError, match="finite"):
+        random_fat_polygon(random.Random(0), c, 1.0)
+    with pytest.raises(GenerationError, match="finite"):
+        random_regular_terrain(0, 3, c=c)
 
 
 def test_clear_of_at_exactly_the_clearance():

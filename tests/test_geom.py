@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, brute_inscribed_circle,
                       empty_square_terrain, random_convex_polygon, square)
-from support import obstacle_inside
+from support import crowded_arc_obstacle, obstacle_inside
 from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, convex_hull, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, perimeter_split, point_in_polygon, point_in_terrain, sees,
@@ -374,6 +374,19 @@ def test_enclosing_circle_near_collinear_quad():
     assert abs(R - 2.0) < 1e-3
 
 
+def test_enclosing_circle_of_a_2000_gon_does_not_recurse():
+    poly = Polygon([(math.cos(2 * math.pi * k / 2000), math.sin(2 * math.pi * k / 2000))
+                    for k in range(2000)])
+    assert poly.n == 2000
+    c, R = smallest_enclosing_circle(poly)
+    assert math.dist(c, (0, 0)) < 1e-9 and abs(R - 1) < 1e-9
+
+
+def test_enclosing_circle_of_collinear_points_is_on_the_farthest_pair():
+    c, R = geom._circle_from3(Point(0, 0), Point(3, 0), Point(1, 0))
+    assert c == Point(1.5, 0) and R == 1.5
+
+
 @given(st.integers(0, 10 ** 6))
 @example(1793)
 @example(2321)
@@ -498,6 +511,24 @@ def test_fatness_certificate_is_a_proof_on_convex_polygons(seed, n, radius, rel)
        st.floats(0, math.pi), NEAR_RATIO)
 def test_fatness_certificate_is_a_proof_on_thin_rectangles(x0, y0, w, aspect, angle, rel):
     _certificate_is_a_proof(_rotated_rectangle(x0, y0, w, w * aspect, angle), rel)
+
+
+def test_is_c_fat_measures_at_most_128_uncertified_vertices():
+    assert is_c_fat(crowded_arc_obstacle(geom.MAX_EXACT_FAT_VERTICES), 2.0)
+    big = crowded_arc_obstacle(geom.MAX_EXACT_FAT_VERTICES + 1)
+    assert not geom._certified_fat(big, 2.0)
+    with pytest.raises(GeometryError, match="MAX_EXACT_FAT_VERTICES = 128"):
+        is_c_fat(big, 2.0)
+    # a polygon the certificate settles has no vertex limit
+    assert is_c_fat(Polygon([(math.cos(k / 100), math.sin(k / 100)) for k in range(628)]), 2.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 1.0])
+def test_fatness_parameter_must_be_finite_and_exceed_1(c):
+    with pytest.raises(GeometryError, match="finite number > 1"):
+        is_c_fat(UNIT, c)
+    with pytest.raises(GeometryError, match="finite number > 1"):
+        validate_regular_terrain(Terrain(square(0, 0, 4), [square(1, 1, 1)]), c)
 
 
 def test_is_c_fat_rejects_an_l_shape():

@@ -6,11 +6,13 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import square
+from support import crowded_arc_obstacle
 from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
@@ -403,6 +405,28 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
         path.write_bytes(body)
     assert cli_main(["run", str(path)]) == 2
     assert re.search(message, capsys.readouterr().err, re.MULTILINE)
+
+
+def test_cli_run_on_an_uncertified_1200_gon_exits_2_quickly(tmp_path, capsys):
+    t = Terrain(square(0, 0, 10), [crowded_arc_obstacle(1200)])
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(scenario_to_dict(Scenario(t, Point(0.5, 0.5), Point(9.5, 9.5)))))
+    start = time.perf_counter()
+    assert cli_main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "MAX_EXACT_FAT_VERTICES = 128" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "random", "--seed", "0", "--obstacles", "3", "--c", "nan"],
+    ["generate", "random", "--seed", "0", "--obstacles", "3", "--c", "inf"],
+    ["bench", "--seeds", "2", "--c", "nan"],
+    ["generate", "comb", "--A", "12", "--i", "1", "--x", "nan"],
+], ids=["generate-nan-c", "generate-infinite-c", "bench-nan-c", "comb-nan-x"])
+def test_cli_non_finite_parameters_exit_2(tmp_path, capsys, argv):
+    out = ["-o", str(tmp_path / "out.json")] if argv[0] == "generate" else []
+    assert cli_main(argv + out) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_lb_generate(tmp_path):

@@ -13,7 +13,7 @@ from thunt import (GeometryError, Point, Polygon, Terrain, accessibility,
                    encode, make_advice, segment_in_terrain, select_tile,
                    shortest_path)
 from thunt import oracle, vecgeom
-from thunt.geom import EPS, dist, lerp
+from thunt.geom import EPS, dist, lerp, point_in_terrain
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
 from thunt.harness import bench_scenario
@@ -301,7 +301,7 @@ NOTCH = Terrain(Polygon([(-4, 0), (0, 0), (1, 1), (2, 0), (4, 0), (4, 4), (-4, 4
 def notch_apex():
     # p -> q passes 1e-5 below the apex (1, 1) of a V notch cut into the
     # bottom side: it leaves the terrain for 2e-5, about 3e-6 of its length,
-    # between two crossing events that the dedup chain must both keep
+    # between two crossing events that the dedup rule must both keep
     return NOTCH, Point(-3, 1 - 1e-5), Point(3, 1 - 1e-5)
 
 
@@ -349,6 +349,35 @@ def test_batch_exact_test_is_the_scalar_test(make, data):
     B = np.array([pts[j] for _, j in pairs])
     got = segments_in_terrain(A, B, t)
     assert got.tolist() == [segment_in_terrain(pts[i], pts[j], t) for i, j in pairs]
+
+
+POINT_TERRAINS = {
+    "suite": st.integers(0, 199).map(lambda seed: bench_scenario(seed).terrain),
+    "comb": st.integers(1, 24).map(lambda i: comb_terrain(CombParams(12, i, 0.25))[0]),
+    "lattice_4": st.just(diamond_lattice(4)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(POINT_TERRAINS))
+@given(data=st.data())
+@settings(max_examples=20)
+def test_batch_point_test_is_the_scalar_test(family, data):
+    t = data.draw(POINT_TERRAINS[family])
+    edges = t.boundary_edges
+    x0, _, x1, _ = t.bbox
+    edge = st.sampled_from(edges)
+    on_ring = st.one_of(edge.map(lambda e: e[0]),                          # a vertex
+                        st.tuples(edge, st.floats(0, 1)).map(lambda es: lerp(*es[0], es[1])))
+    nudge = st.sampled_from([0.0, EPS, -EPS, 3 * EPS, -3 * EPS])
+    point = st.one_of(
+        on_ring,
+        st.tuples(on_ring, nudge, nudge).map(lambda v: Point(v[0].x + v[1], v[0].y + v[2])),
+        # at a vertex's exact y, so the parity ray may run through the vertex
+        st.tuples(edge, st.floats(x0 - 1, x1 + 1)).map(lambda ex: Point(ex[1], ex[0][0].y)),
+    )
+    pts = data.draw(st.lists(point, min_size=1, max_size=200))
+    got = vecgeom.points_in_terrain(np.array([p.x for p in pts]), np.array([p.y for p in pts]), t)
+    assert got.tolist() == [point_in_terrain(p, t) for p in pts]
 
 
 def test_batch_exact_test_answers_do_not_depend_on_the_batch_size(monkeypatch):
