@@ -159,10 +159,10 @@ def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome
         raise GeometryError("strict mode requires a regular terrain "
                             "(convex outer polygon and convex obstacles)")
     a1, a2, a3 = decode(advice)
-    if a1 <= 0:
-        raise AdviceError("decoded grid density must be positive")
-    tiling = Tiling(p, 1.0 / a1)
-    q_prime = tiling.tile_center(TileIndex(a2, a3))
+    try:
+        q_prime = Tiling(p, 1.0 / a1).tile_center(TileIndex(a2, a3))
+    except OverflowError:
+        raise AdviceError("advice points beyond float range (corrupt advice?)") from None
     if not point_in_terrain(q_prime, t):
         raise AdviceError("advice points outside the terrain (corrupt advice?)")
 

@@ -54,12 +54,13 @@ def _cmd_advise(args) -> int:
 
 
 def _read_advice(args) -> str:
-    if args.advice:
+    if args.advice is not None:
         return args.advice
     if args.packed:
         with open(args.advice_file, "rb") as fh:
             return codec.unpack_bits(fh.read())
-    with open(args.advice_file, "r") as fh:
+    # undecodable bytes become U+FFFD, which decode rejects
+    with open(args.advice_file, "r", encoding="ascii", errors="replace") as fh:
         return fh.read().strip()
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -113,26 +113,18 @@ def select_tile(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[int, TileInde
     ky_lo = math.floor((q.y - r_hat - p.y) / side) - 1
     ky_hi = math.ceil((q.y + r_hat - p.y) / side) + 1
 
-    best: Optional[tuple[int, int]] = None  # (row index, col index)
     r2 = r_hat * r_hat
+    # index_of grows with the cell, so the first fit has the smallest (row, col)
     for ky in range(ky_lo, ky_hi + 1):
-        row = Tiling.index_of(ky)
-        if best is not None and row > best[0]:
-            continue
         y0 = p.y + ky * side
         dy = max(abs(y0 - q.y), abs(y0 + side - q.y))
         for kx in range(kx_lo, kx_hi + 1):
             x0 = p.x + kx * side
             dx = max(abs(x0 - q.x), abs(x0 + side - q.x))
             if dx * dx + dy * dy <= r2:
-                col = Tiling.index_of(kx)
-                key = (row, col)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        raise GeometryError("no tile fits in the treasure disc (should be impossible)")
-    idx = TileIndex(best[1], best[0])
-    return a1, idx, tiling.tile_center(idx)
+                idx = TileIndex(Tiling.index_of(kx), Tiling.index_of(ky))
+                return a1, idx, tiling.tile_center(idx)
+    raise GeometryError("no tile fits in the treasure disc (should be impossible)")
 
 
 def make_advice(t: Terrain, p: Point, spec: TreasureSpec) -> str:

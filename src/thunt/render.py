@@ -1,6 +1,7 @@
 """Deterministic SVG rendering of scenarios and trajectories."""
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .agent import MoveKind, Trajectory
@@ -37,8 +38,8 @@ def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
                q_prime: Optional[Point] = None, lam: Optional[float] = None,
                tiling_side: Optional[float] = None) -> str:
     """SVG document for a scenario, optionally with the agent trajectory,
-    the treasure visibility disc, the target tile center, and the tiling
-    grid anchored at the start.  Identical inputs yield identical bytes."""
+    the treasure visibility disc, the target tile center, and the tiles
+    around that disc of the grid anchored at the start.  Identical inputs yield identical bytes."""
     t = scenario.terrain
     x0, y0, x1, y1 = t.bbox
     margin = 0.05 * max(x1 - x0, y1 - y0, 1.0)
@@ -58,18 +59,16 @@ def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
     ]
 
     if tiling_side:
-        s = tiling_side
-        gx = scenario.start.x
-        gy = scenario.start.y
-        lines = []
-        k = int((gx - x0) / s) + 1
-        xs = [gx - i * s for i in range(1, k + 1)] + [gx + i * s for i in range(int((x1 - gx) / s) + 1)]
-        ys = [gy - i * s for i in range(1, int((gy - y0) / s) + 2)] + \
-             [gy + i * s for i in range(int((y1 - gy) / s) + 1)]
-        for x in sorted(xs):
-            lines.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" y2="{_fmt(y1)}"/>')
-        for y in sorted(ys):
-            lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(x1)}" y2="{_fmt(y)}"/>')
+        # the tiles that meet the box of the treasure disc, where the oracle
+        # picks its tile: the advice's side s = 1/ceil(2/lam) has lam < 3s
+        s, g, q = tiling_side, scenario.start, scenario.treasure
+        kx, ky = math.floor((q.x - g.x) / s), math.floor((q.y - g.y) / s)
+        xs = [g.x + (kx + i) * s for i in range(-3, 5)]
+        ys = [g.y + (ky + i) * s for i in range(-3, 5)]
+        lines = [f'<line x1="{_fmt(x)}" y1="{_fmt(ys[0])}" x2="{_fmt(x)}" y2="{_fmt(ys[-1])}"/>'
+                 for x in xs]
+        lines += [f'<line x1="{_fmt(xs[0])}" y1="{_fmt(y)}" x2="{_fmt(xs[-1])}" y2="{_fmt(y)}"/>'
+                  for y in ys]
         out.append(f'<g stroke="{_COLORS["grid"]}" stroke-width="{_fmt(stroke / 2)}">'
                    + "".join(lines) + "</g>")
 

@@ -18,8 +18,9 @@ from thunt import (Point, Polygon, Scenario, Terrain, decode, encode,
 from thunt.agent import Trajectory, cow_path
 from thunt.codec import AdviceTriple
 from thunt.generators import (CombParams, GadgetParams, comb_terrain, gadget,
-                              random_fat_polygon, random_regular_terrain)
-from thunt.harness import (advice_bits_budget, bench, cowpath_bound,
+                              random_fat_polygon, random_regular_terrain,
+                              regular_lb_terrain)
+from thunt.harness import (RATIO_GATE, advice_bits_budget, bench, cowpath_bound,
                            reports_to_csv, run_scenario)
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "artifacts")
@@ -255,3 +256,31 @@ def test_acceptance_10_determinism(tmp_path):
     svg2 = render_svg(sc, out2.trajectory, q_prime=out2.q_prime, lam=rep2.lam)
     assert svg1.encode() == svg2.encode()
     _report(10, "determinism", "byte-identical CSV rows and SVG across repeats")
+
+
+# -- 11 ---------------------------------------------------------------------------
+
+def test_acceptance_11_lower_bound_terrain_verified():
+    # every candidate treasure of the paper's gadget grid, hunted and verified
+    t0 = time.time()
+    runs = 0
+    worst_ratio = worst_cp = worst_bits = 0.0
+    for k in (1, 2):
+        for lam in (0.05, 0.5, 1.0):
+            t, p, centers = regular_lb_terrain(k, lam)
+            for q in centers:
+                r = run_scenario(Scenario(t, p, q))
+                assert r.passed, (k, lam, q, r.failures)
+                budget = advice_bits_budget(r.L, r.lam)
+                assert r.advice_bits <= budget, (k, lam, q, r.advice_bits, budget)
+                assert r.ratio <= RATIO_GATE, (k, lam, q, r.ratio)
+                for dmin, walked in r.searches:
+                    assert walked <= cowpath_bound(dmin) + 1e-9, (k, lam, q, dmin, walked)
+                worst_ratio = max(worst_ratio, r.ratio)
+                worst_cp = max(worst_cp, r.max_cowpath_ratio)
+                worst_bits = max(worst_bits, r.advice_bits / budget)
+                runs += 1
+    assert runs == 15
+    _report(11, "lower-bound terrain (k <= 2)",
+            f"{runs} candidates, max ratio {worst_ratio:.3f}, max walked/dmin "
+            f"{worst_cp:.2f}, max bits/budget {worst_bits:.3f}, {time.time() - t0:.1f}s")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,3 +100,54 @@ def test_packed_rejects_corruption():
         unpack_bits(data[:-1])
     with pytest.raises(AdviceError):
         unpack_bits(data[:2])
+
+
+def test_decode_accepts_exactly_the_codewords_up_to_16_chars():
+    codewords = {}
+    for a1, m2, m3 in itertools.product(range(1, 4), repeat=3):
+        for a2, a3 in itertools.product((m2, -m2), (m3, -m3)):
+            s = encode(a1, a2, a3)
+            if len(s) <= 16:
+                codewords[s] = AdviceTriple(a1, a2, a3)
+    assert len(codewords) == 28
+    accepted = {}
+    for n in range(17):
+        for chars in itertools.product("01", repeat=n):
+            s = "".join(chars)
+            try:
+                accepted[s] = decode(s)
+            except AdviceError:
+                pass
+    assert accepted == codewords
+
+
+def _is_packed(d: bytes) -> bool:
+    # the layout pack_bits writes: bit count, exactly its bytes, zero padding
+    if len(d) < 4:
+        return False
+    n = int.from_bytes(d[:4], "big")
+    return len(d) == 4 + (n + 7) // 8 and (n % 8 == 0 or d[-1] % (1 << (8 - n % 8)) == 0)
+
+
+@st.composite
+def perturbed_packs(draw):
+    d = bytearray(pack_bits(draw(st.text(alphabet="01", max_size=40))))
+    how = draw(st.sampled_from(["none", "flip", "truncate", "append"]))
+    if how == "flip":
+        i = draw(st.integers(0, 8 * len(d) - 1))
+        d[i // 8] ^= 1 << (i % 8)
+    elif how == "truncate":
+        d = d[:draw(st.integers(0, len(d) - 1))]
+    elif how == "append":
+        d.append(draw(st.integers(0, 255)))
+    return bytes(d)
+
+
+@given(perturbed_packs())
+def test_unpack_accepts_exactly_what_pack_writes(d):
+    try:
+        s = unpack_bits(d)
+    except AdviceError:
+        assert not _is_packed(d)
+    else:
+        assert _is_packed(d) and pack_bits(s) == d

@@ -455,6 +455,39 @@ def test_cli_render(tmp_path):
     assert body.startswith("<svg") and "<line" in body
 
 
+@pytest.mark.parametrize("advice, message", [
+    ("11" + "10" * 1100 + "000" + "10" + "000" + "10", "float range"),
+    ("11" + "10" + "000" + "10" * 1100 + "000" + "10", "float range"),
+    ("", "not a codeword"),
+], ids=["huge-a1", "huge-a2", "empty"])
+def test_cli_hunt_bad_advice_exits_2(tmp_path, capsys, advice, message):
+    scen = tmp_path / "s.json"
+    cli_main(["generate", "random", "--seed", "3", "--obstacles", "3", "-o", str(scen)])
+    assert cli_main(["hunt", str(scen), "--advice", advice]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_hunt_non_ascii_advice_file_exits_2(tmp_path, capsys):
+    scen = tmp_path / "s.json"
+    save_scenario(simple_scenario(), str(scen))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert cli_main(["hunt", str(scen), "--advice-file", str(bad)]) == 2
+    assert "not a codeword" in capsys.readouterr().err
+
+
+def test_cli_render_tiling_near_a_wall_stays_small(tmp_path):
+    # lam = 1e-6 makes tiles of side 5e-7; a grid over the whole terrain
+    # would take about 4e7 lines
+    scen = tmp_path / "s.json"
+    save_scenario(Scenario(Terrain(square(0, 0, 10)), Point(5, 5), Point(5, 1e-6)), str(scen))
+    out = tmp_path / "out.svg"
+    start = time.perf_counter()
+    assert cli_main(["render", str(scen), "-o", str(out), "--tiling"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert out.stat().st_size < 1_000_000 and "<line" in out.read_text()
+
+
 # --- metamorphic: how the terrain is listed changes nothing ------------------------
 
 @pytest.fixture(scope="module")
