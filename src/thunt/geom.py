@@ -5,7 +5,9 @@ Conventions
 -----------
 * Polygons are simple and stored counterclockwise; the constructor accepts
   either orientation and normalizes (duplicate and collinear vertices are
-  dropped).
+  dropped).  It also takes the ring's star certificate (area centroid c0,
+  R_plus, rho, shortest edge, strict convexity), which proves most convex
+  rings simple without the sweep and settles most fatness questions.
 * A Terrain is a closed outer polygon minus the *open* interiors of its
   obstacles, so every boundary point belongs to the terrain.
 * All predicates use the absolute tolerance EPS: a point within EPS of a
@@ -32,7 +34,7 @@ ON_RING_TOL = 1e-7
 ARC_TOL = 1e-9
 
 OUTER_RING = -1  # ring id of the outer boundary (obstacles use their index)
-# the most vertices `is_c_fat` measures exactly when its certificate fails
+# the most vertices `is_c_fat` measures exactly when its star certificate fails
 MAX_EXACT_FAT_VERTICES = 128
 
 
@@ -119,9 +121,22 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 class Polygon:
-    """Simple polygon with normalized counterclockwise vertex order."""
+    """Simple polygon with normalized counterclockwise vertex order.
 
-    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "_bbox", "_convex", "_edges")
+    The constructor takes one star certificate of the normalized ring.
+    `ell` is its shortest edge and `is_convex` whether it turns strictly
+    left (cross3 > 0) at every vertex.  For a convex ring, `center` is c0,
+    the area centroid (summed relative to vertex 0, so its offsets survive
+    translation), `R_plus` the largest |v - c0| and `rho` the least signed
+    distance from c0 to an edge line, inward positive; any other ring gets
+    None, inf and -inf.  The disc about c0 of radius R_plus holds the
+    polygon, and when rho > 0 the disc of radius rho lies in it.  The
+    certificate settles simplicity (`_star_is_simple`) and fatness
+    (`is_c_fat`).
+    """
+
+    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "_bbox", "_edges",
+                 "ell", "is_convex", "center", "R_plus", "rho")
 
     def __init__(self, vertices: Sequence):
         verts = [Point(float(v[0]), float(v[1])) for v in vertices]
@@ -134,18 +149,21 @@ class Polygon:
         if _signed_area(verts) < 0:
             verts.reverse()
         self.vertices: tuple[Point, ...] = tuple(verts)
-        self.n = len(verts)
+        self.n = n = len(verts)
         self._edges = tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
-        _check_simple(self._edges)
-        cum = [0.0]
-        for a, b in self._edges:
-            cum.append(cum[-1] + dist(a, b))
-        self.cum_arc: tuple[float, ...] = tuple(cum)
-        self.perimeter = cum[-1]
+        lengths = [dist(a, b) for a, b in self._edges]
+        self.cum_arc: tuple[float, ...] = tuple(itertools.accumulate(lengths, initial=0.0))
+        self.perimeter = self.cum_arc[-1]
         xs = [v.x for v in verts]
         ys = [v.y for v in verts]
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        self._convex: Optional[bool] = None
+        self.ell = min(lengths)
+        self.is_convex = all(cross3(verts[i - 1], v, verts[(i + 1) % n]) > 0
+                             for i, v in enumerate(verts))
+        self.center, self.R_plus, self.rho, winds = (
+            _star(verts, lengths) if self.is_convex else (None, math.inf, -math.inf, 0))
+        if not _star_is_simple(self, winds):
+            _check_simple(self._edges)
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -153,15 +171,6 @@ class Polygon:
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:
         return self._edges
-
-    @property
-    def is_convex(self) -> bool:
-        """Whether the ring turns strictly left (cross3 > 0) at every vertex."""
-        if self._convex is None:
-            vs = self.vertices
-            self._convex = all(cross3(vs[i - 1], v, vs[(i + 1) % self.n]) > 0
-                               for i, v in enumerate(vs))
-        return self._convex
 
     def point_at_arc(self, s: float) -> Point:
         s = s % self.perimeter
@@ -232,6 +241,71 @@ def _signed_area(verts: Sequence[Point]) -> float:
         a, b = verts[i], verts[(i + 1) % n]
         s += a.x * b.y - b.x * a.y
     return 0.5 * s
+
+
+def _star(verts: Sequence[Point], lengths: Sequence[float]) -> tuple[Point, float, float, int]:
+    """c0, R_plus and rho of a convex ring (see `Polygon`), and the number
+    of times it winds about c0."""
+    x0, y0 = verts[0]
+    rel = [(v.x - x0, v.y - y0) for v in verts]
+    a2 = sx = sy = 0.0
+    for (ux, uy), (wx, wy) in zip(rel, rel[1:] + rel[:1]):
+        k = ux * wy - uy * wx
+        a2 += k
+        sx += (ux + wx) * k
+        sy += (uy + wy) * k
+    cx, cy = sx / (3.0 * a2), sy / (3.0 * a2)
+    offsets = [(ux - cx, uy - cy) for ux, uy in rel]
+    pairs = list(zip(offsets, offsets[1:] + offsets[:1]))
+    R_plus = max(math.hypot(ux, uy) for ux, uy in offsets)
+    rho = min((ux * wy - uy * wx) / L for ((ux, uy), (wx, wy)), L in zip(pairs, lengths))
+    # with rho > 0 every edge turns counterclockwise about c0, so each
+    # upward crossing of the line through c0 is a crossing of its +x ray
+    winds = sum(uy < 0.0 <= wy for (_, uy), (_, wy) in pairs)
+    return Point(x0 + cx, y0 + cy), R_plus, rho, winds
+
+
+def _star_is_simple(poly: Polygon, winds: int) -> bool:
+    """Whether the star certificate proves the ring simple, so that
+    `_check_simple` would pass it.
+
+    Let the ring be convex, with rho > 0 and winding once about c0.  Each
+    edge then sweeps an angle phi in (0, pi) about c0, and in ring order
+    these angles fill one turn about c0.  The triangle of c0 and an edge
+    of length L has area L h / 2 with h >= rho, and at most
+    R_plus^2 sin(phi) / 2, so sin(phi) >= ell rho / R_plus^2.
+
+    Non-adjacent edges.  Take a vertex v and an edge e not incident to it.
+    On either side, a whole edge's sector lies between v's ray from c0 and
+    e's sector, so the rays to v and to any point p of e are psi >= min phi
+    apart, and v and p lie at least rho from c0.  Then |v - p| >= rho when
+    psi >= pi/2, and >= rho sin(psi) >= rho sin(min phi) when it is less.
+    So non-adjacent edges, whose sectors do not overlap, lie at least
+    gap = rho min(1, ell rho / R_plus^2) apart.
+
+    Fold-back.  At a vertex whose edges e1, e2 have dot(e1, e2) < 0 the
+    interior angle alpha is below pi/2.  The disc of radius rho about c0
+    lies in the vertex's wedge with its centre at most R_plus from the
+    apex, so sin(alpha/2) >= rho / R_plus and
+    |e1 x e2| = |e1||e2| sin(alpha) >= sqrt(2) |e1||e2| rho / R_plus
+    >= sqrt(2) fold max(1, |e1||e2|), where fold = rho min(1, ell^2) / R_plus.
+
+    `_check_simple` flags a pair of edges at most EPS apart and a fold-back
+    with |e1 x e2| <= EPS max(1, |e1||e2|).  So gap > 2 EPS and fold > 2 EPS
+    pass both tests with room for the rounding of the certificate's own
+    sums; gap also clears 2^-46 times the largest coordinate magnitude,
+    which bounds the rounding of `point_segment_distance` in absolute
+    coordinates.  Nor does `segment_segment_distance` find a crossing:
+    every vertex of a strictly convex ring lies left of each edge line it
+    is not on, and both of a pair's side tests would have to round to the
+    wrong sign.
+    """
+    if winds != 1 or not poly.rho > 0.0:
+        return False
+    rho, R_plus, ell = poly.rho, poly.R_plus, poly.ell
+    scale = max(map(abs, poly.bbox))
+    return (rho * min(1.0, ell * rho / (R_plus * R_plus)) > 2.0 * EPS + scale * 2.0 ** -46
+            and rho * min(1.0, ell * ell) / R_plus > 2.0 * EPS)
 
 
 def _check_simple(edges: Sequence[tuple[Point, Point]]) -> None:
@@ -646,42 +720,28 @@ def _triples(m: int) -> np.ndarray:
 def is_c_fat(poly: Polygon, c: float) -> bool:
     """Enclosing-to-inscribed radius ratio at most c.
 
-    A cheap proof comes first.  Take c0, the mean of the vertices.  The
-    disc about c0 of radius R+ = max |v - c0| holds every vertex, so the
-    polygon, so R <= R+.  Let rho be the least signed distance from c0 to
-    an edge line, inward for the CCW ring.  If rho > 0, the disc about c0
-    of radius rho lies in every inner half-plane, so in the polygon, so
-    r >= rho.  Then R+ (1 + 1e-9) <= c rho proves R <= c r; the relative
-    margin covers rounding.  Offsets are taken as v - c0, which nearby
-    coordinates give exactly, so the proof survives translation.  Only
-    when it fails are Welzl's circle and the Chebyshev center computed;
-    a non-convex polygon always takes that path, and raises there.  The
-    center's triple scan takes O(m^4) time on m vertices, so past
-    MAX_EXACT_FAT_VERTICES vertices an uncertified polygon raises instead.
+    The star certificate (see `Polygon`) comes first.  The disc about c0
+    of radius R_plus holds every vertex, so the polygon, so R <= R_plus.
+    If rho > 0, the disc about c0 of radius rho lies in every inner
+    half-plane of the convex ring, so in the polygon, so r >= rho.  Then
+    R_plus (1 + 1e-9) <= c rho proves R <= c r; the relative margin covers
+    rounding.  Only when it fails are Welzl's circle and the Chebyshev
+    center computed; a non-convex polygon always takes that path, and
+    raises there.  The center's triple scan takes O(m^4) time on m
+    vertices, so past MAX_EXACT_FAT_VERTICES vertices an uncertified
+    polygon raises instead.
     """
     if not 1 < c < math.inf:  # NaN too
         raise GeometryError("fatness parameter must be a finite number > 1")
-    if poly.is_convex and _certified_fat(poly, c):
+    if poly.R_plus * (1.0 + 1e-9) <= c * poly.rho:
         return True
     if poly.n > MAX_EXACT_FAT_VERTICES:
         raise GeometryError(
-            f"no vertex-mean certificate for a polygon with {poly.n} vertices, and exact "
+            f"no star certificate for a polygon with {poly.n} vertices, and exact "
             f"fatness is limited to MAX_EXACT_FAT_VERTICES = {MAX_EXACT_FAT_VERTICES}")
     _, R = smallest_enclosing_circle(poly)
     _, r = largest_inscribed_circle(poly)
     return R <= c * r + EPS
-
-
-def _certified_fat(poly: Polygon, c: float) -> bool:
-    """The vertex-mean proof of c-fatness in `is_c_fat`; False proves nothing."""
-    vs = poly.vertices
-    cx = sum(v.x for v in vs) / poly.n
-    cy = sum(v.y for v in vs) / poly.n
-    offsets = [(v.x - cx, v.y - cy) for v in vs]
-    R_plus = max(math.hypot(ux, uy) for ux, uy in offsets)
-    rho = min((ux * wy - uy * wx) / math.hypot(wx - ux, wy - uy)
-              for (ux, uy), (wx, wy) in zip(offsets, offsets[1:] + offsets[:1]))
-    return rho > 0.0 and R_plus * (1.0 + 1e-9) <= c * rho
 
 
 def validate_regular_terrain(t: Terrain, c: float) -> None:

@@ -23,7 +23,8 @@ _COLORS = {
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+    """Shortest text that reads back as v, with -0.0 written as 0.0."""
+    return repr(float(v) + 0.0)
 
 
 def _path(points, close: bool = False) -> str:

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a lattice path oracle that bounds
 shortest paths from above, the bounding square of a blinding gadget, the
-obstacle containment rule with no convexity certificate, and a fat
-obstacle that the vertex-mean fatness certificate does not settle.
+obstacle containment rule with no convexity certificate, a fat obstacle
+that the star certificate does not settle, and a probe that tells
+whether that certificate settles an `is_c_fat` call.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -12,15 +13,16 @@ shares no other rule with the visibility graph of `oracle.shortest_path`.
 It calls the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
 """
 import math
+from unittest import mock
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from thunt import vecgeom
+from thunt import geom, vecgeom
 from thunt.generators import GadgetParams
 from thunt.geom import (EPS, GeometryError, Location, Point, Polygon, Terrain, _first_exit,
-                        dist, point_in_polygon, segment_in_terrain)
+                        dist, is_c_fat, point_in_polygon, segment_in_terrain)
 
 
 class GridResolutionError(RuntimeError):
@@ -145,9 +147,22 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     return L
 
 
-def crowded_arc_obstacle(n: int) -> Polygon:
-    """n vertices on the radius-2 circle about (5, 5): one at each of 0, 90,
-    180 and 270 degrees and the rest crowded on the arc from 0.1 to 0.8 rad,
-    so the vertex mean lies off the centre."""
-    angles = [0.5 * math.pi * k for k in range(4)] + [0.1 + 0.7 * i / (n - 5) for i in range(n - 4)]
-    return Polygon([(5 + 2 * math.cos(a), 5 + 2 * math.sin(a)) for a in sorted(angles)])
+def chord_cut_disc(n: int) -> Polygon:
+    """n vertices spread evenly over the arc of the radius-2 circle about
+    (5, 5) that lies above the chord 0.2 below the centre.  The cut disc
+    is fat at c = 2 (R/r = 2/1.1 = 1.818), but the area centroid lies
+    above the centre and R_plus/rho is about 2.34, so the star certificate
+    does not settle it."""
+    a = math.asin(0.1)
+    return Polygon([(5 + 2 * math.cos(t), 5 + 2 * math.sin(t))
+                    for t in (-a + (math.pi + 2 * a) * i / (n - 1) for i in range(n))])
+
+
+def star_settles(poly: Polygon, c: float) -> bool:
+    """Whether `is_c_fat(poly, c)` returns True without measuring the
+    polygon, i.e. on the star certificate alone."""
+    with mock.patch.object(geom, "smallest_enclosing_circle", side_effect=GeometryError):
+        try:
+            return is_c_fat(poly, c)
+        except GeometryError:
+            return False

@@ -320,26 +320,83 @@ def test_bench_scenarios_are_generated_as_recorded():
 
 
 def test_the_fatness_certificate_settles_most_suite_calls(monkeypatch):
-    # counted from outside: the certificate must keep firing on the suite
-    # (2,969 of 3,259 calls when it was introduced)
-    calls, certified = [], []
-    is_fat, certify = generators.is_c_fat, geom._certified_fat
+    # counted from outside: a call the star certificate does not settle
+    # measures the polygon, starting with Welzl's circle (3,201 of 3,259
+    # calls settled when the area-centroid certificate came in, 2,969 with
+    # the vertex mean before it)
+    calls, measured = [], []
+    is_fat, enclosing = generators.is_c_fat, geom.smallest_enclosing_circle
 
     def counted_is_fat(poly, c):
         calls.append(poly)
         return is_fat(poly, c)
 
-    def counted_certify(poly, c):
-        ok = certify(poly, c)
-        certified.append(ok)
-        return ok
+    def counted_enclosing(poly):
+        measured.append(poly)
+        return enclosing(poly)
 
     monkeypatch.setattr(generators, "is_c_fat", counted_is_fat)
-    monkeypatch.setattr(geom, "_certified_fat", counted_certify)
+    monkeypatch.setattr(geom, "smallest_enclosing_circle", counted_enclosing)
     for s in range(200):
         bench_scenario(s)
-    assert len(calls) == len(certified) == 3259
-    assert sum(certified) >= 2900
+    assert len(calls) == 3259
+    assert len(calls) - len(measured) >= 3150
+
+
+def test_the_simplicity_certificate_settles_every_suite_ring(monkeypatch):
+    # every ring the suite builds is a convex hull, and none needs the sweep;
+    # the comb's outer ring is not convex, and gets it
+    built, swept = [], []
+    check_simple, polygon = geom._check_simple, generators.Polygon
+
+    def counted_check(edges):
+        swept.append(edges)
+        check_simple(edges)
+
+    def counted_polygon(verts):
+        built.append(verts)
+        return polygon(verts)
+
+    monkeypatch.setattr(geom, "_check_simple", counted_check)
+    monkeypatch.setattr(generators, "Polygon", counted_polygon)
+    for s in range(200):
+        bench_scenario(s)
+    assert (len(built), len(swept)) == (3459, 0)
+    comb, _, _ = comb_terrain(CombParams(12, 5, 0.25))
+    assert swept == [comb.outer.edges()]
+
+
+def test_outer_clearance_decides_as_ring_distance(monkeypatch):
+    # every suite candidate that reaches the test, then candidates 0.1 +- 1e-12
+    # from an outer edge, where the edge-line reading defers to ring_distance
+    seen = []
+    outer_clearance = generators._outer_clearance
+
+    def checked_clearance(outer):
+        too_close = outer_clearance(outer)
+
+        def checked(poly):
+            seen.append(poly)
+            got = too_close(poly)
+            assert got == (ring_distance(poly, outer, 0.1 + EPS) < 0.1)
+            return got
+        return checked
+
+    monkeypatch.setattr(generators, "_outer_clearance", checked_clearance)
+    for s in range(200):
+        bench_scenario(s)
+    assert len(seen) == 2193
+    monkeypatch.undo()
+
+    exact = []
+    monkeypatch.setattr(generators, "ring_distance",
+                        lambda *args: exact.append(args) or ring_distance(*args))
+    outer = square(0, 0, 10)
+    too_close = generators._outer_clearance(outer)
+    for gap in (0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.1 + 2e-6, 0.1 - 2e-6):
+        poly = square(gap, 4, 1)
+        assert too_close(poly) == (ring_distance(poly, outer, 0.1 + EPS) < 0.1)
+    assert len(exact) == 3
 
 
 def test_random_regular_terrain_deterministic():

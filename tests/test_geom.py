@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, brute_inscribed_circle,
                       empty_square_terrain, random_convex_polygon, square)
-from support import crowded_arc_obstacle, obstacle_inside
+from support import chord_cut_disc, obstacle_inside, star_settles
 from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, convex_hull, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, perimeter_split, point_in_polygon, point_in_terrain, sees,
@@ -38,6 +39,9 @@ def test_polygon_drops_collinear_vertices():
 def test_polygon_rejects_self_intersection():
     with pytest.raises(GeometryError):
         Polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
+    # a pentagram turns left at every vertex but winds twice about its centroid
+    with pytest.raises(GeometryError, match="touch"):
+        Polygon([(math.cos(0.8 * math.pi * k), math.sin(0.8 * math.pi * k)) for k in range(5)])
 
 
 def test_polygon_rejects_degenerate():
@@ -68,6 +72,53 @@ def test_polygon_rejects_touching_edges_exactly_when_brute_force_does(ring):
     assume("fold-back" not in reason and "at least 3" not in reason)
     verts = geom._normalize_ring([Point(float(x), float(y)) for x, y in ring])
     assert ("touch" in reason) == _edges_touch_by_brute_force(verts)
+
+
+@st.composite
+def star_rings(draw):
+    """Convex rings near the star certificate's margins: points on an
+    ellipse (slivers down to aspect 1e-8), then one edit (a vertex just
+    outside an edge's midpoint, a corner cut to a short edge, or a vertex
+    pulled far out into a spike), then a translation by up to 1e7."""
+    n = draw(st.integers(3, 10))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    aspect = draw(st.sampled_from([1.0, 0.1, 1e-3, 1e-6, 1e-8]))
+    size = draw(st.sampled_from([1e-4, 1e-2, 1.0, 1e2]))
+    turn, phi = draw(st.floats(0, 2 * math.pi)), draw(st.floats(0, 2 * math.pi))
+    ring, ang = [], 0.0
+    for g in gaps:
+        ang += 2 * math.pi * g / sum(gaps)
+        x, y = size * math.cos(ang), size * aspect * math.sin(ang)
+        ring.append((x * math.cos(turn) - y * math.sin(turn), x * math.sin(turn) + y * math.cos(turn)))
+    k = draw(st.integers(0, n - 1))
+    (px, py), (ax, ay), (bx, by) = ring[k - 1], ring[k], ring[(k + 1) % n]
+    t = draw(st.sampled_from([1e-12, 1e-10, 1e-9, 2e-9, 3e-9, 1e-8, 1e-6]))
+    edit = draw(st.sampled_from(["none", "bump", "short", "spike"]))
+    if edit == "bump":  # a near-collinear triple
+        ring.insert(k + 1, ((ax + bx) / 2 + t * (by - ay), (ay + by) / 2 - t * (bx - ax)))
+    elif edit == "short":
+        dp, db = math.hypot(px - ax, py - ay), math.hypot(bx - ax, by - ay)
+        ring[k:k + 1] = [(ax + t * size * (px - ax) / dp, ay + t * size * (py - ay) / dp),
+                         (ax + t * size * (bx - ax) / db, ay + t * size * (by - ay) / db)]
+    elif edit == "spike":  # a tip whose edges come close to folding back
+        s = draw(st.sampled_from([10.0, 1e3, 1e6, 1e8]))
+        cx, cy = sum(x for x, _ in ring) / n, sum(y for _, y in ring) / n
+        ring[k] = (ax + s * (ax - cx), ay + s * (ay - cy))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e7]))
+    return [(x + shift * math.cos(phi), y + shift * math.sin(phi)) for x, y in ring]
+
+
+@settings(max_examples=400)
+@given(star_rings())
+def test_a_ring_the_star_certificate_passes_is_simple(ring):
+    swept = []
+    with mock.patch.object(geom, "_check_simple", side_effect=swept.append):
+        try:
+            poly = Polygon(ring)
+        except GeometryError:  # fewer than 3 vertices left
+            return
+    if not swept:  # the certificate skipped the sweep
+        geom._check_simple(poly.edges())
 
 
 # --- point classification ---------------------------------------------------
@@ -487,7 +538,7 @@ def test_exact_ratio_is_fat():
 
 
 # c a hair below, at, or above the exact R/r; rectangles are where the
-# certificate is tight (the vertex mean is both centers)
+# certificate is tight (the area centroid is both centers)
 NEAR_RATIO = st.sampled_from([-1e-3, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9, 1e-6, 1e-3, 0.5])
 
 
@@ -495,7 +546,7 @@ def _certificate_is_a_proof(poly, rel):
     _, R = smallest_enclosing_circle(poly)
     _, r = largest_inscribed_circle(poly)
     c = R / r * (1 + rel)
-    if geom._certified_fat(poly, c):
+    if star_settles(poly, c):
         assert R <= c * r + geom.EPS
 
 
@@ -514,9 +565,12 @@ def test_fatness_certificate_is_a_proof_on_thin_rectangles(x0, y0, w, aspect, an
 
 
 def test_is_c_fat_measures_at_most_128_uncertified_vertices():
-    assert is_c_fat(crowded_arc_obstacle(geom.MAX_EXACT_FAT_VERTICES), 2.0)
-    big = crowded_arc_obstacle(geom.MAX_EXACT_FAT_VERTICES + 1)
-    assert not geom._certified_fat(big, 2.0)
+    for n in (12, 128, 129, 1200):
+        disc = chord_cut_disc(n)
+        assert 2.3 < disc.R_plus / disc.rho < 2.4
+    assert is_c_fat(chord_cut_disc(geom.MAX_EXACT_FAT_VERTICES), 2.0)
+    big = chord_cut_disc(geom.MAX_EXACT_FAT_VERTICES + 1)
+    assert not star_settles(big, 2.0)
     with pytest.raises(GeometryError, match="MAX_EXACT_FAT_VERTICES = 128"):
         is_c_fat(big, 2.0)
     # a polygon the certificate settles has no vertex limit

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import square
-from support import crowded_arc_obstacle
+from support import chord_cut_disc
 from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
@@ -408,7 +408,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
 
 
 def test_cli_run_on_an_uncertified_1200_gon_exits_2_quickly(tmp_path, capsys):
-    t = Terrain(square(0, 0, 10), [crowded_arc_obstacle(1200)])
+    t = Terrain(square(0, 0, 10), [chord_cut_disc(1200)])
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(scenario_to_dict(Scenario(t, Point(0.5, 0.5), Point(9.5, 9.5)))))
     start = time.perf_counter()
@@ -485,7 +485,12 @@ def test_cli_render_tiling_near_a_wall_stays_small(tmp_path):
     start = time.perf_counter()
     assert cli_main(["render", str(scen), "-o", str(out), "--tiling"]) == 0
     assert time.perf_counter() - start < 5.0
-    assert out.stat().st_size < 1_000_000 and "<line" in out.read_text()
+    svg = out.read_text()
+    assert out.stat().st_size < 1_000_000
+    # the 8x8 grid around the treasure: 16 lines, none collapsed by rounding
+    lines = re.findall(r"<line [^>]*/>", svg.split('<g stroke="#c8d2e0"')[1].split("</g>")[0])
+    assert len(lines) == len(set(lines)) == 16
+    assert not re.search(r"-0(\.0+)?(?![.\d])", svg)  # no negative zero
 
 
 # --- metamorphic: how the terrain is listed changes nothing ------------------------
