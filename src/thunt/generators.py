@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 # segment_segment_distance is unused, but perfbench counts calls under this name
 from .geom import (EPS, GeometryError, Location, Point, Polygon, Terrain,
@@ -218,40 +217,6 @@ def random_fat_polygon(rng: random.Random, c: float, radius: float,
     raise GenerationError("could not sample a c-fat polygon (c too tight?)")
 
 
-# a candidate's clearance from a convex outer ring is read off its vertices'
-# distances to the edge lines, except within this much of 0.1, where
-# rounding could set that reading apart from `ring_distance`'s
-OUTER_MARGIN = 1e-6
-
-
-def _outer_clearance(outer: Polygon) -> Callable[[Polygon], bool]:
-    """The test `ring_distance(poly, outer, 0.1 + EPS) < 0.1`, for
-    candidates whose first vertex lies inside the outer ring.
-
-    Inside a convex ring, a point's distance to the ring is its least
-    distance to an edge line, a concave function of the point, so over the
-    candidate it is least at a vertex.  Let m be the least signed distance
-    from a vertex to an edge line, inward positive.  If m >= 0 every vertex
-    lies inside and the rings are m apart; if m < 0 a vertex lies outside,
-    the first inside, and the rings meet.  So they come within 0.1 iff
-    m < 0.1.
-    """
-    lines = []  # each edge's inward unit normal and first vertex
-    if outer.is_convex:
-        for a, b in outer.edges():
-            L = dist(a, b)
-            lines.append(((a.y - b.y) / L, (b.x - a.x) / L, a))
-
-    def too_close(poly: Polygon) -> bool:
-        if lines:
-            m = min(nx * (v.x - a.x) + ny * (v.y - a.y) for nx, ny, a in lines
-                    for v in poly.vertices)
-            if abs(m - 0.1) > OUTER_MARGIN:
-                return m < 0.1
-        return ring_distance(poly, outer, 0.1 + EPS) < 0.1
-    return too_close
-
-
 def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
                            extent: float = 10.0,
                            min_pq_dist: float = 1.0) -> tuple[Terrain, Point, Point]:
@@ -261,8 +226,14 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
     obstacles are rejection-sampled convex c-fat polygons, kept 0.1 from it
     and from each other by `Terrain`'s rules (`ring_distance`, `nested`).
     A candidate lies inside the outer ring when its first vertex does and
-    it keeps that clearance, which `_outer_clearance` reads off its
-    vertices' distances to the outer edge lines.
+    it keeps that clearance.  The clearance is read off the outer edge
+    lines: inside the convex outer ring, a point's distance to the ring is
+    its least distance to an edge line, a concave function of the point,
+    so over the candidate it is least at a vertex.  Let m be the least
+    signed distance from a vertex to an edge line, inward positive.  If
+    m >= 0 every vertex lies inside and the rings are m apart; if m < 0 a
+    vertex lies outside, the first inside, and the rings meet.  So they
+    come within 0.1 iff m < 0.1.
     Start and treasure keep 0.15 from every boundary and `min_pq_dist` from
     each other.
     """
@@ -273,7 +244,10 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
     hull_pts = [Point(pad + rng.random() * (extent - 2 * pad),
                       pad + rng.random() * (extent - 2 * pad)) for _ in range(14)]
     outer = Polygon(convex_hull(hull_pts))
-    near_outer = _outer_clearance(outer)
+    walls = []  # each outer edge's inward unit normal and first vertex
+    for a, b in outer.edges():
+        L = dist(a, b)
+        walls.append(((a.y - b.y) / L, (b.x - a.x) / L, a))
 
     obstacles: list[Polygon] = []
     attempts = 0
@@ -291,7 +265,8 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
         except GenerationError:
             continue
         if (point_in_polygon(poly.vertices[0], outer) is not Location.INTERIOR
-                or near_outer(poly)
+                or min(nx * (v.x - a.x) + ny * (v.y - a.y)
+                       for nx, ny, a in walls for v in poly.vertices) < 0.1
                 or any(ring_distance(poly, o, 0.1 + EPS) < 0.1 for o in obstacles)
                 or any(nested(poly, o) for o in obstacles)):
             continue

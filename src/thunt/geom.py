@@ -124,19 +124,19 @@ class Polygon:
     """Simple polygon with normalized counterclockwise vertex order.
 
     The constructor takes one star certificate of the normalized ring.
-    `ell` is its shortest edge and `is_convex` whether it turns strictly
-    left (cross3 > 0) at every vertex.  For a convex ring, `center` is c0,
-    the area centroid (summed relative to vertex 0, so its offsets survive
-    translation), `R_plus` the largest |v - c0| and `rho` the least signed
-    distance from c0 to an edge line, inward positive; any other ring gets
-    None, inf and -inf.  The disc about c0 of radius R_plus holds the
-    polygon, and when rho > 0 the disc of radius rho lies in it.  The
-    certificate settles simplicity (`_star_is_simple`) and fatness
-    (`is_c_fat`).
+    `is_convex` is whether it turns strictly left (cross3 > 0) at every
+    vertex.  For a convex ring, take c0, the area centroid (summed
+    relative to vertex 0, so its offsets survive translation); `R_plus` is
+    the largest |v - c0| and `rho` the least signed distance from c0 to an
+    edge line, inward positive.  Any other ring gets inf and -inf.  The
+    disc about c0 of radius R_plus holds the polygon, and when rho > 0 the
+    disc of radius rho lies in it.  With the shortest edge and the winding
+    number about c0, the certificate settles simplicity
+    (`_star_is_simple`); alone it settles fatness (`is_c_fat`).
     """
 
     __slots__ = ("vertices", "n", "perimeter", "cum_arc", "_bbox", "_edges",
-                 "ell", "is_convex", "center", "R_plus", "rho")
+                 "is_convex", "R_plus", "rho")
 
     def __init__(self, vertices: Sequence):
         verts = [Point(float(v[0]), float(v[1])) for v in vertices]
@@ -157,12 +157,11 @@ class Polygon:
         xs = [v.x for v in verts]
         ys = [v.y for v in verts]
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        self.ell = min(lengths)
         self.is_convex = all(cross3(verts[i - 1], v, verts[(i + 1) % n]) > 0
                              for i, v in enumerate(verts))
-        self.center, self.R_plus, self.rho, winds = (
-            _star(verts, lengths) if self.is_convex else (None, math.inf, -math.inf, 0))
-        if not _star_is_simple(self, winds):
+        self.R_plus, self.rho, winds = (
+            _star(verts, lengths) if self.is_convex else (math.inf, -math.inf, 0))
+        if not _star_is_simple(self, min(lengths), winds):
             _check_simple(self._edges)
 
     @property
@@ -243,9 +242,9 @@ def _signed_area(verts: Sequence[Point]) -> float:
     return 0.5 * s
 
 
-def _star(verts: Sequence[Point], lengths: Sequence[float]) -> tuple[Point, float, float, int]:
-    """c0, R_plus and rho of a convex ring (see `Polygon`), and the number
-    of times it winds about c0."""
+def _star(verts: Sequence[Point], lengths: Sequence[float]) -> tuple[float, float, int]:
+    """R_plus and rho of a convex ring (see `Polygon`), and the number of
+    times it winds about c0."""
     x0, y0 = verts[0]
     rel = [(v.x - x0, v.y - y0) for v in verts]
     a2 = sx = sy = 0.0
@@ -262,11 +261,12 @@ def _star(verts: Sequence[Point], lengths: Sequence[float]) -> tuple[Point, floa
     # with rho > 0 every edge turns counterclockwise about c0, so each
     # upward crossing of the line through c0 is a crossing of its +x ray
     winds = sum(uy < 0.0 <= wy for (_, uy), (_, wy) in pairs)
-    return Point(x0 + cx, y0 + cy), R_plus, rho, winds
+    return R_plus, rho, winds
 
 
-def _star_is_simple(poly: Polygon, winds: int) -> bool:
-    """Whether the star certificate proves the ring simple, so that
+def _star_is_simple(poly: Polygon, ell: float, winds: int) -> bool:
+    """Whether the star certificate, with the shortest edge `ell` and the
+    winding number about c0, proves the ring simple, so that
     `_check_simple` would pass it.
 
     Let the ring be convex, with rho > 0 and winding once about c0.  Each
@@ -302,7 +302,7 @@ def _star_is_simple(poly: Polygon, winds: int) -> bool:
     """
     if winds != 1 or not poly.rho > 0.0:
         return False
-    rho, R_plus, ell = poly.rho, poly.R_plus, poly.ell
+    rho, R_plus = poly.rho, poly.R_plus
     scale = max(map(abs, poly.bbox))
     return (rho * min(1.0, ell * rho / (R_plus * R_plus)) > 2.0 * EPS + scale * 2.0 ** -46
             and rho * min(1.0, ell * ell) / R_plus > 2.0 * EPS)

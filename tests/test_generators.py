@@ -367,36 +367,34 @@ def test_the_simplicity_certificate_settles_every_suite_ring(monkeypatch):
 
 
 def test_outer_clearance_decides_as_ring_distance(monkeypatch):
-    # every suite candidate that reaches the test, then candidates 0.1 +- 1e-12
-    # from an outer edge, where the edge-line reading defers to ring_distance
-    seen = []
-    outer_clearance = generators._outer_clearance
+    # every suite candidate whose first vertex lies inside the outer ring is
+    # kept exactly when ring_distance puts it 0.1 from that ring; a kept
+    # candidate is next measured against an obstacle, or accepted
+    current, reached, kept = [], [], set()
+    sample, locate = generators.random_fat_polygon, generators.point_in_polygon
 
-    def checked_clearance(outer):
-        too_close = outer_clearance(outer)
+    def sampled(*args):
+        current[:] = [sample(*args)]
+        return current[0]
 
-        def checked(poly):
-            seen.append(poly)
-            got = too_close(poly)
-            assert got == (ring_distance(poly, outer, 0.1 + EPS) < 0.1)
-            return got
-        return checked
+    def located(pt, ring):
+        loc = locate(pt, ring)
+        if loc is Location.INTERIOR and pt is current[0].vertices[0]:
+            reached.append((current[0], ring))
+        return loc
 
-    monkeypatch.setattr(generators, "_outer_clearance", checked_clearance)
+    def measured(poly, ring, cutoff):
+        kept.add(id(poly))
+        return ring_distance(poly, ring, cutoff)
+
+    monkeypatch.setattr(generators, "random_fat_polygon", sampled)
+    monkeypatch.setattr(generators, "point_in_polygon", located)
+    monkeypatch.setattr(generators, "ring_distance", measured)
     for s in range(200):
-        bench_scenario(s)
-    assert len(seen) == 2193
-    monkeypatch.undo()
-
-    exact = []
-    monkeypatch.setattr(generators, "ring_distance",
-                        lambda *args: exact.append(args) or ring_distance(*args))
-    outer = square(0, 0, 10)
-    too_close = generators._outer_clearance(outer)
-    for gap in (0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.1 + 2e-6, 0.1 - 2e-6):
-        poly = square(gap, 4, 1)
-        assert too_close(poly) == (ring_distance(poly, outer, 0.1 + EPS) < 0.1)
-    assert len(exact) == 3
+        kept.update(id(o) for o in bench_scenario(s).terrain.obstacles)
+    assert len(reached) == 2193
+    for poly, outer in reached:
+        assert (id(poly) in kept) == (ring_distance(poly, outer, 0.1 + EPS) >= 0.1)
 
 
 def test_random_regular_terrain_deterministic():
