@@ -240,6 +240,9 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,13 +17,11 @@ Conventions
 from __future__ import annotations
 
 import bisect
-import functools
+import heapq
 import itertools
 import math
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 EPS = 1e-9
 # Tolerance for "is this point on the ring" queries.  Points that land on a
@@ -34,8 +32,6 @@ ON_RING_TOL = 1e-7
 ARC_TOL = 1e-9
 
 OUTER_RING = -1  # ring id of the outer boundary (obstacles use their index)
-# the most vertices `is_c_fat` measures exactly when its star certificate fails
-MAX_EXACT_FAT_VERTICES = 128
 
 
 class GeometryError(ValueError):
@@ -135,7 +131,7 @@ class Polygon:
     (`_star_is_simple`); alone it settles fatness (`is_c_fat`).
     """
 
-    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "_bbox", "_edges",
+    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "bbox", "_edges",
                  "is_convex", "R_plus", "rho")
 
     def __init__(self, vertices: Sequence):
@@ -154,19 +150,14 @@ class Polygon:
         lengths = [dist(a, b) for a, b in self._edges]
         self.cum_arc: tuple[float, ...] = tuple(itertools.accumulate(lengths, initial=0.0))
         self.perimeter = self.cum_arc[-1]
-        xs = [v.x for v in verts]
-        ys = [v.y for v in verts]
-        self._bbox = (min(xs), min(ys), max(xs), max(ys))
+        xs, ys = zip(*verts)
+        self.bbox: tuple[float, float, float, float] = (min(xs), min(ys), max(xs), max(ys))
         self.is_convex = all(cross3(verts[i - 1], v, verts[(i + 1) % n]) > 0
                              for i, v in enumerate(verts))
         self.R_plus, self.rho, winds = (
             _star(verts, lengths) if self.is_convex else (math.inf, -math.inf, 0))
         if not _star_is_simple(self, min(lengths), winds):
             _check_simple(self._edges)
-
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        return self._bbox
 
     def edges(self) -> tuple[tuple[Point, Point], ...]:
         return self._edges
@@ -377,9 +368,7 @@ class Terrain:
         return self.outer if ring_id == OUTER_RING else self.obstacles[ring_id]
 
     def rings(self):
-        yield OUTER_RING, self.outer
-        for i, obs in enumerate(self.obstacles):
-            yield i, obs
+        return itertools.chain([(OUTER_RING, self.outer)], enumerate(self.obstacles))
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -435,15 +424,9 @@ def point_in_polygon(p: Point, poly: Polygon) -> Location:
     for a, b in poly.edges():
         if (a.y > py) != (b.y > py) and px < a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y):
             inside = not inside
-        if px < a.x - EPS and px < b.x - EPS:
-            continue
-        if px > a.x + EPS and px > b.x + EPS:
-            continue
-        if py < a.y - EPS and py < b.y - EPS:
-            continue
-        if py > a.y + EPS and py > b.y + EPS:
-            continue
-        if point_segment_distance(p, a, b) <= EPS:
+        if ((px >= a.x - EPS or px >= b.x - EPS) and (px <= a.x + EPS or px <= b.x + EPS)
+                and (py >= a.y - EPS or py >= b.y - EPS) and (py <= a.y + EPS or py <= b.y + EPS)
+                and point_segment_distance(p, a, b) <= EPS):
             return Location.ON_BOUNDARY
     return Location.INTERIOR if inside else Location.EXTERIOR
 
@@ -652,9 +635,11 @@ def _in_circle(circle: tuple[Point, float], p: Point) -> bool:
 def smallest_enclosing_circle(poly: Polygon) -> tuple[Point, float]:
     """Minimal circle containing the polygon (Welzl's incremental loops over
     the shuffled vertex set, so expected linear time and no recursion;
-    enclosing a convex polygon equals enclosing its vertices)."""
+    enclosing a convex polygon equals enclosing its vertices).  Solved
+    relative to vertex 0, so translation moves only the centre."""
     import random as _random
-    pts = list(poly.vertices)
+    x0, y0 = poly.vertices[0]
+    pts = [Point(v.x - x0, v.y - y0) for v in poly.vertices]
     _random.Random(0x5EC).shuffle(pts)
     pts.reverse()  # the visiting order sets R's last bits, which the recorded suite keeps
     circle = (pts[0], 0.0)
@@ -669,52 +654,70 @@ def smallest_enclosing_circle(poly: Polygon) -> tuple[Point, float]:
             for r in pts[:j]:
                 if not _in_circle(circle, r):
                     circle = _circle_from3(p, q, r)
-    return circle
+    return Point(circle[0].x + x0, circle[0].y + y0), circle[1]
 
 
 def largest_inscribed_circle(poly: Polygon) -> tuple[Point, float]:
-    """Chebyshev center and radius of a convex polygon.
+    """Chebyshev center and radius of a convex polygon, relative to vertex 0.
 
-    Solved by enumerating edge-line triples: some optimum of the underlying
-    linear program is determined by three active edge constraints.  Numpy
-    solves them by Cramer's rule in blocks, in a scalar loop's operation
-    order (so with its bits), and keeps the first largest feasible radius.
+    Every edge line moves inward at unit speed, and edge i shrinks to a
+    point at the r where its neighbours' lines meet it.  The earliest such
+    edge drops out and its neighbours become adjacent.  For a convex
+    polygon this straight skeleton is the medial axis, so its last event,
+    among the last four lines, is the optimum.  O(m log m) on m vertices.
     """
     if not poly.is_convex:
         raise GeometryError("largest_inscribed_circle requires a convex polygon")
-    normals = []
-    for a, b in poly.edges():
-        ex, ey = b.x - a.x, b.y - a.y
-        L = math.hypot(ex, ey)
-        nx, ny = -ey / L, ex / L  # inward for a CCW ring
-        normals.append((nx, ny, nx * a.x + ny * a.y, -1.0))
-    N = np.array(normals)
-    T = _triples(len(N))
-    step = max(1, (1 << 18) // len(N))  # triples per block: bounds the slack matrix
-    best = None
-    for lo in range(0, len(T), step):
-        # rows [nx, ny, -1 | o] in (x, y, r): the determinant, then the numerators
-        F = N[T[lo:lo + step]].T  # field, row, triple
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (
-            F[cols].swapaxes(0, 1) for cols in ([0, 2, 0, 0], [1, 1, 2, 1], [3, 3, 3, 2]))
-        D = a1 * (b2 * c3 - c2 * b3) - b1 * (a2 * c3 - c2 * a3) + c1 * (a2 * b3 - b2 * a3)
-        ok = ~(np.abs(D[0]) < 1e-12)
-        x, y, r = D[1:, ok] / D[0, ok]
-        slack = N[:, :1] * x + N[:, 1:2] * y - N[:, 2:3]
-        feasible = np.flatnonzero(~(r < -EPS) & (slack >= r - 1e-9).all(axis=0))
-        if len(feasible):
-            k = feasible[np.argmax(r[feasible])]  # argmax takes the first largest
-            if best is None or r[k] > best[2]:
-                best = (x[k], y[k], r[k])
-    if best is None:
+    x0, y0 = poly.vertices[0]
+    rel = [(v.x - x0, v.y - y0) for v in poly.vertices]
+    lines = []
+    for (ax, ay), (bx, by) in zip(rel, rel[1:] + rel[:1]):
+        L = math.hypot(bx - ax, by - ay)
+        nx, ny = (ay - by) / L, (bx - ax) / L  # inward for a CCW ring
+        lines.append((nx, ny, nx * ax + ny * ay, -1.0))
+    m = len(lines)
+    prev, succ = [(i - 1) % m for i in range(m)], [(i + 1) % m for i in range(m)]
+
+    def vanish_at(k: int) -> float:  # rows in index order, as the last scan takes them
+        solved = _cramer([lines[j] for j in sorted((prev[k], k, succ[k]))], 0.0)
+        return math.inf if solved is None else solved[2]
+
+    vanish: list = [vanish_at(i) for i in range(m)]
+    heap = sorted(zip(vanish, range(m)))  # a sorted list is a heap
+    for _ in range(m - 4):
+        r, i = heapq.heappop(heap)
+        while vanish[i] != r:  # stale: dropped, or its neighbours changed
+            r, i = heapq.heappop(heap)
+        vanish[i] = None
+        a, b = prev[i], succ[i]
+        succ[a], prev[b] = b, a
+        for k in (a, b):
+            vanish[k] = vanish_at(k)
+            heapq.heappush(heap, (vanish[k], k))
+    # three of the last four lines can tie for the optimum in several ways
+    # (a square's four triples): the first largest feasible triple wins
+    live = [lines[k] for k in range(m) if vanish[k] is not None]
+    fits = [s for s in (_cramer(t, 1e-12) for t in itertools.combinations(live, 3))
+            if s and all(nx * s[0] + ny * s[1] - o >= s[2] - 1e-9 for nx, ny, o, _ in live)]
+    if not fits:
         raise GeometryError("inscribed circle search failed (degenerate polygon)")
-    return Point(float(best[0]), float(best[1])), float(best[2])
+    x, y, r = max(fits, key=lambda s: s[2])
+    return Point(x + x0, y + y0), r
 
 
-@functools.lru_cache(maxsize=8)
-def _triples(m: int) -> np.ndarray:
-    """Index triples i < j < k of m edges, in the order of nested loops."""
-    return np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+def _cramer(rows, tiny: float) -> Optional[tuple[float, float, float]]:
+    """The (x, y, r) at signed distance r from three edge lines, by Cramer's
+    rule on their rows [nx, ny, -1 | o]; None when the determinant is at
+    most `tiny` in magnitude."""
+    def det(a, b, c):  # of the columns a, b, c, along the first row
+        return (a[0] * (b[1] * c[2] - c[1] * b[2]) - b[0] * (a[1] * c[2] - c[1] * a[2])
+                + c[0] * (a[1] * b[2] - b[1] * a[2]))
+
+    nx, ny, o, ones = zip(*rows)
+    D = det(nx, ny, ones)
+    if not abs(D) > tiny:
+        return None
+    return det(o, ny, ones) / D, det(nx, o, ones) / D, det(nx, ny, o) / D
 
 
 def is_c_fat(poly: Polygon, c: float) -> bool:
@@ -727,18 +730,12 @@ def is_c_fat(poly: Polygon, c: float) -> bool:
     R_plus (1 + 1e-9) <= c rho proves R <= c r; the relative margin covers
     rounding.  Only when it fails are Welzl's circle and the Chebyshev
     center computed; a non-convex polygon always takes that path, and
-    raises there.  The center's triple scan takes O(m^4) time on m
-    vertices, so past MAX_EXACT_FAT_VERTICES vertices an uncertified
-    polygon raises instead.
+    raises there.
     """
     if not 1 < c < math.inf:  # NaN too
         raise GeometryError("fatness parameter must be a finite number > 1")
     if poly.R_plus * (1.0 + 1e-9) <= c * poly.rho:
         return True
-    if poly.n > MAX_EXACT_FAT_VERTICES:
-        raise GeometryError(
-            f"no star certificate for a polygon with {poly.n} vertices, and exact "
-            f"fatness is limited to MAX_EXACT_FAT_VERTICES = {MAX_EXACT_FAT_VERTICES}")
     _, R = smallest_enclosing_circle(poly)
     _, r = largest_inscribed_circle(poly)
     return R <= c * r + EPS

@@ -120,6 +120,14 @@ def brute_inscribed_circle(poly):
     return best[1], best[0]
 
 
+def brute_inscribed_circle_in_own_frame(poly):
+    """`brute_inscribed_circle` of the polygon moved so that its vertex 0
+    is the origin, moved back: the frame `largest_inscribed_circle` uses."""
+    x0, y0 = poly.vertices[0]
+    c, r = brute_inscribed_circle(Polygon([(v.x - x0, v.y - y0) for v in poly.vertices]))
+    return Point(c.x + x0, c.y + y0), r
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_enclosing_circle, brute_inscribed_circle,
+from conftest import (brute_enclosing_circle, brute_inscribed_circle_in_own_frame,
                       empty_square_terrain, random_convex_polygon, square)
 from support import chord_cut_disc, obstacle_inside, star_settles
 from thunt import (GeometryError, Location, Point, Polygon,
@@ -17,6 +18,7 @@ from thunt import (GeometryError, Location, Point, Polygon,
                    validate_regular_terrain)
 from thunt import geom
 from thunt.generators import CombParams, comb_terrain, random_fat_polygon
+from thunt.harness import bench_scenario
 from thunt.geom import march
 
 
@@ -477,7 +479,7 @@ def test_inscribed_circle_equals_the_scalar_triple_scan(seed, n, radius):
     rng = random.Random(seed)
     center = Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
     poly = random_convex_polygon(rng, radius, center, n)
-    assert largest_inscribed_circle(poly) == brute_inscribed_circle(poly)
+    assert largest_inscribed_circle(poly) == brute_inscribed_circle_in_own_frame(poly)
 
 
 def _rotated_rectangle(x0, y0, w, h, angle):
@@ -492,12 +494,11 @@ def test_inscribed_circle_of_rectangle_equals_the_scalar_triple_scan(x0, y0, w, 
     # opposite sides are parallel, so some triples have a vanishing determinant
     # (exactly zero when axis-aligned, rounding-sized when rotated)
     rect = _rotated_rectangle(x0, y0, w, h, angle)
-    assert largest_inscribed_circle(rect) == brute_inscribed_circle(rect)
+    assert largest_inscribed_circle(rect) == brute_inscribed_circle_in_own_frame(rect)
 
 
 
 def test_inscribed_circle_of_a_96_gon_in_bounded_memory():
-    # the triples are solved in blocks, so memory does not grow as m**4
     m = 96
     poly = Polygon([(math.cos(2 * math.pi * i / m), math.sin(2 * math.pi * i / m))
                     for i in range(m)])
@@ -564,16 +565,16 @@ def test_fatness_certificate_is_a_proof_on_thin_rectangles(x0, y0, w, aspect, an
     _certificate_is_a_proof(_rotated_rectangle(x0, y0, w, w * aspect, angle), rel)
 
 
-def test_is_c_fat_measures_at_most_128_uncertified_vertices():
+def test_is_c_fat_measures_an_uncertified_1200_gon_quickly():
     for n in (12, 128, 129, 1200):
         disc = chord_cut_disc(n)
         assert 2.3 < disc.R_plus / disc.rho < 2.4
-    assert is_c_fat(chord_cut_disc(geom.MAX_EXACT_FAT_VERTICES), 2.0)
-    big = chord_cut_disc(geom.MAX_EXACT_FAT_VERTICES + 1)
+    big = chord_cut_disc(1200)
     assert not star_settles(big, 2.0)
-    with pytest.raises(GeometryError, match="MAX_EXACT_FAT_VERTICES = 128"):
-        is_c_fat(big, 2.0)
-    # a polygon the certificate settles has no vertex limit
+    t = Terrain(square(0, 0, 10), [big])
+    start = time.perf_counter()
+    validate_regular_terrain(t, 2.0)
+    assert time.perf_counter() - start < 0.1
     assert is_c_fat(Polygon([(math.cos(k / 100), math.sin(k / 100)) for k in range(628)]), 2.0)
 
 
@@ -611,6 +612,17 @@ def test_comb_is_not_regular():
     t, _, _ = comb_terrain(CombParams(12, 1, 0.25))
     with pytest.raises(TerrainError, match="convex"):
         validate_regular_terrain(t, 2.0)
+
+
+def test_bench_terrains_stay_regular_when_moved_far_out():
+    shift = 1e7
+
+    def moved(poly):
+        return Polygon([(v.x + shift, v.y + shift) for v in poly.vertices])
+
+    for seed in range(40):
+        t = bench_scenario(seed).terrain
+        validate_regular_terrain(Terrain(moved(t.outer), [moved(o) for o in t.obstacles]), 2.0)
 
 
 def test_thin_obstacle_fails_fatness():
