@@ -20,8 +20,7 @@ from .geom import (EPS, OUTER_RING, GeometryError, HitEvent,
                    validate_regular_terrain)
 from .harness import (Scenario, ScenarioError, RunReport, bench, bench_scenario,
                       load_scenario, reports_to_csv, run_scenario, save_scenario)
-from .oracle import (TileIndex, Tiling, TreasureSpec, accessibility, make_advice,
-                     select_tile, shortest_path)
+from .oracle import TreasureSpec, accessibility, make_advice, select_tile, shortest_path
 from .render import render_svg
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Advice-only side: the hunting agent.
 
-The agent decodes the advice triple, rebuilds the tiling anchored at its
-start point, and free-moves along the segment toward the designated tile
-center.  One rule, `geom.first_hit`, decides both ends of every contact
-with an obstacle: the boundary event where the segment leaves the terrain
-and the one where it comes back.  The agent runs a doubling (cow-path)
-search along the perimeter from the first until it walks onto the second,
-then continues.  It returns only its trajectory and the tile center it
+The agent decodes the advice triple, takes the center of the tile it
+names in the grid anchored at its start point (`codec.tile_center`), and
+free-moves along the segment toward it.  One rule, `geom.first_hit`,
+decides both ends of every contact with an obstacle: the boundary event
+where the segment leaves the terrain and the one where it comes back.
+The agent runs a doubling (cow-path) search along the perimeter from the
+first until it walks onto the second, then continues.  It imports nothing
+from the oracle and returns only its trajectory and the tile center it
 aimed for; it is never given the treasure and keeps no account of its own
 costs.
 
@@ -20,10 +21,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .codec import AdviceError, decode
+from .codec import AdviceError, decode, tile_center
 from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain,
                    dist, first_hit, lerp, march, point_in_terrain, sees)
-from .oracle import TileIndex, Tiling
 
 class MoveKind(Enum):
     FREE_MOVE = "free_move"
@@ -158,9 +158,8 @@ def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome
     if strict and not _all_convex(t):
         raise GeometryError("strict mode requires a regular terrain "
                             "(convex outer polygon and convex obstacles)")
-    a1, a2, a3 = decode(advice)
     try:
-        q_prime = Tiling(p, 1.0 / a1).tile_center(TileIndex(a2, a3))
+        q_prime = tile_center(p, decode(advice))
     except OverflowError:
         raise AdviceError("advice points beyond float range (corrupt advice?)") from None
     if not point_in_terrain(q_prime, t):

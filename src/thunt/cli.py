@@ -43,7 +43,7 @@ def _cmd_generate(args) -> int:
 def _cmd_advise(args) -> int:
     sc = load_scenario(args.scenario)
     spec = oracle.accessibility(sc.terrain, sc.treasure)
-    advice = oracle.make_advice(sc.terrain, sc.start, spec)
+    advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
     if args.out:
         mode = "wb" if args.packed else "w"
         data = codec.pack_bits(advice) if args.packed else advice + "\n"
@@ -115,7 +115,7 @@ def _cmd_render(args) -> int:
     trajectory = q_prime = lam = tiling_side = None
     if args.trajectory or args.tiling:
         spec = oracle.accessibility(sc.terrain, sc.treasure)
-        advice = oracle.make_advice(sc.terrain, sc.start, spec)
+        advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
         lam = spec.lam
         if args.tiling:
             tiling_side = 1.0 / codec.decode(advice).a1

@@ -10,10 +10,21 @@ character is its bit, and no pair is "00", so each payload ends where the
 pairs stop and the separator begins.  `decode` reads the triple that way
 and accepts it only if `encode` writes the input back, so it accepts
 exactly the codewords; `unpack_bits` checks `pack_bits` the same way.
+
+The triple names a tile: (a2, a3) is the column and row of a square grid
+of side 1/a1 anchored at the agent's start.  Columns count +1, +2, ...
+going East of the anchor and -1, -2, ... going West, rows likewise North
+and South; there is no column or row 0.  Grid cell k, spanning
+[anchor + k/a1, anchor + (k+1)/a1], has index k+1 for k >= 0 and k for
+k < 0.  `tile_index` takes a cell to its index, for the oracle;
+`tile_center` takes the anchor and the triple to the tile's center, for
+the agent.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .geom import Point
 
 
 class AdviceError(ValueError):
@@ -60,6 +71,19 @@ def decode(s: str) -> AdviceTriple:
     except AdviceError:
         pass
     raise AdviceError("advice is not a codeword")
+
+
+def tile_index(cell: int) -> int:
+    """Signed nonzero index of grid cell `cell` (see the module docstring)."""
+    return cell + 1 if cell >= 0 else cell
+
+
+def tile_center(anchor: Point, triple: AdviceTriple) -> Point:
+    """Center of the tile (a2, a3) of the grid of side 1/a1 anchored at
+    `anchor`.  Raises OverflowError if it lies beyond float range."""
+    side = 1.0 / triple.a1
+    kx, ky = (a - 1 if a > 0 else a for a in triple[1:])
+    return Point(anchor.x + (kx + 0.5) * side, anchor.y + (ky + 0.5) * side)
 
 
 def pack_bits(s: str) -> bytes:

@@ -170,23 +170,28 @@ class Polygon:
         t = 0.0 if seg_len <= EPS else (s - self.cum_arc[i]) / seg_len
         return lerp(self.vertices[i], self.vertices[(i + 1) % self.n], t)
 
-    def locate(self, p: Point, tol: float = ON_RING_TOL) -> tuple[int, float]:
-        """Edge index and parameter of a point on the ring; raises if off it."""
-        best = (tol, -1, 0.0)
-        vs = self.vertices
-        for i in range(self.n):
-            a, b = vs[i], vs[(i + 1) % self.n]
-            d = point_segment_distance(p, a, b)
-            if d < best[0]:
-                L2 = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-                t = 0.0
-                if L2 > EPS * EPS:
-                    t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / L2
-                    t = min(1.0, max(0.0, t))
-                best = (d, i, t)
-        if best[1] < 0:
-            raise GeometryError("point is not on the ring")
-        return best[1], best[2]
+    def locate(self, p: Point, tol: float = ON_RING_TOL,
+               near: Optional[int] = None) -> tuple[int, float]:
+        """Edge index and parameter of a point on the ring; raises if off it.
+        Given `near`, an edge index, that edge and its two neighbours are
+        tried first, and the whole ring only if none is within tol."""
+        vs, n = self.vertices, self.n
+        tries = [range(n)] if near is None else [[(near + k) % n for k in (-1, 0, 1)], range(n)]
+        for edges in tries:
+            best = (tol, -1, 0.0)
+            for i in edges:
+                a, b = vs[i], vs[(i + 1) % n]
+                d = point_segment_distance(p, a, b)
+                if d < best[0]:
+                    L2 = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
+                    t = 0.0
+                    if L2 > EPS * EPS:
+                        t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / L2
+                        t = min(1.0, max(0.0, t))
+                    best = (d, i, t)
+            if best[1] >= 0:
+                return best[1], best[2]
+        raise GeometryError("point is not on the ring")
 
     def arc_of_point(self, p: Point, tol: float = ON_RING_TOL) -> float:
         i, t = self.locate(p, tol)
@@ -341,7 +346,7 @@ class Terrain:
     connectivity check is done here.
     """
 
-    __slots__ = ("outer", "obstacles", "boundary_edges", "_cache")
+    __slots__ = ("outer", "obstacles", "boundary_edges")
 
     def __init__(self, outer: Polygon, obstacles: Sequence[Polygon] = ()):
         self.outer = outer
@@ -362,7 +367,6 @@ class Terrain:
                 raise TerrainError(f"obstacles {i} and {j} are not disjoint")
         self.boundary_edges: tuple[tuple[Point, Point], ...] = tuple(
             itertools.chain(outer.edges(), *(obs.edges() for obs in self.obstacles)))
-        self._cache: dict = {}
 
     def ring(self, ring_id: int) -> Polygon:
         return self.outer if ring_id == OUTER_RING else self.obstacles[ring_id]

@@ -103,9 +103,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
             raise ScenarioError(f"terrain is not regular: {exc}") from exc
 
     spec = oracle.accessibility(t, q)
-    advice = oracle.make_advice(t, p, spec)
-    _, _, q_prime = oracle.select_tile(t, p, spec)
-    L, _ = oracle.shortest_path(t, p, q)
+    advice, q_prime = oracle.make_advice(t, p, spec)
+    L = oracle.shortest_path(t, p, q)
     outcome = thunt(t, p, advice, strict=scenario.strict)
 
     # arrival is checked on the trajectory itself: a path from p to q'
@@ -180,12 +179,16 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
 
 def _follows(points: Sequence[Point], ring: Polygon) -> bool:
     """Whether a polyline runs along the ring: every point lies on it, and
-    each step spans the shorter arc between its ends, not a chord."""
+    each step spans the shorter arc between its ends, not a chord.  Each
+    point is looked for next to its predecessor's edge first."""
+    P, cum = ring.perimeter, ring.cum_arc
+    arcs, i = [], None
     try:
-        arcs = [ring.arc_of_point(pt, tol=1e-6) for pt in points]
+        for pt in points:
+            i, s = ring.locate(pt, 1e-6, near=i)
+            arcs.append((cum[i] + s * (cum[i + 1] - cum[i])) % P)
     except GeometryError:
         return False
-    P = ring.perimeter
     for a, b, sa, sb in zip(points, points[1:], arcs, arcs[1:]):
         gap = (sb - sa) % P
         if abs(min(gap, P - gap) - dist(a, b)) > ARC_TOL:

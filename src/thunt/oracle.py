@@ -1,5 +1,5 @@
 """Full-knowledge side: treasure accessibility, target-tile selection,
-advice construction, and ground-truth shortest paths.
+advice construction, and the ground-truth shortest-path length L.
 
 The shortest path runs over the visibility graph of the terrain
 (Lozano-Perez & Wesley 1979): nodes are the start, the treasure and every
@@ -20,12 +20,13 @@ The exact test is `geom.segment_in_terrain`, run on all the pairs it
 decides at once as `vecgeom.segments_in_terrain` (same formulas, same
 answers).
 
-The verifier checks the agent's arrival at the center `select_tile` picks.
+The tile rule itself, from grid cells to the advice triple and back to a
+tile center, is `codec`'s; the verifier checks the agent's arrival at the
+center `make_advice` returns with the advice.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from . import vecgeom
-from .codec import encode
+from .codec import AdviceTriple, encode, tile_center, tile_index
 from .geom import (EPS, OUTER_RING, GeometryError, Point, Terrain, dist,
                    distance_to_boundary, point_in_terrain,
                    segment_in_terrain)
@@ -43,41 +44,6 @@ class TreasureSpec(NamedTuple):
     q: Point
     rho: float
     lam: float
-
-
-class TileIndex(NamedTuple):
-    col: int
-    row: int
-
-
-@dataclass(frozen=True)
-class Tiling:
-    """Square grid anchored at the agent start.
-
-    Columns count +1, +2, ... going East of the anchor and -1, -2, ...
-    going West; rows likewise North/South.  There is no column or row 0.
-    Internally a signed index maps to grid cell k (cell spans
-    [anchor + k*side, anchor + (k+1)*side]) via k = idx-1 for idx >= 1 and
-    k = idx for idx <= -1.
-    """
-    anchor: Point
-    side: float
-
-    @staticmethod
-    def cell_of(index: int) -> int:
-        if index == 0:
-            raise GeometryError("tile indices are nonzero by convention")
-        return index - 1 if index > 0 else index
-
-    @staticmethod
-    def index_of(cell: int) -> int:
-        return cell + 1 if cell >= 0 else cell
-
-    def tile_center(self, idx: TileIndex) -> Point:
-        kx = self.cell_of(idx.col)
-        ky = self.cell_of(idx.row)
-        return Point(self.anchor.x + (kx + 0.5) * self.side,
-                     self.anchor.y + (ky + 0.5) * self.side)
 
 
 def accessibility(t: Terrain, q: Point) -> TreasureSpec:
@@ -97,14 +63,14 @@ def accessibility(t: Terrain, q: Point) -> TreasureSpec:
 DISC_SHRINK = 1e-6
 
 
-def select_tile(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[int, TileIndex, Point]:
+def select_tile(p: Point, spec: TreasureSpec) -> tuple[AdviceTriple, Point]:
     """Pick the target tile: grid density a1 = ceil(2/lam), then the tile
     fully inside the treasure disc with the smallest row index, breaking
-    ties by the smallest column index.  Returns (a1, index, tile center)."""
+    ties by the smallest column index.  Returns the advice triple and the
+    tile's center."""
     lam = spec.lam
     a1 = max(1, math.ceil(2.0 / lam - 1e-9))
     side = 1.0 / a1
-    tiling = Tiling(p, side)
     r_hat = lam * (1.0 - DISC_SHRINK)
     q = spec.q
 
@@ -114,7 +80,7 @@ def select_tile(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[int, TileInde
     ky_hi = math.ceil((q.y + r_hat - p.y) / side) + 1
 
     r2 = r_hat * r_hat
-    # index_of grows with the cell, so the first fit has the smallest (row, col)
+    # tile_index grows with the cell, so the first fit has the smallest (row, col)
     for ky in range(ky_lo, ky_hi + 1):
         y0 = p.y + ky * side
         dy = max(abs(y0 - q.y), abs(y0 + side - q.y))
@@ -122,18 +88,19 @@ def select_tile(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[int, TileInde
             x0 = p.x + kx * side
             dx = max(abs(x0 - q.x), abs(x0 + side - q.x))
             if dx * dx + dy * dy <= r2:
-                idx = TileIndex(Tiling.index_of(kx), Tiling.index_of(ky))
-                return a1, idx, tiling.tile_center(idx)
+                triple = AdviceTriple(a1, tile_index(kx), tile_index(ky))
+                return triple, tile_center(p, triple)
     raise GeometryError("no tile fits in the treasure disc (should be impossible)")
 
 
-def make_advice(t: Terrain, p: Point, spec: TreasureSpec) -> str:
+def make_advice(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[str, Point]:
     """Advice string steering an agent at p to a point that sees the
-    treasure of `spec` (from `accessibility`)."""
+    treasure of `spec` (from `accessibility`), and that point: the center
+    the advice names."""
     if not point_in_terrain(p, t):
         raise GeometryError("start point must lie in the terrain")
-    a1, idx, _ = select_tile(t, p, spec)
-    return encode(a1, idx.col, idx.row)
+    triple, center = select_tile(p, spec)
+    return encode(*triple), center
 
 
 def _visibility_graph(t: Terrain, p: Point, q: Point):
@@ -182,24 +149,19 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
     return nodes, ai, aj, [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]
 
 
-def shortest_path(t: Terrain, p: Point, q: Point) -> tuple[float, list[Point]]:
-    """Exact geodesic distance and path in the terrain between p and q."""
+def shortest_path(t: Terrain, p: Point, q: Point) -> float:
+    """Exact geodesic distance in the terrain between p and q."""
     if not point_in_terrain(p, t) or not point_in_terrain(q, t):
         raise GeometryError("shortest path endpoints must lie in the terrain")
     if dist(p, q) <= EPS:
-        return 0.0, [p]
+        return 0.0
     if segment_in_terrain(p, q, t):
-        return dist(p, q), [p, q]
+        return dist(p, q)
     nodes, ai, aj, w = _visibility_graph(t, p, q)
     V = len(nodes)
     graph = csr_matrix((np.array(w + w), (np.array(ai + aj), np.array(aj + ai))),
                        shape=(V, V))
-    dists, pred = dijkstra(graph, directed=False, indices=0, return_predecessors=True)
-    L = float(dists[1])
+    L = float(dijkstra(graph, directed=False, indices=0)[1])
     if not math.isfinite(L):
         raise GeometryError("no path between the points (terrain disconnected?)")
-    path_idx = [1]
-    while path_idx[-1] != 0:
-        path_idx.append(int(pred[path_idx[-1]]))
-    path = [nodes[i] for i in reversed(path_idx)]
-    return L, path
+    return L

@@ -23,21 +23,15 @@ import numpy as np
 
 from .geom import EPS, Polygon, Terrain
 
-_CACHE_KEY = "edge_arrays"
 # Segment x boundary-edge cells per batch of the exact test: bounds its
 # arrays whatever the input size.
 CHUNK_CELLS = 1 << 20
 
 
 def edge_arrays(t: Terrain) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges of a terrain as (M,2) start/end arrays (cached)."""
-    cached = t._cache.get(_CACHE_KEY)
-    if cached is None:
-        a = np.array([[e[0].x, e[0].y] for e in t.boundary_edges], dtype=float)
-        b = np.array([[e[1].x, e[1].y] for e in t.boundary_edges], dtype=float)
-        cached = (a, b)
-        t._cache[_CACHE_KEY] = cached
-    return cached
+    """Boundary edges of a terrain as (M,2) start/end arrays."""
+    e = np.array(t.boundary_edges, dtype=float)
+    return e[:, 0], e[:, 1]
 
 
 def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
@@ -158,16 +152,17 @@ def points_in_terrain(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray:
     return inside
 
 
-def _interval_midpoints(A: np.ndarray, B: np.ndarray, t: Terrain, le: np.ndarray):
+def _interval_midpoints(A: np.ndarray, B: np.ndarray, ea: np.ndarray, eb: np.ndarray,
+                        le: np.ndarray):
     """Segment index and parameter of the midpoint of every interval between
-    consecutive boundary events of the segments A[k]->B[k] longer than EPS.
+    consecutive boundary events of the segments A[k]->B[k] longer than EPS,
+    against the boundary edges ea[m]->eb[m] of lengths le[m].
 
     The events are `geom._segment_boundary_params`: the crossings and
     collinear overlap ends on the edges its bbox cull keeps, clamped to
     [0, 1], with 0 and 1, sorted, then deduplicated by its rule (keep an
     event more than 1e-12 above the event just before it), which one
     comparison over the sorted rows applies to every segment at once."""
-    ea, eb = edge_arrays(t)
     D = B - A
     L = _hypot(D[:, 0], D[:, 1])
     elo, ehi = np.minimum(ea, eb), np.maximum(ea, eb)
@@ -220,7 +215,7 @@ def segments_in_terrain(A: np.ndarray, B: np.ndarray, t: Terrain) -> np.ndarray:
     step = max(1, CHUNK_CELLS // len(ea))
     for lo in range(0, len(A), step):
         a, b = A[lo:lo + step], B[lo:lo + step]
-        row, s = _interval_midpoints(a, b, t, le)
+        row, s = _interval_midpoints(a, b, ea, eb, le)
         d = b - a
         px = np.concatenate((a[:, 0], b[:, 0], a[row, 0] + d[row, 0] * s))
         py = np.concatenate((a[:, 1], b[:, 1], a[row, 1] + d[row, 1] * s))

@@ -214,7 +214,7 @@ def test_acceptance_8_comb_construction():
         top = labels[int(round((A / 2 - xs[0]) / step)), int(round((3 * A / 4 - ys[0]) / step))]
         assert bot != 0 and top != 0 and bot == top, i
 
-        L, _ = shortest_path(t, p, q)
+        L = shortest_path(t, p, q)
         assert A / 2 < L < 5 * A / 2, (i, L)
     _report(8, "comb construction",
             f"A={A}, x={x}, all {k} corridor choices audited, {time.time() - t0:.1f}s")
@@ -227,7 +227,7 @@ def test_acceptance_9_shortest_path_cross_oracle():
     worst = 0.0
     for seed in range(1000, 1050):
         t, p, q = random_regular_terrain(seed, seed % 7, extent=8.0, min_pq_dist=2.5)
-        L, _ = shortest_path(t, p, q)
+        L = shortest_path(t, p, q)
         G = grid_path_oracle(t, p, q, 0.05)
         assert L <= G, (seed, L, G)
         assert G <= 1.09 * L, (seed, L, G)

@@ -138,7 +138,7 @@ def test_hunt_first_sight_zero_when_visible_at_start():
 def test_hunt_first_sight_bracketed():
     t = empty_square_terrain(20, -10)
     q = Point(4.0, 3.0)  # distance 5 from start
-    advice = make_advice(t, Point(0, 0), accessibility(t, q))
+    advice, _ = make_advice(t, Point(0, 0), accessibility(t, q))
     out = thunt(t, Point(0, 0), advice)
     first_sight = _first_sight_length(out.trajectory, Point(0, 0), q, t)
     assert first_sight is not None
@@ -165,7 +165,7 @@ def test_a_hunt_that_never_advances_stops_within_the_boundary_bound(monkeypatch)
     # plus the last free move
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2)])
     p, q = Point(0, 0.7), Point(6, 0.75)
-    advice = make_advice(t, p, accessibility(t, q))
+    advice, _ = make_advice(t, p, accessibility(t, q))
     first_hit, hits = agent.first_hit, []
 
     def stuck(frm, toward, terrain):
@@ -200,7 +200,7 @@ def test_hunt_strict_mode_rejects_nonconvex():
 def test_hunt_deterministic():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2), square(4.1, -0.4, 0.9)])
     p, q = Point(0, 0.7), Point(6.5, 0.75)
-    advice = make_advice(t, p, accessibility(t, q))
+    advice, _ = make_advice(t, p, accessibility(t, q))
     a = thunt(t, p, advice)
     b = thunt(t, p, advice)
     assert a.trajectory.pieces == b.trajectory.pieces

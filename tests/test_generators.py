@@ -124,7 +124,7 @@ def test_lb_candidate_spacing():
 def test_lb_shortest_path_window():
     t, p, centers = regular_lb_terrain(1, 1.0)
     A = 20.0
-    L, _ = shortest_path(t, p, centers[0])
+    L = shortest_path(t, p, centers[0])
     assert math.sqrt(2) * A / 2 <= L <= math.sqrt(2) * A / 2 + A
 
 
@@ -199,7 +199,7 @@ def test_comb_structure_and_connectivity():
 
 def test_comb_shortest_path_window():
     t, p, q = comb_terrain(CombParams(12, 3, 0.25))
-    L, _ = shortest_path(t, p, q)
+    L = shortest_path(t, p, q)
     assert 6.0 < L < 30.0
 
 

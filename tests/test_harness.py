@@ -16,7 +16,7 @@ from support import chord_cut_disc
 from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
-from thunt import agent, cli, harness
+from thunt import agent, cli, geom, harness, oracle
 from thunt.codec import AdviceTriple
 from thunt.agent import MoveKind, Trajectory
 from thunt.cli import main as cli_main
@@ -163,6 +163,39 @@ def test_run_scenario_rejects_a_chord_across_an_obstacle(monkeypatch):
     monkeypatch.setattr(agent, "march", chord)
     report = run_scenario(simple_scenario())
     assert "perimeter walk leaves its ring" in report.failures
+
+
+def test_follows_locates_each_point_next_to_its_predecessor(monkeypatch):
+    # a walk over half of a 1200-gon: only the first point scans the whole
+    # ring, every later one is found on or next to its predecessor's edge
+    ring = chord_cut_disc(1200)
+    piece = geom.march(ring, 0.0, ring.perimeter / 2, 1)
+    calls = 0
+    distance = geom.point_segment_distance
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return distance(*args)
+
+    monkeypatch.setattr(geom, "point_segment_distance", counted)
+    assert harness._follows(piece, ring)
+    assert calls <= ring.n + 3 * len(piece)
+    assert not harness._follows([piece[0], piece[-1]], ring)  # a chord
+
+
+def test_run_scenario_selects_the_tile_once(monkeypatch):
+    calls = 0
+    select = oracle.select_tile
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return select(*args)
+
+    monkeypatch.setattr(oracle, "select_tile", counted)
+    assert run_scenario(simple_scenario()).passed
+    assert calls == 1
 
 
 def test_run_scenario_checks_arrival_at_the_oracles_tile(monkeypatch):

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
 from support import grid_path_oracle
-from thunt import (GeometryError, Point, Polygon, Terrain, accessibility,
-                   encode, make_advice, segment_in_terrain, select_tile,
+from thunt import (AdviceTriple, GeometryError, Point, Polygon, Terrain, accessibility,
+                   decode, encode, make_advice, segment_in_terrain, select_tile,
                    shortest_path)
 from thunt import oracle, vecgeom
 from thunt.geom import EPS, dist, lerp, point_in_terrain
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
 from thunt.harness import bench_scenario
-from thunt.oracle import TileIndex, Tiling, TreasureSpec, _visibility_graph
+from thunt.codec import tile_center
+from thunt.oracle import TreasureSpec, _visibility_graph
 from thunt.vecgeom import pairwise_edge_classification, segments_in_terrain
 
 
@@ -45,7 +46,7 @@ def brute_select_tile(p, spec, window=64):
                 if best is None or key < best:
                     best = key
     assert best is not None
-    return a1, TileIndex(best[1], best[0])
+    return AdviceTriple(a1, best[1], best[0])
 
 
 # --- accessibility -------------------------------------------------------------
@@ -81,9 +82,8 @@ def test_select_tile_worked_example():
     t = empty_square_terrain(10, -5)
     p, q = Point(0, 0), Point(0.75, 0.75)
     spec = accessibility(t, q)
-    a1, idx, qp = select_tile(t, p, spec)
-    assert a1 == 2
-    assert idx == TileIndex(col=2, row=1)
+    triple, qp = select_tile(p, spec)
+    assert triple == AdviceTriple(a1=2, a2=2, a3=1)
     assert math.dist(qp, (0.75, 0.25)) < 1e-12
 
 
@@ -93,10 +93,9 @@ def test_select_tile_prefers_south_most_row():
     t = empty_square_terrain(20, -10)
     p, q = Point(0, 0), Point(0.25, 0.25)
     spec = accessibility(t, q)
-    a1, idx, qp = select_tile(t, p, spec)
-    b_a1, b_idx = brute_select_tile(p, spec)
-    assert (a1, idx) == (b_a1, b_idx)
-    assert idx.row < 0  # lam = 1 reaches well south of q's own row
+    triple, qp = select_tile(p, spec)
+    assert triple == brute_select_tile(p, spec)
+    assert triple.a3 < 0  # lam = 1 reaches well south of q's own row
 
 
 @given(st.integers(0, 10 ** 6))
@@ -107,9 +106,8 @@ def test_select_tile_matches_brute_force(seed):
     p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
     q = Point(rng.uniform(-8, 8), rng.uniform(-8, 8))
     spec = TreasureSpec(q, 19.0, rng.choice([1.0, 0.7, 0.33, 0.21]))
-    a1, idx, qp = select_tile(t, p, spec)
-    b_a1, b_idx = brute_select_tile(p, spec)
-    assert (a1, idx) == (b_a1, b_idx)
+    triple, qp = select_tile(p, spec)
+    assert triple == brute_select_tile(p, spec)
     # the tile is inside the disc, hence qp sees q
     assert math.dist(qp, q) <= spec.lam
     assert segment_in_terrain(qp, q, t)
@@ -125,45 +123,53 @@ def test_select_tile_index_bound(seed):
     if math.dist(p, q) < 1e-6:
         return
     spec = accessibility(t, q)
-    L, _ = shortest_path(t, p, q)
-    a1, idx, _ = select_tile(t, p, spec)
+    L = shortest_path(t, p, q)
+    (_, col, row), _ = select_tile(p, spec)
     bound = 3 * L / spec.lam + 4
-    assert abs(idx.col) <= bound
-    assert abs(idx.row) <= bound
+    assert abs(col) <= bound
+    assert abs(row) <= bound
 
 
 def test_select_tile_deterministic():
     t = empty_square_terrain(10, -5)
     spec = accessibility(t, Point(1.3, 2.1))
-    runs = {select_tile(t, Point(0, 0), spec) for _ in range(5)}
+    runs = {select_tile(Point(0, 0), spec) for _ in range(5)}
     assert len(runs) == 1
 
 
-def test_tiling_has_no_zero_index():
-    tiling = Tiling(Point(0, 0), 0.5)
-    with pytest.raises(GeometryError):
-        tiling.tile_center(TileIndex(0, 1))
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-12, 12), st.floats(-12, 12),
+       st.sampled_from([1.0, 0.7, 0.33, 0.21, 0.05]))
+@settings(max_examples=60)
+def test_the_advice_decodes_to_the_oracles_tile_center(px, py, dx, dy, lam):
+    # the agent's side of the tile rule gives back, bit for bit, the center
+    # the oracle selected
+    p = Point(px, py)
+    q = Point(px + dx, py + dy)
+    t = Terrain(square(px - 20, py - 20, 40))
+    advice, center = make_advice(t, p, TreasureSpec(q, 19.0, lam))
+    assert tile_center(p, decode(advice)) == center
 
 
 # --- advice --------------------------------------------------------------------
 
 def test_make_advice_worked_example():
     t = empty_square_terrain(10, -5)
-    assert make_advice(t, Point(0, 0), accessibility(t, Point(0.75, 0.75))) == encode(2, 2, 1)
+    advice, center = make_advice(t, Point(0, 0), accessibility(t, Point(0.75, 0.75)))
+    assert advice == encode(2, 2, 1)
+    assert math.dist(center, (0.75, 0.25)) < 1e-12
 
 
 def test_make_advice_mirrored_southwest():
     t = empty_square_terrain(10, -5)
-    advice = make_advice(t, Point(0, 0), accessibility(t, Point(-0.75, -0.75)))
-    from thunt import decode
+    advice, _ = make_advice(t, Point(0, 0), accessibility(t, Point(-0.75, -0.75)))
     _, a2, a3 = decode(advice)
     assert a2 < 0 and a3 < 0
 
 
 def test_make_advice_near_start_nonzero_indices():
     t = empty_square_terrain(10, -5)
-    from thunt import decode
-    _, a2, a3 = decode(make_advice(t, Point(0, 0), accessibility(t, Point(0.05, 0.05))))
+    advice, _ = make_advice(t, Point(0, 0), accessibility(t, Point(0.05, 0.05)))
+    _, a2, a3 = decode(advice)
     assert a2 != 0 and a3 != 0
 
 
@@ -171,15 +177,14 @@ def test_make_advice_near_start_nonzero_indices():
 
 def test_shortest_path_empty_terrain():
     t = empty_square_terrain()
-    L, path = shortest_path(t, Point(1, 1), Point(7, 9))
+    L = shortest_path(t, Point(1, 1), Point(7, 9))
     assert abs(L - math.dist((1, 1), (7, 9))) < 1e-12
-    assert path == [Point(1, 1), Point(7, 9)]
 
 
 def test_shortest_path_detours_around_square():
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
     p, q = Point(2, 5), Point(8, 5)
-    L, path = shortest_path(t, p, q)
+    L = shortest_path(t, p, q)
     # independent check: best bend route through obstacle corners
     corners = [Point(4, 4), Point(6, 4), Point(4, 6), Point(6, 6)]
     best = math.inf
@@ -191,14 +196,14 @@ def test_shortest_path_detours_around_square():
                 best = min(best, sum(math.dist(route[i], route[i + 1])
                                      for i in range(len(route) - 1)))
     assert abs(L - best) < 1e-9
-    assert len(path) > 2
+    assert L > math.dist(p, q) + 1e-9
 
 
 def test_shortest_path_symmetric():
     t = Terrain(square(0, 0, 10), [square(4, 4, 2), square(2, 7, 1.5)])
     p, q = Point(1, 1), Point(9, 9)
-    L1, _ = shortest_path(t, p, q)
-    L2, _ = shortest_path(t, q, p)
+    L1 = shortest_path(t, p, q)
+    L2 = shortest_path(t, q, p)
     assert abs(L1 - L2) < 1e-9
 
 
@@ -206,7 +211,7 @@ def test_shortest_path_symmetric():
 @settings(max_examples=20)
 def test_shortest_path_at_least_euclidean(seed):
     t, p, q = random_regular_terrain(seed, seed % 5)
-    L, _ = shortest_path(t, p, q)
+    L = shortest_path(t, p, q)
     assert L >= math.dist(p, q) - 1e-9
     if segment_in_terrain(p, q, t):
         assert abs(L - math.dist(p, q)) < 1e-9
@@ -425,13 +430,13 @@ def test_grid_oracle_on_a_comb_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    L, _ = shortest_path(t, p, q)
+    L = shortest_path(t, p, q)
     assert L <= G <= 1.09 * L
     assert peak < 100 << 20
 
 
 def test_grid_oracle_upper_bounds_geodesic():
     t, p, q = random_regular_terrain(42, 4)
-    L, _ = shortest_path(t, p, q)
+    L = shortest_path(t, p, q)
     G = grid_path_oracle(t, p, q, 0.05)
     assert L <= G <= 1.09 * L
