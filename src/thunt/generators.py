@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 # segment_segment_distance is unused, but perfbench counts calls under this name
 from .geom import (EPS, GeometryError, Location, Point, Polygon, Terrain,
-                   convex_hull, dist, distance_to_boundary, is_c_fat, nested,
-                   point_in_polygon, point_in_terrain, ring_distance,
+                   convex_hull, cross3, dist, is_c_fat, nested, point_in_polygon,
+                   point_in_terrain, point_segment_distance, ring_distance,
                    segment_segment_distance)
 
 
@@ -191,10 +191,26 @@ def comb_terrain(params: CombParams) -> tuple[Terrain, Point, Point]:
     return terrain, p, q
 
 
+def _star_hull(pts: list[Point]) -> list[Point]:
+    """`convex_hull` of points that run counterclockwise about a point
+    they surround, each angular gap below pi: Graham's (1972) scan with
+    no sort.  The lexicographic minimum is a hull vertex and `convex_hull`
+    starts there, so the scan starts there too and comes back to it."""
+    k = pts.index(min(pts))
+    hull: list[Point] = []
+    for p in pts[k:] + pts[:k + 1]:
+        while len(hull) >= 2 and cross3(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    return hull[:-1]
+
+
 def random_fat_polygon(rng: random.Random, c: float, radius: float,
                        center: Point = Point(0.0, 0.0)) -> Polygon:
     """Random convex polygon (the hull of 5 to 9 points) with
-    enclosing/inscribed radius ratio <= c."""
+    enclosing/inscribed radius ratio <= c.  The points run counterclockwise
+    about `center`, each gap less than 1.35/2.75 < 1/2 of the turn, so
+    `_star_hull` finds their hull."""
     if not 1 < c < math.inf:  # NaN too
         raise GenerationError("fatness parameter must be a finite number > 1")
     r_lo = min(0.92, max(0.5, 1.2 / c))
@@ -208,7 +224,7 @@ def random_fat_polygon(rng: random.Random, c: float, radius: float,
             ang += 2 * math.pi * g / total
             rr = radius * (r_lo + (1.0 - r_lo) * rng.random())
             pts.append(Point(center.x + rr * math.cos(ang), center.y + rr * math.sin(ang)))
-        hull = convex_hull(pts)
+        hull = _star_hull(pts)
         if len(hull) < 3:
             continue
         poly = Polygon(hull)
@@ -265,8 +281,8 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
         except GenerationError:
             continue
         if (point_in_polygon(poly.vertices[0], outer) is not Location.INTERIOR
-                or min(nx * (v.x - a.x) + ny * (v.y - a.y)
-                       for nx, ny, a in walls for v in poly.vertices) < 0.1
+                or any(nx * (v.x - a.x) + ny * (v.y - a.y) < 0.1
+                       for nx, ny, a in walls for v in poly.vertices)
                 or any(ring_distance(poly, o, 0.1 + EPS) < 0.1 for o in obstacles)
                 or any(nested(poly, o) for o in obstacles)):
             continue
@@ -277,9 +293,9 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
         for _ in range(4000):
             pt = Point(rng.uniform(outer.bbox[0], outer.bbox[2]),
                        rng.uniform(outer.bbox[1], outer.bbox[3]))
-            if not point_in_terrain(pt, terrain):
-                continue
-            if distance_to_boundary(pt, terrain) < min_clear:
+            if not point_in_terrain(pt, terrain) or any(
+                    point_segment_distance(pt, a, b) < min_clear
+                    for a, b in terrain.boundary_edges):
                 continue
             if away_from is not None and dist(pt, away_from) < min_pq_dist:
                 continue

@@ -5,9 +5,11 @@ Conventions
 -----------
 * Polygons are simple and stored counterclockwise; the constructor accepts
   either orientation and normalizes (duplicate and collinear vertices are
-  dropped).  It also takes the ring's star certificate (area centroid c0,
-  R_plus, rho, shortest edge, strict convexity), which proves most convex
-  rings simple without the sweep and settles most fatness questions.
+  dropped).  It also takes the ring's strict convexity and its star
+  certificate about the area centroid c0, and stores R_plus and rho (not
+  c0).  With the shortest edge, read while building, the certificate
+  proves most convex rings simple without the sweep; alone it settles
+  most fatness questions.
 * A Terrain is a closed outer polygon minus the *open* interiors of its
   obstacles, so every boundary point belongs to the terrain.
 * All predicates use the absolute tolerance EPS: a point within EPS of a
@@ -139,21 +141,20 @@ class Polygon:
         for v in verts:
             if not (math.isfinite(v.x) and math.isfinite(v.y)):
                 raise GeometryError("polygon vertex has non-finite coordinates")
-        verts = _normalize_ring(verts)
-        if len(verts) < 3:
-            raise GeometryError("polygon needs at least 3 non-degenerate vertices")
-        if _signed_area(verts) < 0:
-            verts.reverse()
+        ring = _ring_pass(verts, check=True) if len(verts) >= 3 else None
+        if ring is None:
+            verts = _normalize_ring(verts)
+            if len(verts) < 3:
+                raise GeometryError("polygon needs at least 3 non-degenerate vertices")
+            if _signed_area(verts) < 0:
+                verts.reverse()
+            ring = _ring_pass(verts, check=False)
+        lengths, self.bbox, self.is_convex = ring
         self.vertices: tuple[Point, ...] = tuple(verts)
-        self.n = n = len(verts)
+        self.n = len(verts)
         self._edges = tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
-        lengths = [dist(a, b) for a, b in self._edges]
         self.cum_arc: tuple[float, ...] = tuple(itertools.accumulate(lengths, initial=0.0))
         self.perimeter = self.cum_arc[-1]
-        xs, ys = zip(*verts)
-        self.bbox: tuple[float, float, float, float] = (min(xs), min(ys), max(xs), max(ys))
-        self.is_convex = all(cross3(verts[i - 1], v, verts[(i + 1) % n]) > 0
-                             for i, v in enumerate(verts))
         self.R_plus, self.rho, winds = (
             _star(verts, lengths) if self.is_convex else (math.inf, -math.inf, 0))
         if not _star_is_simple(self, min(lengths), winds):
@@ -227,6 +228,27 @@ def _normalize_ring(verts: list[Point]) -> list[Point]:
             kept.append(v)
         out = kept
     return out
+
+
+def _ring_pass(verts: list[Point], check: bool):
+    """The edge lengths, the bbox and whether the ring turns strictly left
+    at every vertex, in one pass over the edges.  With `check`, None
+    instead when `_normalize_ring` would drop a vertex or `_signed_area`
+    is negative, by their tests on the same numbers."""
+    lengths = []
+    convex, area, a = True, 0.0, verts[-1]
+    for v, b in zip(verts, verts[1:] + verts[:1]):
+        L = dist(v, b)
+        if check and (L <= EPS or point_segment_distance(v, a, b) <= EPS):
+            return None
+        lengths.append(L)
+        area += v.x * b.y - b.x * v.y
+        convex = convex and cross3(a, v, b) > 0
+        a = v
+    if check and 0.5 * area < 0:
+        return None
+    xs, ys = zip(*verts)
+    return lengths, (min(xs), min(ys), max(xs), max(ys)), convex
 
 
 def _signed_area(verts: Sequence[Point]) -> float:

@@ -2,14 +2,19 @@
 advice construction, and the ground-truth shortest-path length L.
 
 The shortest path runs over the visibility graph of the terrain
-(Lozano-Perez & Wesley 1979): nodes are the start, the treasure and every
-ring vertex; a pair is an edge iff its segment stays inside the terrain.
-One rule admits the pairs, the first case that applies deciding:
+(Lozano-Perez & Wesley 1979): nodes are the start, the treasure and the
+ring vertices that are not convex in free space; a pair is an edge iff
+its segment stays inside the terrain.  A shortest path bends only at a
+vertex where free space is reflex, so a vertex where the ring, taken with
+free space on its left (the outer ring as stored, obstacle rings
+reversed), turns strictly left (`cross3 > 0`, the rule of
+`Polygon.is_convex`) is no node.  So a convex outer ring gives no node,
+and a convex obstacle gives all of its vertices.  One rule admits the
+pairs, the first case that applies deciding:
 
 * ends that share a boundary edge: admitted (the pair is that edge);
 * leaving a vertex end into an obstacle or out of the outer polygon, by
-  the vertex's free-space wedge (free space on the left: the outer ring
-  as stored, obstacle rings reversed): rejected;
+  the vertex's free-space wedge (in the same ring order): rejected;
 * marked blocked by `vecgeom.pairwise_edge_classification`, which sees
   only the pairs the two cases above leave open: rejected;
 * marked ambiguous by the kernel: the exact test decides;
@@ -35,7 +40,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from . import vecgeom
 from .codec import AdviceTriple, encode, tile_center, tile_index
-from .geom import (EPS, OUTER_RING, GeometryError, Point, Terrain, dist,
+from .geom import (EPS, OUTER_RING, GeometryError, Point, Terrain, cross3, dist,
                    distance_to_boundary, point_in_terrain,
                    segment_in_terrain)
 
@@ -104,8 +109,10 @@ def make_advice(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[str, Point]:
 
 
 def _visibility_graph(t: Terrain, p: Point, q: Point):
-    """Nodes (p, q, then every ring vertex) and the admitted pairs of node
-    indices with their lengths, admitted by the rule in the module docstring."""
+    """Nodes (p, q, then the ring vertices that are not convex in free
+    space, in ring order) and the admitted pairs of node indices with
+    their lengths, admitted by the rule in the module docstring.  A node
+    keeps the ids of its two ring edges, numbered over every ring vertex."""
     nodes = [p, q]
     edge_ids = [(-1, -1), (-1, -1)]
     wedges = [(0.0, 0.0, 0.0, 0.0)] * 2
@@ -115,6 +122,8 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
         step = 1 if rid == OUTER_RING else -1  # free space on the left
         for vi in range(n):
             u, a, b = vs[vi], vs[(vi - step) % n], vs[(vi + step) % n]
+            if cross3(a, u, b) > 0:  # convex in free space: no shortest path bends here
+                continue
             nodes.append(u)
             edge_ids.append((base + (vi - 1) % n, base + vi))
             wedges.append((u.x - a.x, u.y - a.y, b.x - u.x, b.y - u.y))

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: a lattice path oracle that bounds
-shortest paths from above, the bounding square of a blinding gadget, the
+shortest paths from above, the geodesic over the visibility graph of
+every ring vertex, the bounding square of a blinding gadget, the
 obstacle containment rule with no convexity certificate, a fat obstacle
 that the star certificate does not settle, and a probe that tells
 whether that certificate settles an `is_c_fat` call.
@@ -12,6 +13,8 @@ ambiguous (rejecting a free edge can only lengthen the upper bound); it
 shares no other rule with the visibility graph of `oracle.shortest_path`.
 It calls the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
 """
+import heapq
+import itertools
 import math
 from unittest import mock
 
@@ -145,6 +148,33 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     if not math.isfinite(L):
         raise GridResolutionError("lattice disconnects the endpoints (resolution too coarse)")
     return L
+
+
+def all_vertex_path(t: Terrain, p: Point, q: Point) -> float:
+    """Geodesic from p to q over the visibility graph whose nodes are p, q
+    and every ring vertex, each pair tested by `geom.segment_in_terrain`,
+    by a scalar Dijkstra."""
+    nodes = [p, q] + [v for _, ring in t.rings() for v in ring.vertices]
+    adj: list[list[int]] = [[] for _ in nodes]
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        if segment_in_terrain(nodes[i], nodes[j], t):
+            adj[i].append(j)
+            adj[j].append(i)
+    best = [math.inf] * len(nodes)
+    best[0] = 0.0
+    heap = [(0.0, 0)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if i == 1:
+            return d
+        if d > best[i]:
+            continue
+        for j in adj[i]:
+            dj = d + dist(nodes[i], nodes[j])
+            if dj < best[j]:
+                best[j] = dj
+                heapq.heappush(heap, (dj, j))
+    return math.inf
 
 
 def chord_cut_disc(n: int) -> Polygon:

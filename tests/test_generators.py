@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from thunt import (GadgetParams, GenerationError, Point, accessibility,
@@ -223,6 +226,42 @@ def test_random_fat_polygon_respects_c():
         for _ in range(20):
             poly = random_fat_polygon(rng, c, radius=1.0)
             assert is_c_fat(poly, c)
+
+
+@st.composite
+def fat_polygon_draws(draw):
+    """Points as `random_fat_polygon` draws them (5 to 9 gaps in
+    [0.35, 1.35), radii down to half the radius), then some radii made
+    equal to the first, or one point moved onto the chord of its
+    neighbours and then off it by a relative 0 to 1e-9."""
+    n = draw(st.integers(5, 9))
+    gaps = draw(st.lists(st.floats(0.35, 1.35, exclude_max=True), min_size=n, max_size=n))
+    radius = draw(st.sampled_from([0.35, 1.0, 9.0]))
+    center = Point(draw(st.floats(-300, 300)), draw(st.floats(-300, 300)))
+    rs = [radius * f for f in draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))]
+    total = sum(gaps)
+    angles = list(itertools.accumulate(2 * math.pi * g / total for g in gaps))
+    edit = draw(st.sampled_from(["none", "equal radii", "chord"]))
+    if edit == "equal radii":
+        same = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rs = [rs[0] if keep else r for keep, r in zip(same, rs)]
+    elif edit == "chord":
+        i = draw(st.integers(0, n - 1))
+        (r1, a1), (r3, a3) = (rs[i - 1], angles[i - 1]), (rs[(i + 1) % n], angles[(i + 1) % n])
+        x1, y1, x3, y3 = r1 * math.cos(a1), r1 * math.sin(a1), r3 * math.cos(a3), r3 * math.sin(a3)
+        ux, uy = math.cos(angles[i]), math.sin(angles[i])
+        ex, ey = x3 - x1, y3 - y1
+        if x1 * y3 - y1 * x3 > 0:  # the neighbours are less than pi apart
+            off = draw(st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9]))
+            rs[i] = (ex * y1 - ey * x1) / (ex * uy - ey * ux) * (1.0 + off)
+    return [Point(center.x + r * math.cos(a), center.y + r * math.sin(a))
+            for r, a in zip(rs, angles)]
+
+
+@given(fat_polygon_draws())
+def test_the_sort_free_hull_is_convex_hull(pts):
+    # same vertices, from the same start: the lexicographic minimum
+    assert generators._star_hull(pts) == convex_hull(pts)
 
 
 def test_random_regular_terrain_is_regular():

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
-from support import grid_path_oracle
+from support import all_vertex_path, grid_path_oracle
 from thunt import (AdviceTriple, GeometryError, Point, Polygon, Terrain, accessibility,
                    decode, encode, make_advice, segment_in_terrain, select_tile,
                    shortest_path)
 from thunt import oracle, vecgeom
-from thunt.geom import EPS, dist, lerp, point_in_terrain
+from thunt.geom import EPS, OUTER_RING, cross3, dist, lerp, point_in_terrain
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
 from thunt.harness import bench_scenario
@@ -275,14 +275,14 @@ def test_visibility_graph_exact_calls_on_diamond_lattice(monkeypatch):
 
     monkeypatch.setattr(oracle, "segment_in_terrain", counted)
     _, ai, _, _ = _visibility_graph(diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9))
-    assert len(ai) == 810
+    assert len(ai) == 768
     assert len(calls) == 0
 
 
 @pytest.mark.parametrize("make, rows", [
-    pytest.param(lambda: (diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9)), 1383,
+    pytest.param(lambda: (diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9)), 1197,
                  id="lattice_4"),
-    pytest.param(suite_terrain, 694, id="suite_7")])
+    pytest.param(suite_terrain, 491, id="suite_7")])
 def test_kernel_sees_only_the_pairs_the_wedges_leave_open(monkeypatch, make, rows):
     # the shared-edge and wedge tests run first; the kernel gets what they leave
     t, p, q = make()
@@ -316,6 +316,51 @@ def notch_floor():
     # give no crossing event: only the ends of its collinear overlaps with
     # the bottom side mark where it leaves and re-enters the terrain
     return NOTCH, Point(-3.9, -0.9 * EPS), Point(2.5, -0.9 * EPS)
+
+
+def l_obstacle():
+    # the obstacle's reflex corner (3, 3) is convex in free space
+    ell = Polygon([(2, 2), (6, 2), (6, 3), (3, 3), (3, 6), (2, 6)])
+    return Terrain(square(0, 0, 8), [ell]), Point(4, 4), Point(1, 1)
+
+
+@pytest.mark.parametrize("make", [
+    random_regular, gadget_grid, lattice_3x3, comb, notch_apex, notch_floor, l_obstacle,
+    pytest.param(lambda: suite_terrain(10), id="suite_10"),
+    pytest.param(lambda: suite_terrain(21), id="suite_21")])
+def test_visibility_graph_drops_exactly_the_free_space_convex_vertices(make):
+    # a shortest path bends only where free space is reflex, so the graph
+    # without the convex vertices gives the L of the graph with them all
+    t, p, q = make()
+    kept, dropped = [p, q], []
+    for rid, ring in t.rings():
+        vs, n = ring.vertices, ring.n
+        for i, v in enumerate(vs):
+            a, b = vs[i - 1], vs[(i + 1) % n]
+            # free space on the left: the outer ring as stored, obstacles reversed
+            turn = cross3(a, v, b) if rid == OUTER_RING else cross3(b, v, a)
+            (dropped if turn > 0 else kept).append(v)
+    nodes, _, _, _ = _visibility_graph(t, p, q)
+    assert nodes == kept and dropped
+    assert t.outer.is_convex == all(v not in nodes[2:] for v in t.outer.vertices)
+    assert shortest_path(t, p, q) == all_vertex_path(t, p, q)
+
+
+def last_gadget_treasure():
+    t, p, centers = regular_lb_terrain(2, 0.5)
+    return t, p, centers[-1]
+
+
+# L as recorded before the visibility graph dropped the convex vertices
+@pytest.mark.parametrize("make, L", [
+    pytest.param(lambda: comb_terrain(CombParams(12, 1, 0.25)), 13.625081401796242, id="comb_1"),
+    pytest.param(lambda: comb_terrain(CombParams(12, 12, 0.25)), 14.280591814011533,
+                 id="comb_12"),
+    pytest.param(lambda: comb_terrain(CombParams(12, 24, 0.25)), 22.317898697663967,
+                 id="comb_24"),
+    pytest.param(last_gadget_treasure, 21.399402875912713, id="gadget_grid_2_last")])
+def test_shortest_path_keeps_its_recorded_bits(make, L):
+    assert shortest_path(*make()) == L
 
 
 def _probe_points(t, p, q):
