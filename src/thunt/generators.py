@@ -12,10 +12,9 @@ import random
 from dataclasses import dataclass
 
 # segment_segment_distance is unused, but perfbench counts calls under this name
-from .geom import (EPS, GeometryError, Location, Point, Polygon, Terrain,
-                   convex_hull, cross3, dist, is_c_fat, nested, point_in_polygon,
-                   point_in_terrain, point_segment_distance, ring_distance,
-                   segment_segment_distance)
+from .geom import (EPS, GeometryError, Point, Polygon, Terrain, convex_hull,
+                   cross3, dist, is_c_fat, nested, point_in_terrain,
+                   point_segment_distance, ring_distance, segment_segment_distance)
 
 
 # the largest families that build in seconds; at the default width, the
@@ -241,15 +240,15 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
     The outer polygon is a convex hull of random points scaled to `extent`;
     obstacles are rejection-sampled convex c-fat polygons, kept 0.1 from it
     and from each other by `Terrain`'s rules (`ring_distance`, `nested`).
-    A candidate lies inside the outer ring when its first vertex does and
-    it keeps that clearance.  The clearance is read off the outer edge
-    lines: inside the convex outer ring, a point's distance to the ring is
-    its least distance to an edge line, a concave function of the point,
-    so over the candidate it is least at a vertex.  Let m be the least
-    signed distance from a vertex to an edge line, inward positive.  If
-    m >= 0 every vertex lies inside and the rings are m apart; if m < 0 a
-    vertex lies outside, the first inside, and the rings meet.  So they
-    come within 0.1 iff m < 0.1.
+    Against the outer ring the walls alone decide.  Let m be the least
+    signed distance from a candidate's vertex to an outer edge line,
+    inward positive.  The convex outer ring is the intersection of its
+    edges' inner half-planes, so if m >= 0 every vertex, and with them the
+    convex candidate, lies inside it.  Inside, a point's distance to the
+    ring is its least distance to an edge line, a concave function of the
+    point, so over the candidate it is least at a vertex: the rings are m
+    apart.  If m < 0 a vertex lies outside.  So the candidate lies inside,
+    0.1 clear of the ring, iff m >= 0.1.
     Start and treasure keep 0.15 from every boundary and `min_pq_dist` from
     each other.
     """
@@ -280,9 +279,8 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
             poly = random_fat_polygon(rng, c, radius, Point(cx, cy))
         except GenerationError:
             continue
-        if (point_in_polygon(poly.vertices[0], outer) is not Location.INTERIOR
-                or any(nx * (v.x - a.x) + ny * (v.y - a.y) < 0.1
-                       for nx, ny, a in walls for v in poly.vertices)
+        if (any(nx * (v.x - a.x) + ny * (v.y - a.y) < 0.1
+                for nx, ny, a in walls for v in poly.vertices)
                 or any(ring_distance(poly, o, 0.1 + EPS) < 0.1 for o in obstacles)
                 or any(nested(poly, o) for o in obstacles)):
             continue

@@ -3,13 +3,16 @@ boundary walks, and fatness measures.
 
 Conventions
 -----------
-* Polygons are simple and stored counterclockwise; the constructor accepts
-  either orientation and normalizes (duplicate and collinear vertices are
-  dropped).  It also takes the ring's strict convexity and its star
-  certificate about the area centroid c0, and stores R_plus and rho (not
-  c0).  With the shortest edge, read while building, the certificate
-  proves most convex rings simple without the sweep; alone it settles
-  most fatness questions.
+* Polygons are simple and stored counterclockwise.  The constructor
+  passes over the edges until a pass changes nothing, each time doing the
+  first that applies: drop the vertices that start an edge no longer than
+  EPS, drop the vertices within EPS of their neighbours' chord, reverse a
+  clockwise ring.  So a clean counterclockwise ring takes one pass, which
+  also reads the edge lengths, the bbox and strict convexity.  It then
+  takes the ring's star certificate about the area centroid c0, and
+  stores R_plus and rho (not c0).  With the shortest edge, the
+  certificate proves most convex rings simple without the sweep; alone
+  it settles most fatness questions.
 * A Terrain is a closed outer polygon minus the *open* interiors of its
   obstacles, so every boundary point belongs to the terrain.
 * All predicates use the absolute tolerance EPS: a point within EPS of a
@@ -141,15 +144,7 @@ class Polygon:
         for v in verts:
             if not (math.isfinite(v.x) and math.isfinite(v.y)):
                 raise GeometryError("polygon vertex has non-finite coordinates")
-        ring = _ring_pass(verts, check=True) if len(verts) >= 3 else None
-        if ring is None:
-            verts = _normalize_ring(verts)
-            if len(verts) < 3:
-                raise GeometryError("polygon needs at least 3 non-degenerate vertices")
-            if _signed_area(verts) < 0:
-                verts.reverse()
-            ring = _ring_pass(verts, check=False)
-        lengths, self.bbox, self.is_convex = ring
+        verts, lengths, self.bbox, self.is_convex = _ring(verts)
         self.vertices: tuple[Point, ...] = tuple(verts)
         self.n = len(verts)
         self._edges = tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
@@ -202,62 +197,31 @@ class Polygon:
         return f"Polygon({list(self.vertices)!r})"
 
 
-def _normalize_ring(verts: list[Point]) -> list[Point]:
-    """Drop consecutive duplicates and collinear middle vertices (cyclically)."""
-    out = list(verts)
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        # duplicates
-        kept = []
-        for i, v in enumerate(out):
-            if dist(v, out[(i + 1) % len(out)]) > EPS:
-                kept.append(v)
-        if len(kept) != len(out):
-            out = kept
-            changed = True
-            continue
-        # collinear middles: v[i] lying on segment v[i-1]..v[i+1]
-        kept = []
-        n = len(out)
-        for i in range(n):
-            a, v, b = out[i - 1], out[i], out[(i + 1) % n]
-            if point_segment_distance(v, a, b) <= EPS:
-                changed = True
-                continue
-            kept.append(v)
-        out = kept
-    return out
-
-
-def _ring_pass(verts: list[Point], check: bool):
-    """The edge lengths, the bbox and whether the ring turns strictly left
-    at every vertex, in one pass over the edges.  With `check`, None
-    instead when `_normalize_ring` would drop a vertex or `_signed_area`
-    is negative, by their tests on the same numbers."""
-    lengths = []
-    convex, area, a = True, 0.0, verts[-1]
-    for v, b in zip(verts, verts[1:] + verts[:1]):
-        L = dist(v, b)
-        if check and (L <= EPS or point_segment_distance(v, a, b) <= EPS):
-            return None
-        lengths.append(L)
-        area += v.x * b.y - b.x * v.y
-        convex = convex and cross3(a, v, b) > 0
-        a = v
-    if check and 0.5 * area < 0:
-        return None
-    xs, ys = zip(*verts)
-    return lengths, (min(xs), min(ys), max(xs), max(ys)), convex
-
-
-def _signed_area(verts: Sequence[Point]) -> float:
-    s = 0.0
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        s += a.x * b.y - b.x * a.y
-    return 0.5 * s
+def _ring(verts: list[Point]):
+    """The ring normalized as the module docstring says, its edge lengths,
+    its bbox and whether it turns strictly left at every vertex.  It is
+    reversed at most once: the shoelace sum of a ring with next to no area
+    can round negative in both orders."""
+    flipped = False
+    while len(verts) >= 3:
+        lengths, keep = [], []
+        convex, area, a = True, 0.0, verts[-1]
+        for v, b in zip(verts, verts[1:] + verts[:1]):
+            lengths.append(dist(v, b))
+            keep.append(point_segment_distance(v, a, b) > EPS)
+            area += v.x * b.y - b.x * v.y
+            convex = convex and cross3(a, v, b) > 0
+            a = v
+        if min(lengths) <= EPS:
+            verts = [v for v, L in zip(verts, lengths) if L > EPS]
+        elif not all(keep):
+            verts = list(itertools.compress(verts, keep))
+        elif area < 0 and not flipped:
+            verts, flipped = verts[::-1], True
+        else:
+            xs, ys = zip(*verts)
+            return verts, lengths, (min(xs), min(ys), max(xs), max(ys)), convex
+    raise GeometryError("polygon needs at least 3 non-degenerate vertices")
 
 
 def _star(verts: Sequence[Point], lengths: Sequence[float]) -> tuple[float, float, int]:

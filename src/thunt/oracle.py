@@ -13,8 +13,10 @@ and a convex obstacle gives all of its vertices.  One rule admits the
 pairs, the first case that applies deciding:
 
 * ends that share a boundary edge: admitted (the pair is that edge);
-* leaving a vertex end into an obstacle or out of the outer polygon, by
-  the vertex's free-space wedge (in the same ring order): rejected;
+* leaving a vertex end into an obstacle or out of the outer polygon:
+  rejected.  Every kept vertex is reflex in free space, so a pair leaves
+  free space at a vertex end exactly when it heads right of both sides of
+  the vertex's wedge (in the same ring order) and along neither;
 * marked blocked by `vecgeom.pairwise_edge_classification`, which sees
   only the pairs the two cases above leave open: rejected;
 * marked ambiguous by the kernel: the exact test decides;
@@ -140,8 +142,7 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
     vertex = E[src, 0] >= 0
     along = vertex & ((np.abs(ca) <= EPS * np.hypot(ox, oy) * ld)
                       | (np.abs(cb) <= EPS * np.hypot(ix, iy) * ld))
-    convex = ix * oy - iy * ox > 0  # free: left of both wedge sides, or of either if reflex
-    free = np.where(convex, (ca > 0) & (cb > 0), (ca > 0) | (cb > 0))
+    free = (ca > 0) | (cb > 0)  # every kept vertex is reflex: left of either wedge side
     out = (vertex & ~along & ~free).reshape(2, -1).any(axis=0)
     along = along.reshape(2, -1).any(axis=0)
 

@@ -3,7 +3,8 @@ shortest paths from above, the geodesic over the visibility graph of
 every ring vertex, the bounding square of a blinding gadget, the
 obstacle containment rule with no convexity certificate, a fat obstacle
 that the star certificate does not settle, and a probe that tells
-whether that certificate settles an `is_c_fat` call.
+whether that certificate settles an `is_c_fat` call, and the two-path
+ring construction that `Polygon` used before one loop made its passes.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -25,7 +26,8 @@ from scipy.sparse.csgraph import dijkstra
 from thunt import geom, vecgeom
 from thunt.generators import GadgetParams
 from thunt.geom import (EPS, GeometryError, Location, Point, Polygon, Terrain, _first_exit,
-                        dist, is_c_fat, point_in_polygon, segment_in_terrain)
+                        cross3, dist, is_c_fat, point_in_polygon, point_segment_distance,
+                        segment_in_terrain)
 
 
 class GridResolutionError(RuntimeError):
@@ -196,3 +198,66 @@ def star_settles(poly: Polygon, c: float) -> bool:
             return is_c_fat(poly, c)
         except GeometryError:
             return False
+
+
+def normalize_ring(verts: list[Point]) -> list[Point]:
+    """Drop consecutive duplicates and collinear middle vertices (cyclically)."""
+    out = list(verts)
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        kept = [v for i, v in enumerate(out) if dist(v, out[(i + 1) % len(out)]) > EPS]
+        if len(kept) != len(out):
+            out = kept
+            changed = True
+            continue
+        kept = []
+        n = len(out)
+        for i in range(n):
+            a, v, b = out[i - 1], out[i], out[(i + 1) % n]
+            if point_segment_distance(v, a, b) <= EPS:
+                changed = True
+                continue
+            kept.append(v)
+        out = kept
+    return out
+
+
+def _ring_pass(verts: list[Point], check: bool):
+    lengths = []
+    convex, area, a = True, 0.0, verts[-1]
+    for v, b in zip(verts, verts[1:] + verts[:1]):
+        L = dist(v, b)
+        if check and (L <= EPS or point_segment_distance(v, a, b) <= EPS):
+            return None
+        lengths.append(L)
+        area += v.x * b.y - b.x * v.y
+        convex = convex and cross3(a, v, b) > 0
+        a = v
+    if check and 0.5 * area < 0:
+        return None
+    xs, ys = zip(*verts)
+    return lengths, (min(xs), min(ys), max(xs), max(ys)), convex
+
+
+def _signed_area(verts: list[Point]) -> float:
+    s = 0.0  # summed in order: sum() of floats compensates on Python >= 3.12
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        s += a.x * b.y - b.x * a.y
+    return 0.5 * s
+
+
+def reference_ring(verts: list[Point]):
+    """`(verts, lengths, bbox, is_convex)` as `Polygon` built them with a
+    checked pass and a fallback, and whether the fallback reversed the
+    ring; None where fewer than 3 vertices are left."""
+    ring = _ring_pass(verts, check=True) if len(verts) >= 3 else None
+    reversed_ = False
+    if ring is None:
+        verts = normalize_ring(verts)
+        if len(verts) < 3:
+            return None
+        if _signed_area(verts) < 0:
+            verts, reversed_ = verts[::-1], True
+        ring = _ring_pass(verts, check=False)
+    return (verts, *ring), reversed_

@@ -308,8 +308,9 @@ def test_clear_of_agrees_with_a_full_scan():
 
 
 def test_clearance_and_one_vertex_settle_containment():
-    # a candidate clear of the outer ring has all its vertices on the side of
-    # its first one, so the generator tests that vertex only
+    # ring_distance alone does not place a candidate: one clear of the outer
+    # ring lies wholly inside or wholly outside it, and both occur; the
+    # generator's signed distances to the walls tell the two apart
     sides = set()
     for seed in range(6):
         rng = random.Random(seed)
@@ -406,34 +407,35 @@ def test_the_simplicity_certificate_settles_every_suite_ring(monkeypatch):
 
 
 def test_outer_clearance_decides_as_ring_distance(monkeypatch):
-    # every suite candidate whose first vertex lies inside the outer ring is
-    # kept exactly when ring_distance puts it 0.1 from that ring; a kept
-    # candidate is next measured against an obstacle, or accepted
-    current, reached, kept = [], [], set()
-    sample, locate = generators.random_fat_polygon, generators.point_in_polygon
+    # every suite candidate passes the outer test exactly when its first
+    # vertex lies inside the outer ring and ring_distance puts it 0.1 from
+    # that ring; a candidate that passes is next measured against an
+    # obstacle, or accepted
+    sampled, passed, candidates = [], set(), []
+    sample = generators.random_fat_polygon
 
-    def sampled(*args):
-        current[:] = [sample(*args)]
-        return current[0]
-
-    def located(pt, ring):
-        loc = locate(pt, ring)
-        if loc is Location.INTERIOR and pt is current[0].vertices[0]:
-            reached.append((current[0], ring))
-        return loc
+    def sampling(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
 
     def measured(poly, ring, cutoff):
-        kept.add(id(poly))
+        passed.add(id(poly))
         return ring_distance(poly, ring, cutoff)
 
-    monkeypatch.setattr(generators, "random_fat_polygon", sampled)
-    monkeypatch.setattr(generators, "point_in_polygon", located)
+    monkeypatch.setattr(generators, "random_fat_polygon", sampling)
     monkeypatch.setattr(generators, "ring_distance", measured)
     for s in range(200):
-        kept.update(id(o) for o in bench_scenario(s).terrain.obstacles)
-    assert len(reached) == 2193
-    for poly, outer in reached:
-        assert (id(poly) in kept) == (ring_distance(poly, outer, 0.1 + EPS) >= 0.1)
+        terrain = bench_scenario(s).terrain
+        passed.update(id(o) for o in terrain.obstacles)
+        candidates += [(poly, terrain.outer) for poly in sampled]
+        sampled.clear()
+    assert len(candidates) == 3258
+    inside = [point_in_polygon(poly.vertices[0], outer) is Location.INTERIOR
+              for poly, outer in candidates]
+    assert sum(inside) == 2193
+    for (poly, outer), first_inside in zip(candidates, inside):
+        assert (id(poly) in passed) == (
+            first_inside and ring_distance(poly, outer, 0.1 + EPS) >= 0.1)
 
 
 def test_random_regular_terrain_deterministic():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, brute_inscribed_circle_in_own_frame,
                       empty_square_terrain, random_convex_polygon, square)
-from support import chord_cut_disc, obstacle_inside, star_settles
+from support import (chord_cut_disc, normalize_ring, obstacle_inside, reference_ring,
+                     star_settles)
 from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, convex_hull, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, perimeter_split, point_in_polygon, point_in_terrain, sees,
@@ -28,8 +29,21 @@ UNIT = square(0, 0, 1)
 
 def test_polygon_normalizes_orientation():
     cw = Polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
-    assert geom._signed_area(cw.vertices) > 0
-    assert cw.is_convex
+    assert cw.vertices == ((1, 0), (1, 1), (0, 1), (0, 0))
+    assert cw.is_convex  # strict left turns: counterclockwise
+
+
+def test_a_ring_is_reversed_at_most_once():
+    # this bowtie's shoelace sum rounds negative in both orders, so a second
+    # reversal would undo the first, and so on forever
+    bowtie = [Point(1.2308247062603552, 2.681251520526978),
+              Point(10.115384598355236, 10.138184956492303),
+              Point(10.115384598355236, 2.681251520526978),
+              Point(1.2308247062603552, 10.138184956492303)]
+    assert geom._ring(bowtie[::-1])[0] == bowtie
+    assert geom._ring(list(bowtie))[0] == bowtie[::-1]
+    with pytest.raises(GeometryError, match="touch"):
+        Polygon(bowtie)
 
 
 def test_polygon_drops_collinear_vertices():
@@ -71,8 +85,50 @@ def test_polygon_rejects_touching_edges_exactly_when_brute_force_does(ring):
     except GeometryError as exc:
         reason = str(exc)
     assume("fold-back" not in reason and "at least 3" not in reason)
-    verts = geom._normalize_ring([Point(float(x), float(y)) for x, y in ring])
+    verts, _, _, _ = geom._ring([Point(float(x), float(y)) for x, y in ring])
     assert ("touch" in reason) == _edges_touch_by_brute_force(verts)
+
+
+@st.composite
+def dirty_rings(draw):
+    """A grid ring, a float ring or a convex hull, in either orientation,
+    with consecutive duplicates and exact edge midpoints inserted."""
+    ring = draw(st.one_of(GRID_RING, FLOAT_RING, FLOAT_RING.map(convex_hull)))
+    ring = [Point(float(x), float(y)) for x, y in ring]
+    if draw(st.booleans()):
+        ring.reverse()
+    for k, kind in draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from("dm")),
+                                 max_size=4)):
+        if len(ring) < 2:
+            break
+        i = k % len(ring)
+        a, b = ring[i], ring[(i + 1) % len(ring)]
+        ring.insert(i + 1, a if kind == "d" else Point((a.x + b.x) / 2, (a.y + b.y) / 2))
+    return ring
+
+
+@settings(max_examples=500)
+@given(dirty_rings())
+# clockwise, with the second vertex EPS from its chord up to rounding: kept
+# by the test in this order, dropped by the test in the reversed order
+@example([Point(-5.61923671379728, 3.7191446394522707), Point(-1.500966736021087, -2.7218106259233),
+          Point(2.617303240070095, -9.162765892376246), Point(-5.713493721435196, -5.415250138360497)])
+def test_one_ring_loop_builds_what_the_checked_pass_and_its_fallback_built(ring):
+    ref = reference_ring(list(ring))
+    try:
+        got = geom._ring(list(ring))
+    except GeometryError as exc:
+        assert "at least 3" in str(exc)
+        got = None
+    if ref is None:
+        assert got is None
+        return
+    expected, reversed_ = ref
+    if got != expected:
+        # after a reversal the loop runs the collinear test again, on the
+        # reversed ring, where the reference had stopped testing: so the
+        # reference's ring must be one that its own normalization changes
+        assert reversed_ and normalize_ring(expected[0]) != expected[0]
 
 
 @st.composite

@@ -17,8 +17,8 @@ from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenar
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
 from thunt import agent, cli, geom, harness, oracle
-from thunt.codec import AdviceTriple
-from thunt.agent import MoveKind, Trajectory
+from thunt.codec import AdviceTriple, tile_center, tile_index
+from thunt.agent import MoveKind, Trajectory, TrajectoryPiece
 from thunt.cli import main as cli_main
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
                            scenario_from_dict, scenario_to_dict)
@@ -256,6 +256,83 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
     report = run_scenario(Scenario(t, Point(1, 5), Point(5, 6.5)))
     assert report.failures == ["free move leaves the terrain"]
+
+
+def test_run_scenario_fails_a_gap_between_pieces(monkeypatch):
+    # before setting off, the agent walks north, jumps 0.01 east and walks
+    # back; every piece stays in the terrain and it still arrives
+    hunt = harness.thunt
+
+    def jumps(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        a, b = Point(1, 6), Point(1.01, 6)
+        walk = Trajectory([TrajectoryPiece((p, a), MoveKind.FREE_MOVE, 1.0),
+                           TrajectoryPiece((b, p), MoveKind.FREE_MOVE, geom.dist(b, p))])
+        for piece in out.trajectory.pieces:
+            walk.append(list(piece.points), piece.kind)
+        return dataclasses.replace(out, trajectory=walk)
+
+    monkeypatch.setattr(harness, "thunt", jumps)
+    report = run_scenario(simple_scenario())
+    assert report.failures == ["trajectory is not continuous from the start point"]
+
+
+def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
+    # the oracle names the tile three columns and three rows past its own,
+    # 1.77 beyond the treasure on the agent's line, out of sight range; the
+    # agent passes the treasure and arrives there
+    select = oracle.select_tile
+
+    def overshoots(p, spec):
+        (a1, a2, a3), _ = select(p, spec)
+        triple = AdviceTriple(a1, a2 + 3, a3 + 3)
+        return triple, tile_center(p, triple)
+
+    monkeypatch.setattr(oracle, "select_tile", overshoots)
+    p, q = Point(2, 2), Point(6, 6)
+    report = run_scenario(Scenario(Terrain(square(0, 0, 12)), p, q))
+    assert geom.dist(report.outcome.q_prime, q) > 1
+    assert report.failures == ["target tile center does not see the treasure"]
+
+
+def test_run_scenario_fails_a_tile_center_outside_the_terrain(monkeypatch):
+    # the oracle names a point inside the obstacle, and the agent walks on
+    # from the tile center into it
+    inside = Point(5, 5)
+    advise, hunt = oracle.make_advice, harness.thunt
+
+    def into_the_obstacle(t, p, spec):
+        advice, _ = advise(t, p, spec)
+        return advice, inside
+
+    def walks_in(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        out.trajectory.append([out.trajectory.end, inside], MoveKind.FREE_MOVE)
+        return dataclasses.replace(out, q_prime=inside)
+
+    monkeypatch.setattr(oracle, "make_advice", into_the_obstacle)
+    monkeypatch.setattr(harness, "thunt", walks_in)
+    report = run_scenario(simple_scenario())
+    assert report.failures == ["target tile center left the terrain",
+                               "free move leaves the terrain"]
+
+
+def test_run_scenario_fails_advice_over_its_budget(monkeypatch):
+    # the oracle names the same tile center on a grid 243 times finer: an
+    # odd refinement has a tile centred on each coarse center
+    select, m = oracle.select_tile, 243
+
+    def refines(p, spec):
+        (a1, a2, a3), _ = select(p, spec)
+        kx, ky = (a - 1 if a > 0 else a for a in (a2, a3))
+        triple = AdviceTriple(m * a1, tile_index(m * kx + m // 2), tile_index(m * ky + m // 2))
+        return triple, tile_center(p, triple)
+
+    monkeypatch.setattr(oracle, "select_tile", refines)
+    report = run_scenario(simple_scenario())
+    budget = advice_bits_budget(report.L, report.lam)
+    assert report.advice_bits > budget
+    assert report.failures == [f"advice length {report.advice_bits} exceeds budget {budget}"]
 
 
 def Polygon_rect():

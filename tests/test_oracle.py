@@ -346,6 +346,51 @@ def test_visibility_graph_drops_exactly_the_free_space_convex_vertices(make):
     assert shortest_path(t, p, q) == all_vertex_path(t, p, q)
 
 
+class _StopAtKernel(Exception):
+    pass
+
+
+def reflex_cases():
+    for s in range(200):
+        yield suite_terrain(s)
+    for n in (8, 16):
+        yield diamond_lattice(n), Point(0.1, 0.1), Point(n - 0.1, n - 0.1)
+    for i in range(1, 25):
+        yield comb_terrain(CombParams(12, i, 0.25))
+    for k in (1, 2, 3, 4):
+        for lam in (0.05, 0.5, 1.0):
+            t, p, centers = regular_lb_terrain(k, lam)
+            yield t, p, centers[-1]
+    yield random_regular_terrain(1, 60, extent=30)
+    yield random_regular_terrain(4, 40, extent=300)
+
+
+def test_the_wedge_rule_needs_only_its_reflex_case(monkeypatch):
+    # a free-space convex vertex would be free only left of both wedge
+    # sides; the rule keeps only the reflex case, left of either, which is
+    # exact when no kept vertex turns left by the wedge's own product
+    # ix*oy - iy*ox (the node drop decides by cross3, rounded otherwise)
+    kept = []
+
+    def turn(a, u, b):
+        c = cross3(a, u, b)
+        if c <= 0:
+            kept.append((a, u, b))
+        return c
+
+    def stop(*args):
+        raise _StopAtKernel
+
+    monkeypatch.setattr(oracle, "cross3", turn)
+    monkeypatch.setattr(vecgeom, "pairwise_edge_classification", stop)
+    for t, p, q in reflex_cases():
+        with pytest.raises(_StopAtKernel):
+            _visibility_graph(t, p, q)
+    assert len(kept) == 12598
+    assert not [u for a, u, b in kept
+                if (u.x - a.x) * (b.y - u.y) - (u.y - a.y) * (b.x - u.x) > 0]
+
+
 def last_gadget_treasure():
     t, p, centers = regular_lb_terrain(2, 0.5)
     return t, p, centers[-1]
