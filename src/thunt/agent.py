@@ -9,7 +9,9 @@ The agent runs a doubling (cow-path) search along the perimeter from the
 first until it walks onto the second, then continues.  It imports nothing
 from the oracle and returns only its trajectory and the tile center it
 aimed for; it is never given the treasure and keeps no account of its own
-costs.
+costs.  The search is the same on any terrain: the paper's guarantees hold
+on regular ones, which a strict `harness.Scenario` enforces when it is
+built.
 
 `_first_sight_length` measures, for the verifier, where along a
 trajectory the treasure first becomes visible.
@@ -141,23 +143,16 @@ def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: Trajectory) ->
         sense = dir2 if sense == dir1 else dir1
 
 
-def _all_convex(t: Terrain) -> bool:
-    return t.outer.is_convex and all(o.is_convex for o in t.obstacles)
-
-
-def thunt(t: Terrain, p: Point, advice: str, strict: bool = True) -> HuntOutcome:
+def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
     """Execute the hunt from p using only the advice string.
 
-    With `strict` the terrain must be regular (convex outer polygon and
-    convex obstacles).  Without it the agent still searches the ring it
-    hits for the segment's re-entry, with no cost guarantees; a re-entry
-    on another ring raises GeometryError.
+    The search is the same on any terrain; its cost guarantees hold on a
+    regular one, which a strict `harness.Scenario` enforces.  On another
+    terrain it still searches the ring it hits for the segment's re-entry;
+    a re-entry on another ring raises GeometryError.
     """
     if not point_in_terrain(p, t):
         raise GeometryError("agent start must lie in the terrain")
-    if strict and not _all_convex(t):
-        raise GeometryError("strict mode requires a regular terrain "
-                            "(convex outer polygon and convex obstacles)")
     try:
         q_prime = tile_center(p, decode(advice))
     except OverflowError:

@@ -67,7 +67,7 @@ def _read_advice(args) -> str:
 def _cmd_hunt(args) -> int:
     sc = load_scenario(args.scenario)
     advice = _read_advice(args)
-    outcome = thunt(sc.terrain, sc.start, advice, strict=sc.strict)
+    outcome = thunt(sc.terrain, sc.start, advice)
     first_sight = agent._first_sight_length(outcome.trajectory, sc.start, sc.treasure,
                                             sc.terrain)
     print(f"advice_bits={len(advice)}")
@@ -120,7 +120,7 @@ def _cmd_render(args) -> int:
         if args.tiling:
             tiling_side = 1.0 / codec.decode(advice).a1
         if args.trajectory:
-            outcome = thunt(sc.terrain, sc.start, advice, strict=sc.strict)
+            outcome = thunt(sc.terrain, sc.start, advice)
             trajectory, q_prime = outcome.trajectory, outcome.q_prime
     doc = render_svg(sc, trajectory, q_prime=q_prime, lam=lam, tiling_side=tiling_side)
     with open(args.out, "w") as fh:
@@ -131,8 +131,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_bench(args) -> int:
     seeds = range(args.start_seed, args.start_seed + args.seeds)
-    reports = bench(seeds, n_obstacles=args.obstacles, c=args.c,
-                    extent=args.extent, jobs=args.jobs)
+    reports = bench(seeds, n_obstacles=args.obstacles, c=args.c, extent=args.extent)
     csv = reports_to_csv(reports)
     if args.out:
         with open(args.out, "w") as fh:
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed obstacle count (default: cycles 0..10 by seed)")
     b.add_argument("--c", type=float, default=2.0)
     b.add_argument("--extent", type=float, default=10.0)
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("-o", "--out")
     b.set_defaults(func=_cmd_bench)
     return parser

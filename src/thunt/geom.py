@@ -6,13 +6,14 @@ Conventions
 * Polygons are simple and stored counterclockwise.  The constructor
   passes over the edges until a pass changes nothing, each time doing the
   first that applies: drop the vertices that start an edge no longer than
-  EPS, drop the vertices within EPS of their neighbours' chord, reverse a
-  clockwise ring.  So a clean counterclockwise ring takes one pass, which
-  also reads the edge lengths, the bbox and strict convexity.  It then
-  takes the ring's star certificate about the area centroid c0, and
-  stores R_plus and rho (not c0).  With the shortest edge, the
-  certificate proves most convex rings simple without the sweep; alone
-  it settles most fatness questions.
+  EPS, drop the vertices within EPS of their neighbours' chord (measured
+  from its lexicographically smaller end, so that the orientation decides
+  no vertex), reverse a clockwise ring.  So a clean counterclockwise ring
+  takes one pass, which also reads the edge lengths, the bbox and strict
+  convexity.  It then takes the ring's star certificate about the area
+  centroid c0, and stores R_plus and rho (not c0).  With the shortest
+  edge, the certificate proves most convex rings simple without the
+  sweep; alone it settles most fatness questions.
 * A Terrain is a closed outer polygon minus the *open* interiors of its
   obstacles, so every boundary point belongs to the terrain.
 * All predicates use the absolute tolerance EPS: a point within EPS of a
@@ -208,7 +209,7 @@ def _ring(verts: list[Point]):
         convex, area, a = True, 0.0, verts[-1]
         for v, b in zip(verts, verts[1:] + verts[:1]):
             lengths.append(dist(v, b))
-            keep.append(point_segment_distance(v, a, b) > EPS)
+            keep.append(point_segment_distance(v, *((a, b) if a <= b else (b, a))) > EPS)
             area += v.x * b.y - b.x * v.y
             convex = convex and cross3(a, v, b) > 0
             a = v

@@ -9,12 +9,16 @@ a maximal run of perimeter pieces on one ring, must walk (the run's
 length) within the doubling-search bound of its dmin (the shorter arc
 between the run's ends); the treasure must come into sight within
 RATIO_GATE times max(L, 1); the advice must fit its size budget.
+
+Regularity has one owner: a strict `Scenario` (the default) checks that
+its terrain is regular when it is built, so a strict scenario file with an
+irregular terrain is rejected when it loads.  The suite runs in one
+process, its rows in the order of the seeds.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -41,6 +45,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """When `strict`, the terrain must be regular (a convex outer polygon,
+    convex `fatness_c`-fat obstacles), where the paper's guarantees hold."""
     terrain: Terrain
     start: Point
     treasure: Point
@@ -54,6 +60,11 @@ class Scenario:
             raise ScenarioError("treasure is outside the terrain")
         if distance_to_boundary(self.treasure, self.terrain) <= EPS:
             raise ScenarioError("treasure must be an interior point of the terrain")
+        if self.strict:
+            try:
+                validate_regular_terrain(self.terrain, self.fatness_c)
+            except TerrainError as exc:
+                raise ScenarioError(f"terrain is not regular: {exc}") from exc
 
 
 @dataclass
@@ -96,16 +107,10 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     p, q = scenario.start, scenario.treasure
     failures: list[str] = []
 
-    if scenario.strict:
-        try:
-            validate_regular_terrain(t, scenario.fatness_c)
-        except TerrainError as exc:
-            raise ScenarioError(f"terrain is not regular: {exc}") from exc
-
     spec = oracle.accessibility(t, q)
     advice, q_prime = oracle.make_advice(t, p, spec)
     L = oracle.shortest_path(t, p, q)
-    outcome = thunt(t, p, advice, strict=scenario.strict)
+    outcome = thunt(t, p, advice)
 
     # arrival is checked on the trajectory itself: a path from p to q'
     pieces = outcome.trajectory.pieces
@@ -205,23 +210,11 @@ def bench_scenario(seed: int, n_obstacles: Optional[int] = None, c: float = 2.0,
     return Scenario(terrain, p, q, fatness_c=c)
 
 
-def _bench_one(args) -> RunReport:
-    seed, n_obstacles, c, extent = args
-    return run_scenario(bench_scenario(seed, n_obstacles, c, extent), seed=seed)
-
-
 def bench(seeds: Sequence[int], n_obstacles: Optional[int] = None, c: float = 2.0,
-          extent: float = 10.0, jobs: int = 1) -> list[RunReport]:
-    """Run the seeded suite; scenarios may run in parallel, rows come back
-    sorted by seed so output is deterministic either way."""
-    work = [(s, n_obstacles, c, extent) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_bench_one, work, chunksize=4))
-    else:
-        reports = [_bench_one(w) for w in work]
-    reports.sort(key=lambda r: (r.seed is None, r.seed))
-    return reports
+          extent: float = 10.0) -> list[RunReport]:
+    """Run the seeded suite in this process, one report per seed, in the
+    order of `seeds`."""
+    return [run_scenario(bench_scenario(s, n_obstacles, c, extent), seed=s) for s in seeds]
 
 
 def reports_to_csv(reports: Sequence[RunReport]) -> str:

@@ -215,7 +215,7 @@ def normalize_ring(verts: list[Point]) -> list[Point]:
         n = len(out)
         for i in range(n):
             a, v, b = out[i - 1], out[i], out[(i + 1) % n]
-            if point_segment_distance(v, a, b) <= EPS:
+            if point_segment_distance(v, *((a, b) if a <= b else (b, a))) <= EPS:
                 changed = True
                 continue
             kept.append(v)
@@ -228,7 +228,8 @@ def _ring_pass(verts: list[Point], check: bool):
     convex, area, a = True, 0.0, verts[-1]
     for v, b in zip(verts, verts[1:] + verts[:1]):
         L = dist(v, b)
-        if check and (L <= EPS or point_segment_distance(v, a, b) <= EPS):
+        chord = (a, b) if a <= b else (b, a)
+        if check and (L <= EPS or point_segment_distance(v, *chord) <= EPS):
             return None
         lengths.append(L)
         area += v.x * b.y - b.x * v.y
@@ -249,15 +250,14 @@ def _signed_area(verts: list[Point]) -> float:
 
 def reference_ring(verts: list[Point]):
     """`(verts, lengths, bbox, is_convex)` as `Polygon` built them with a
-    checked pass and a fallback, and whether the fallback reversed the
-    ring; None where fewer than 3 vertices are left."""
+    checked pass and a fallback; None where fewer than 3 vertices are
+    left."""
     ring = _ring_pass(verts, check=True) if len(verts) >= 3 else None
-    reversed_ = False
     if ring is None:
         verts = normalize_ring(verts)
         if len(verts) < 3:
             return None
         if _signed_area(verts) < 0:
-            verts, reversed_ = verts[::-1], True
+            verts = verts[::-1]
         ring = _ring_pass(verts, check=False)
-    return (verts, *ring), reversed_
+    return (verts, *ring)

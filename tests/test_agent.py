@@ -190,13 +190,6 @@ def test_hunt_rejects_advice_pointing_outside():
         thunt(t, Point(0, 0), encode(1, 40, 40))
 
 
-def test_hunt_strict_mode_rejects_nonconvex():
-    from thunt.generators import CombParams, comb_terrain
-    t, p, q = comb_terrain(CombParams(12, 1, 0.25))
-    with pytest.raises(GeometryError):
-        thunt(t, p, encode(2, 2, 1), strict=True)
-
-
 def test_hunt_deterministic():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2), square(4.1, -0.4, 0.9)])
     p, q = Point(0, 0.7), Point(6.5, 0.75)

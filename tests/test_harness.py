@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import square
 from support import chord_cut_disc
@@ -17,9 +19,10 @@ from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenar
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
 from thunt import agent, cli, geom, harness, oracle
-from thunt.codec import AdviceTriple, tile_center, tile_index
+from thunt.codec import AdviceTriple, encode, tile_center, tile_index
 from thunt.agent import MoveKind, Trajectory, TrajectoryPiece
 from thunt.cli import main as cli_main
+from thunt.generators import CombParams, comb_terrain
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
                            scenario_from_dict, scenario_to_dict)
 
@@ -115,6 +118,12 @@ def test_run_scenario_rejects_irregular_in_strict_mode():
     t = Terrain(square(0, 0, 20), [Polygon_rect()])
     with pytest.raises(ScenarioError, match="not regular"):
         run_scenario(Scenario(t, Point(1, 1), Point(18, 18), fatness_c=2.0))
+
+
+def test_a_strict_scenario_rejects_an_irregular_terrain_when_built():
+    t, p, q = comb_terrain(CombParams(12, 1, 0.25))
+    with pytest.raises(ScenarioError, match="not regular"):
+        Scenario(t, p, q)
 
 
 def test_run_scenario_checks_arrival_on_the_trajectory(monkeypatch):
@@ -355,10 +364,12 @@ def test_bench_deterministic_bytes():
     assert a == b
 
 
-def test_bench_parallel_matches_serial():
-    serial = reports_to_csv(bench(range(4)))
-    parallel = reports_to_csv(bench(range(4), jobs=2))
-    assert serial == parallel
+def test_cli_bench_has_no_jobs_option(capsys):
+    # parsing alone: no scenario runs and no process starts
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["bench", "--seeds", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 # --- rendering --------------------------------------------------------------------
@@ -388,7 +399,6 @@ def test_render_empty_terrain_minimal_structure():
 
 
 def test_render_comb_shows_corridors():
-    from thunt.generators import CombParams, comb_terrain
     t, p, q = comb_terrain(CombParams(12, 1, 0.25))
     sc = Scenario(t, p, q, strict=False)
     svg = render_svg(sc)
@@ -517,6 +527,47 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
     assert re.search(message, capsys.readouterr().err, re.MULTILINE)
 
 
+ODD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10 ** 400, -10 ** 400,
+                     True, False, "1", None, []]),
+    st.floats(-25, 25), st.integers(-25, 25))
+
+
+@st.composite
+def odd_scenario_files(draw):
+    """The JSON of a valid scenario with one to three fields replaced: a
+    coordinate, a ring cut to fewer than 3 vertices, `strict` or
+    `fatness_c`."""
+    data = scenario_to_dict(simple_scenario())
+    rings = [data["outer"], *data["obstacles"]]
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(["start", "treasure", "vertex", "short", "strict",
+                                      "fatness_c"]))
+        if field in ("start", "treasure"):
+            data[field][draw(st.integers(0, 1))] = draw(ODD_VALUES)
+        elif field in ("strict", "fatness_c"):
+            data[field] = draw(ODD_VALUES)
+        else:
+            ring = draw(st.sampled_from(rings))
+            if field == "short":
+                del ring[draw(st.integers(0, 2)):]
+            elif ring:
+                ring[draw(st.integers(0, len(ring) - 1))][draw(st.integers(0, 1))] = \
+                    draw(ODD_VALUES)
+    return json.dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_scenario_files())
+def test_cli_on_odd_scenario_files_exits_with_a_code(tmp_path_factory, body):
+    folder = tmp_path_factory.mktemp("odd")
+    path = folder / "scen.json"
+    path.write_text(body)
+    for argv in (["run"], ["advise"], ["render", "-o", str(folder / "out.svg"),
+                                       "--trajectory", "--tiling"]):
+        assert cli_main([argv[0], str(path), *argv[1:]]) in (0, 1, 2)
+
+
 def test_cli_run_on_an_uncertified_1200_gon_passes(tmp_path, capsys):
     t = Terrain(square(0, 0, 10), [chord_cut_disc(1200)])
     path = tmp_path / "scen.json"
@@ -549,6 +600,38 @@ def test_cli_non_finite_parameters_exit_2(tmp_path, capsys, argv):
     out = ["-o", str(tmp_path / "out.json")] if argv[0] == "generate" else []
     assert cli_main(argv + out) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def _strict_file(tmp_path, terrain, p, q):
+    data = scenario_to_dict(Scenario(terrain, p, q, strict=False))
+    data["strict"] = True
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["advise"], ["hunt", "--advice", encode(2, 2, 1)],
+    ["render", "-o", "out.svg", "--trajectory"]])
+def test_cli_rejects_a_strict_comb_file_when_it_loads(tmp_path, capsys, command):
+    path = _strict_file(tmp_path, *comb_terrain(CombParams(12, 1, 0.25)))
+    out = [str(tmp_path / a) if a.endswith(".svg") else a for a in command[1:]]
+    assert cli_main([command[0], path, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: terrain is not regular: outer polygon is not convex")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_cli_hunt_checks_fatness_in_a_strict_file(tmp_path, capsys):
+    # convex but 10x1, so not 2-fat: the agent hunts in this terrain, and
+    # a strict file of it is still rejected
+    t, p, q = Terrain(square(0, 0, 20), [Polygon_rect()]), Point(1, 1), Point(18, 18)
+    advice, _ = oracle.make_advice(t, p, oracle.accessibility(t, q))
+    assert agent.thunt(t, p, advice).trajectory.pieces
+    path = _strict_file(tmp_path, t, p, q)
+    assert cli_main(["hunt", path, "--advice", advice]) == 2
+    assert "terrain is not regular: obstacle 0 is not 2.0-fat" in capsys.readouterr().err
 
 
 def test_cli_lb_generate(tmp_path):
