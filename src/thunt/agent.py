@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .codec import AdviceError, decode, tile_center
-from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain,
+from .geom import (ARC_TOL, EPS, ON_RING_TOL, GeometryError, Point, Polygon, Terrain,
                    dist, first_hit, lerp, march, point_in_terrain, sees)
 
 class MoveKind(Enum):
@@ -49,8 +49,6 @@ class Trajectory:
         L = sum(dist(points[i], points[i + 1]) for i in range(len(points) - 1))
         if L <= 1e-15:
             return
-        if self.pieces and dist(self.pieces[-1].points[-1], points[0]) > 1e-6:
-            raise GeometryError("trajectory pieces must share endpoints")
         self.pieces.append(TrajectoryPiece(tuple(points), kind, L))
         self.total_length += L
 
@@ -79,9 +77,9 @@ def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
     n = ring.n
 
     at_vertex = None
-    if dist(r, vs[i]) <= 1e-7:
+    if dist(r, vs[i]) <= ON_RING_TOL:
         at_vertex = i
-    elif dist(r, vs[(i + 1) % n]) <= 1e-7:
+    elif dist(r, vs[(i + 1) % n]) <= ON_RING_TOL:
         at_vertex = (i + 1) % n
 
     if at_vertex is not None:

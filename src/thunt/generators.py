@@ -18,9 +18,11 @@ from .geom import (EPS, GeometryError, Point, Polygon, Terrain, convex_hull,
 
 
 # the largest families that build in seconds; at the default width, the
-# comb's corridor count doubles with each A
+# comb's corridor count doubles with each A; a random terrain places its
+# obstacles by rejection, up to 400 tries each
 MAX_CORRIDORS = 2 ** 17
 MAX_LB_K = 16
+MAX_OBSTACLES = 100
 
 
 class GenerationError(RuntimeError):
@@ -254,6 +256,8 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
     """
     if not (1 < c < math.inf and extent > 0):  # NaN too
         raise GenerationError("need a finite c > 1 and a positive extent")
+    if not 0 <= n_obstacles <= MAX_OBSTACLES:
+        raise GenerationError(f"obstacle count must lie in [0, {MAX_OBSTACLES}]")
     rng = random.Random(seed)
     pad = 0.04 * extent
     hull_pts = [Point(pad + rng.random() * (extent - 2 * pad),
@@ -266,7 +270,7 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
 
     obstacles: list[Polygon] = []
     attempts = 0
-    max_attempts = 400 * max(1, n_obstacles)
+    max_attempts = 400 * n_obstacles
     while len(obstacles) < n_obstacles:
         attempts += 1
         if attempts > max_attempts:

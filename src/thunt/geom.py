@@ -30,9 +30,9 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 EPS = 1e-9
-# Tolerance for "is this point on the ring" queries.  Points that land on a
-# ring via chained intersection arithmetic carry more rounding error than raw
-# coordinates, so this is looser than EPS but still far below feature sizes.
+# The one on-ring tolerance, of the agent and the verifier alike: points that
+# land on a ring via chained intersection arithmetic carry more rounding error
+# than raw coordinates, so it is looser than EPS but far below feature sizes.
 ON_RING_TOL = 1e-7
 # Arc-length slack for boundary-walk stop detection.
 ARC_TOL = 1e-9
@@ -167,15 +167,14 @@ class Polygon:
         t = 0.0 if seg_len <= EPS else (s - self.cum_arc[i]) / seg_len
         return lerp(self.vertices[i], self.vertices[(i + 1) % self.n], t)
 
-    def locate(self, p: Point, tol: float = ON_RING_TOL,
-               near: Optional[int] = None) -> tuple[int, float]:
-        """Edge index and parameter of a point on the ring; raises if off it.
-        Given `near`, an edge index, that edge and its two neighbours are
-        tried first, and the whole ring only if none is within tol."""
+    def locate(self, p: Point, near: Optional[int] = None) -> tuple[int, float]:
+        """Edge index and parameter of a point on the ring, within ON_RING_TOL;
+        raises if off it.  Given `near`, an edge index, that edge and its two
+        neighbours are tried first, and the whole ring only if none is close."""
         vs, n = self.vertices, self.n
         tries = [range(n)] if near is None else [[(near + k) % n for k in (-1, 0, 1)], range(n)]
         for edges in tries:
-            best = (tol, -1, 0.0)
+            best = (ON_RING_TOL, -1, 0.0)
             for i in edges:
                 a, b = vs[i], vs[(i + 1) % n]
                 d = point_segment_distance(p, a, b)
@@ -190,8 +189,8 @@ class Polygon:
                 return best[1], best[2]
         raise GeometryError("point is not on the ring")
 
-    def arc_of_point(self, p: Point, tol: float = ON_RING_TOL) -> float:
-        i, t = self.locate(p, tol)
+    def arc_of_point(self, p: Point) -> float:
+        i, t = self.locate(p)
         return (self.cum_arc[i] + t * (self.cum_arc[i + 1] - self.cum_arc[i])) % self.perimeter
 
     def __repr__(self) -> str:
@@ -506,9 +505,7 @@ def sees(p: Point, q: Point, t: Terrain) -> bool:
     """Mutual visibility: |pq| <= 1 and the segment stays in the terrain."""
     if not point_in_terrain(p, t) or not point_in_terrain(q, t):
         raise GeometryError("sees() requires both points inside the terrain")
-    if dist(p, q) > 1.0 + EPS:
-        return False
-    return segment_in_terrain(p, q, t)
+    return dist(p, q) <= 1.0 + EPS and _first_exit(p, q, t) is None
 
 
 class HitEvent(NamedTuple):
@@ -549,6 +546,7 @@ def first_hit(frm: Point, toward: Point, t: Terrain) -> Optional[HitEvent]:
 def march(ring: Polygon, start_arc: float, length: float, direction: int) -> list[Point]:
     """Polyline along the ring boundary from an arc position.
 
+    Walks in the sense `direction` (+1 counterclockwise, -1 clockwise).
     Includes both endpoints and every vertex passed; wraps around the ring
     as many times as the length requires.
     """
@@ -564,33 +562,15 @@ def march(ring: Polygon, start_arc: float, length: float, direction: int) -> lis
         i = (i - 1) % n
         arc = cum[i + 1]
     while remaining > 1e-12:
-        if direction > 0:
-            room = cum[i + 1] - arc
-            step = min(room, remaining)
-            arc += step
-        else:
-            room = arc - cum[i]
-            step = min(room, remaining)
-            arc -= step
+        step = min(cum[i + 1] - arc if direction > 0 else arc - cum[i], remaining)
+        arc += direction * step
         remaining -= step
         if step > 1e-12:
             pts.append(ring.point_at_arc(arc % P))
-        if remaining > 1e-12:
-            if direction > 0:
-                i = (i + 1) % n
-                arc = cum[i]
-            else:
-                i = (i - 1) % n
-                arc = cum[i + 1]
+        if remaining > 1e-12:  # on to the next edge, from its exact end
+            i = (i + direction) % n
+            arc = cum[i] if direction > 0 else cum[i + 1]
     return pts
-
-
-def perimeter_split(ring: Polygon, a: Point, b: Point) -> tuple[float, float]:
-    """The two arc lengths between ring points a and b, smaller first."""
-    pa = ring.arc_of_point(a)
-    pb = ring.arc_of_point(b)
-    d = (pb - pa) % ring.perimeter
-    return (d, ring.perimeter - d) if d <= ring.perimeter - d else (ring.perimeter - d, d)
 
 
 def distance_to_boundary(p: Point, t: Terrain) -> float:

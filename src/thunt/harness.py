@@ -4,11 +4,14 @@ A run computes the advice from full knowledge, replays the hunt from the
 advice alone, and checks the trajectory, taking nothing else from the
 agent: it must lead from the start to the center of the tile the oracle
 selected, which must see the treasure; free moves must stay inside the
-terrain and perimeter pieces must follow their ring; each cow-path search,
-a maximal run of perimeter pieces on one ring, must walk (the run's
-length) within the doubling-search bound of its dmin (the shorter arc
-between the run's ends); the treasure must come into sight within
-RATIO_GATE times max(L, 1); the advice must fit its size budget.
+terrain and perimeter pieces must follow their ring, each point located
+on it once within `geom.ON_RING_TOL`, the one on-ring tolerance; each
+cow-path search, a maximal run of perimeter pieces on one ring, must walk
+(the run's length) within the doubling-search bound of its dmin (the
+shorter arc between the arcs located for the run's ends); the treasure
+must come into sight within RATIO_GATE times max(L, 1); the advice must
+fit its size budget.  A point off every ring is a failure, not an
+exception.
 
 Regularity has one owner: a strict `Scenario` (the default) checks that
 its terrain is regular when it is built, so a strict scenario file with an
@@ -25,9 +28,8 @@ from typing import Optional, Sequence
 from . import agent, oracle
 from .agent import HuntOutcome, MoveKind, thunt
 from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain,
-                   TerrainError, dist, distance_to_boundary, perimeter_split,
-                   point_in_terrain, sees, segment_in_terrain,
-                   validate_regular_terrain)
+                   TerrainError, dist, distance_to_boundary, point_in_terrain, sees,
+                   segment_in_terrain, validate_regular_terrain)
 from .generators import random_regular_terrain
 
 CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_ratio"
@@ -137,7 +139,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     if len(advice) > budget:
         failures.append(f"advice length {len(advice)} exceeds budget {budget}")
 
-    runs: list[list] = []  # per search: [ring, first point, last point, walked]
+    runs: list[list] = []  # per search: [ring, first arc, last arc, walked]
     ring = None
     for piece in pieces:
         if piece.kind is MoveKind.FREE_MOVE:
@@ -146,19 +148,24 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
                 failures.append("free move leaves the terrain")
                 break
             continue
-        prev, ring = ring, next((r for _, r in t.rings() if _follows(piece.points, r)), None)
+        prev = ring
+        ring, arcs = next(((r, arcs) for _, r in t.rings()
+                           if (arcs := _arcs_along(piece.points, r)) is not None), (None, None))
         if ring is None:
             failures.append("perimeter walk leaves its ring")
             break
         if ring is prev:
-            runs[-1][2] = piece.points[-1]
+            runs[-1][2] = arcs[-1]
             runs[-1][3] += piece.length
         else:
-            runs.append([ring, piece.points[0], piece.points[-1], piece.length])
-    searches = [(perimeter_split(r, a, b)[0], walked) for r, a, b, walked in runs]
+            runs.append([ring, arcs[0], arcs[-1], piece.length])
 
+    searches = []
     max_cp = 0.0
-    for dmin, walked in searches:
+    for r, first, last, walked in runs:
+        d = (last - first) % r.perimeter
+        dmin = min(d, r.perimeter - d)
+        searches.append((dmin, walked))
         if walked > cowpath_bound(dmin) + COWPATH_SLACK:
             failures.append(
                 f"perimeter search walked {walked:.6f} over bound "
@@ -182,23 +189,25 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     )
 
 
-def _follows(points: Sequence[Point], ring: Polygon) -> bool:
-    """Whether a polyline runs along the ring: every point lies on it, and
-    each step spans the shorter arc between its ends, not a chord.  Each
-    point is looked for next to its predecessor's edge first."""
+def _arcs_along(points: Sequence[Point], ring: Polygon) -> Optional[list[float]]:
+    """The arc positions of a polyline's points if it runs along the ring,
+    else None.  It runs along the ring when every point lies on it, within
+    ON_RING_TOL (`Polygon.locate`), and each step spans the shorter arc
+    between its ends, not a chord.  Each point is looked for next to its
+    predecessor's edge first."""
     P, cum = ring.perimeter, ring.cum_arc
     arcs, i = [], None
     try:
         for pt in points:
-            i, s = ring.locate(pt, 1e-6, near=i)
+            i, s = ring.locate(pt, near=i)
             arcs.append((cum[i] + s * (cum[i + 1] - cum[i])) % P)
     except GeometryError:
-        return False
+        return None
     for a, b, sa, sb in zip(points, points[1:], arcs, arcs[1:]):
         gap = (sb - sa) % P
         if abs(min(gap, P - gap) - dist(a, b)) > ARC_TOL:
-            return False
-    return True
+            return None
+    return arcs
 
 
 def bench_scenario(seed: int, n_obstacles: Optional[int] = None, c: float = 2.0,

@@ -3,8 +3,10 @@ shortest paths from above, the geodesic over the visibility graph of
 every ring vertex, the bounding square of a blinding gadget, the
 obstacle containment rule with no convexity certificate, a fat obstacle
 that the star certificate does not settle, and a probe that tells
-whether that certificate settles an `is_c_fat` call, and the two-path
-ring construction that `Polygon` used before one loop made its passes.
+whether that certificate settles an `is_c_fat` call, the two-path
+ring construction that `Polygon` used before one loop made its passes,
+the two-branch `march` that one loop for both senses replaced, and the
+shorter arc between two ring points.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -14,6 +16,7 @@ ambiguous (rejecting a free edge can only lengthen the upper bound); it
 shares no other rule with the visibility graph of `oracle.shortest_path`.
 It calls the kernel in chunks of at most `vecgeom.CHUNK_CELLS` cells.
 """
+import bisect
 import heapq
 import itertools
 import math
@@ -261,3 +264,44 @@ def reference_ring(verts: list[Point]):
             verts = verts[::-1]
         ring = _ring_pass(verts, check=False)
     return (verts, *ring)
+
+
+def reference_march(ring: Polygon, start_arc: float, length: float,
+                    direction: int) -> list[Point]:
+    """`geom.march` as it was with one branch per sense."""
+    P = ring.perimeter
+    cum = ring.cum_arc
+    n = ring.n
+    arc = start_arc % P
+    pts = [ring.point_at_arc(arc)]
+    remaining = length
+    i = min(bisect.bisect_right(cum, arc) - 1, n - 1)
+    if direction < 0 and arc - cum[i] <= 1e-12:
+        i = (i - 1) % n
+        arc = cum[i + 1]
+    while remaining > 1e-12:
+        if direction > 0:
+            room = cum[i + 1] - arc
+            step = min(room, remaining)
+            arc += step
+        else:
+            room = arc - cum[i]
+            step = min(room, remaining)
+            arc -= step
+        remaining -= step
+        if step > 1e-12:
+            pts.append(ring.point_at_arc(arc % P))
+        if remaining > 1e-12:
+            if direction > 0:
+                i = (i + 1) % n
+                arc = cum[i]
+            else:
+                i = (i - 1) % n
+                arc = cum[i + 1]
+    return pts
+
+
+def shorter_arc(ring: Polygon, a: Point, b: Point) -> float:
+    """The shorter of the two arcs between ring points a and b."""
+    d = (ring.arc_of_point(b) - ring.arc_of_point(a)) % ring.perimeter
+    return min(d, ring.perimeter - d)

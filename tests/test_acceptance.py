@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from support import gadget_hull, grid_path_oracle
-from thunt import (Point, Polygon, Scenario, Terrain, decode, encode,
-                   perimeter_split, render_svg, sees, shortest_path)
+from support import gadget_hull, grid_path_oracle, shorter_arc
+from thunt import (Point, Polygon, Scenario, Terrain, decode, encode, render_svg, sees,
+                   shortest_path)
 from thunt.agent import Trajectory, cow_path
 from thunt.codec import AdviceTriple
 from thunt.generators import (CombParams, GadgetParams, comb_terrain, gadget,
@@ -117,7 +117,7 @@ def test_acceptance_5_cowpath_bound():
         r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
         traj = Trajectory()
         assert cow_path(poly, r, r_prime, traj) == r_prime
-        dmin, walked = perimeter_split(poly, r, r_prime)[0], traj.total_length
+        dmin, walked = shorter_arc(poly, r, r_prime), traj.total_length
         assert walked <= cowpath_bound(dmin) + 1e-9, (walked, dmin)
         worst = max(worst, walked / cowpath_bound(dmin))
         checked += 1
@@ -140,7 +140,7 @@ def test_acceptance_6_chord_perimeter_ratio():
         chord = math.dist(a, b)
         if chord < 1e-9:
             continue
-        smaller, _ = perimeter_split(poly, a, b)
+        smaller = shorter_arc(poly, a, b)
         bound = (4 * c + 2) * chord
         assert smaller <= bound + 1e-9, (c, smaller, chord)
         worst = max(worst, smaller / bound)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
+from support import shorter_arc
 from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Scenario, Terrain,
                    accessibility, choose_directions, cow_path, encode, make_advice,
-                   perimeter_split, run_scenario, sees, segment_in_terrain, thunt)
+                   run_scenario, sees, segment_in_terrain, thunt)
 from thunt import agent
 from thunt.agent import MoveKind, Trajectory, _first_sight_length
 from thunt.generators import random_fat_polygon
@@ -68,7 +69,7 @@ def test_dir1_tie_breaks_clockwise_from_north():
 def test_cow_path_square_hand_simulation():
     traj = Trajectory()
     rp = cow_path(UNIT, Point(0, 0.5), Point(1, 0.5), traj)
-    dmin, walked = perimeter_split(UNIT, Point(0, 0.5), rp)[0], traj.total_length
+    dmin, walked = shorter_arc(UNIT, Point(0, 0.5), rp), traj.total_length
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
     assert abs(dmin - 2.0) < 1e-9
     assert abs(walked - 4.0) < 1e-9
@@ -95,7 +96,7 @@ def test_cow_path_respects_doubling_bound(seed):
     r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
     traj = Trajectory()
     assert cow_path(poly, r, r_prime, traj) == r_prime
-    dmin, walked = perimeter_split(poly, r, r_prime)[0], traj.total_length
+    dmin, walked = shorter_arc(poly, r, r_prime), traj.total_length
     assert walked <= cowpath_bound(dmin) + 1e-9
 
 
@@ -210,7 +211,7 @@ def test_cow_path_enters_at_vertex():
     traj = Trajectory()
     rp = cow_path(diamond, hit.point, hit.reentry, traj)
     assert math.dist(rp, (5.0, 0.0)) < 1e-9
-    assert abs(perimeter_split(diamond, Point(3, 0), rp)[0] - 2 * math.sqrt(2)) < 1e-9
+    assert abs(shorter_arc(diamond, Point(3, 0), rp) - 2 * math.sqrt(2)) < 1e-9
     # (5, 0) lies 2*sqrt(2) away either way: the legs of 1 (north-east, dir1)
     # and 2 (south-east) fail and come back, the leg of 4 reaches it
     assert abs(traj.total_length - (6 + 2 * math.sqrt(2))) < 1e-9

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (brute_enclosing_circle, brute_inscribed_circle_in_own_frame,
                       empty_square_terrain, random_convex_polygon, square)
-from support import (chord_cut_disc, obstacle_inside, reference_ring,
-                     star_settles)
+from support import (chord_cut_disc, obstacle_inside, reference_march, reference_ring,
+                     shorter_arc, star_settles)
 from thunt import (GeometryError, Location, Point, Polygon,
                    Terrain, TerrainError, convex_hull, distance_to_boundary, first_hit,
-                   is_c_fat, largest_inscribed_circle, perimeter_split, point_in_polygon, point_in_terrain, sees,
+                   is_c_fat, largest_inscribed_circle, point_in_polygon, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
 from thunt import geom
@@ -245,6 +245,24 @@ def test_sees_requires_terrain_points():
         sees(Point(-5, -5), Point(1, 1), t)
 
 
+def test_sees_tests_each_end_once(monkeypatch):
+    # within the sight radius, the containment precondition is the only
+    # test of the ends; the rest are interval midpoints
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    p, q = Point(3.5, 5.0), Point(3.5, 5.8)
+    ends = []
+    inside = geom.point_in_terrain
+
+    def counted(pt, terrain):
+        if pt in (p, q):
+            ends.append(pt)
+        return inside(pt, terrain)
+
+    monkeypatch.setattr(geom, "point_in_terrain", counted)
+    assert sees(p, q, t)
+    assert ends == [p, q]
+
+
 @given(st.integers(0, 10 ** 6))
 def test_sees_symmetric(seed):
     rng = random.Random(seed)
@@ -413,30 +431,29 @@ def test_walk_length_and_closure(seed, start_frac, direction, length_frac):
     assert math.dist(pts[0], pts[-1]) < 1e-9
 
 
-# --- perimeter split -----------------------------------------------------------
-
-def test_split_opposite_midpoints():
-    assert perimeter_split(UNIT, Point(0.5, 0), Point(0.5, 1)) == (2.0, 2.0)
-
-
-def test_split_same_point():
-    lo, hi = perimeter_split(UNIT, Point(0.5, 0), Point(0.5, 0))
-    assert lo == 0.0 and abs(hi - 4.0) < 1e-12
-
-
-def test_split_adjacent_corners():
-    lo, hi = perimeter_split(UNIT, Point(0, 0), Point(1, 0))
-    assert abs(lo - 1.0) < 1e-12 and abs(hi - 3.0) < 1e-12
-
-
-@given(st.integers(0, 10 ** 6), st.floats(0, 1), st.floats(0, 1))
-def test_split_sums_to_perimeter(seed, u, v):
-    poly = random_convex_polygon(random.Random(seed))
-    a = poly.point_at_arc(u * poly.perimeter)
-    b = poly.point_at_arc(v * poly.perimeter)
-    lo, hi = perimeter_split(poly, a, b)
-    assert lo <= hi
-    assert abs((lo + hi) - poly.perimeter) < 1e-9 * max(1.0, poly.perimeter)
+@given(st.integers(0, 10 ** 6), st.integers(3, 12), st.sampled_from([1.0, 7.5, 300.0]),
+       st.integers(0, 12), st.one_of(st.none(), st.floats(0, 1)), st.sampled_from([1, -1]),
+       st.one_of(st.floats(0, 1e-12), st.floats(0, 3)))
+@example(0, 8, 1.0, 0, None, -1, 0.0)
+@example(0, 8, 1.0, 8, None, 1, 3.0)
+@example(1, 5, 300.0, 2, 0.5, -1, 5e-13)
+def test_march_is_bit_identical_to_the_two_branch_reference(seed, n, radius, k, frac,
+                                                            direction, amount):
+    # one loop for both senses: a + (-s) is a - s exactly, so every point
+    # equals the reference's; the start is a vertex (an exact cum_arc
+    # value, the last one the perimeter) or inside an edge, and the length
+    # is `amount` itself up to 1e-12 (0 included), else `amount` laps
+    rng = random.Random(seed)
+    poly = random_convex_polygon(rng, radius, Point(rng.uniform(-1e3, 1e3), 50.0), n)
+    cum = poly.cum_arc
+    if frac is None:
+        start = cum[k % (poly.n + 1)]
+    else:
+        i = k % poly.n
+        start = cum[i] + frac * (cum[i + 1] - cum[i])
+    length = amount if amount <= 1e-12 else amount * poly.perimeter
+    assert (march(poly, start, length, direction)
+            == reference_march(poly, start, length, direction))
 
 
 # --- distance to boundary --------------------------------------------------------
@@ -849,5 +866,5 @@ def test_chord_perimeter_ratio_bound(seed, u, v, c):
     chord = math.dist(a, b)
     if chord < 1e-9:
         return
-    smaller, _ = perimeter_split(poly, a, b)
+    smaller = shorter_arc(poly, a, b)
     assert smaller <= (4 * c + 2) * chord + 1e-9

@@ -188,9 +188,37 @@ def test_follows_locates_each_point_next_to_its_predecessor(monkeypatch):
         return distance(*args)
 
     monkeypatch.setattr(geom, "point_segment_distance", counted)
-    assert harness._follows(piece, ring)
+    arcs = harness._arcs_along(piece, ring)
     assert calls <= ring.n + 3 * len(piece)
-    assert not harness._follows([piece[0], piece[-1]], ring)  # a chord
+    assert arcs[0] == 0.0 and abs(arcs[-1] - ring.perimeter / 2) < 1e-9
+    assert harness._arcs_along([piece[0], piece[-1]], ring) is None  # a chord
+
+
+@pytest.mark.parametrize("offset, passes", [(5e-7, False), (5e-8, True)])
+def test_run_scenario_reports_a_walk_end_off_its_ring(monkeypatch, offset, passes):
+    # the last point of the search's last piece is pushed off its edge
+    # along the outward normal: beyond ON_RING_TOL the verifier reports the
+    # walk, within it the run passes; neither raises
+    search = agent.cow_path
+
+    def pushed(ring, r, r_prime, trajectory):
+        out = search(ring, r, r_prime, trajectory)
+        pts = list(trajectory.pieces[-1].points)
+        i, _ = ring.locate(pts[-1])
+        u, v = ring.vertices[i], ring.vertices[(i + 1) % ring.n]
+        L = math.dist(u, v)
+        # the stored ring is counterclockwise: (dy, -dx) of an edge points out
+        pts[-1] = Point(pts[-1].x + offset * (v.y - u.y) / L,
+                        pts[-1].y - offset * (v.x - u.x) / L)
+        trajectory.pieces[-1] = trajectory.pieces[-1]._replace(points=tuple(pts))
+        return out
+
+    monkeypatch.setattr(agent, "cow_path", pushed)
+    report = run_scenario(bench_scenario(8))
+    if passes:
+        assert report.passed, report.failures
+    else:
+        assert "perimeter walk leaves its ring" in report.failures
 
 
 def test_run_scenario_selects_the_tile_once(monkeypatch):
@@ -600,6 +628,21 @@ def test_cli_non_finite_parameters_exit_2(tmp_path, capsys, argv):
     out = ["-o", str(tmp_path / "out.json")] if argv[0] == "generate" else []
     assert cli_main(argv + out) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "random", "--seed", "1", "--obstacles", "1000000"],
+    ["generate", "random", "--seed", "1", "--obstacles", "-1"],
+    ["bench", "--seeds", "1", "--obstacles", "1000000"],
+], ids=["generate-huge", "generate-negative", "bench-huge"])
+def test_cli_obstacle_count_out_of_range_exits_2_at_once(tmp_path, capsys, argv):
+    # placing 10**6 obstacles would take hours; a negative count built none
+    out = ["-o", str(tmp_path / "out.json")] if argv[0] == "generate" else []
+    t0 = time.perf_counter()
+    assert cli_main(argv + out) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "obstacle count must lie in [0, 100]" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def _strict_file(tmp_path, terrain, p, q):
