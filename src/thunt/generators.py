@@ -47,10 +47,6 @@ class GadgetParams:
     def lateral_gap(self) -> float:  # y
         return 0.25 * self.lam
 
-    @property
-    def hull_side(self) -> float:
-        return 5.0 * self.lam
-
 
 def _square(cx: float, cy: float, side: float) -> Polygon:
     h = side / 2.0

@@ -36,6 +36,11 @@ EPS = 1e-9
 ON_RING_TOL = 1e-7
 # Arc-length slack for boundary-walk stop detection.
 ARC_TOL = 1e-9
+# The boundary-event rule of the segment test: a segment and an edge are
+# parallel when the sine of their angle is at most PARALLEL_SIN, and an
+# event is kept only when it lies more than EVENT_GAP above the one before.
+PARALLEL_SIN = 1e-12
+EVENT_GAP = 1e-12
 
 OUTER_RING = -1  # ring id of the outer boundary (obstacles use their index)
 
@@ -422,26 +427,28 @@ def point_in_polygon(p: Point, poly: Polygon) -> Location:
 
 
 def point_in_terrain(p: Point, t: Terrain) -> bool:
-    loc = point_in_polygon(p, t.outer)
-    if loc is Location.EXTERIOR:
-        return False
-    if loc is Location.ON_BOUNDARY:
-        return True
-    for obs in t.obstacles:
-        loc = point_in_polygon(p, obs)
-        if loc is Location.INTERIOR:
-            return False
+    """Within EPS of a boundary edge is in the terrain; else an odd number
+    of rings holding p in their interior.  Parity is enough: the obstacle
+    interiors lie in the outer ring's interior and are pairwise disjoint,
+    so an odd count means inside the outer ring and outside every
+    obstacle."""
+    inside = False
+    for ring in (t.outer, *t.obstacles):
+        loc = point_in_polygon(p, ring)
         if loc is Location.ON_BOUNDARY:
             return True
-    return True
+        inside ^= loc is Location.INTERIOR
+    return inside
 
 
 def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
     """Sorted parameters in [0,1] where segment ab meets any boundary edge.
 
     Collinear overlaps contribute both overlap endpoints, and 0 and 1 are
-    always events.  An event within 1e-12 of the event just before it is
-    dropped, so a run of such events (a graze through a vertex) is one.
+    always events.  The segment and an edge are parallel when the sine of
+    their angle is at most PARALLEL_SIN.  An event within EVENT_GAP of the
+    event just before it is dropped, so a run of such events (a graze
+    through a vertex) is one.
     """
     dx, dy = b.x - a.x, b.y - a.y
     L = math.hypot(dx, dy)
@@ -457,7 +464,7 @@ def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
         ex, ey = v.x - u.x, v.y - u.y
         Le = math.hypot(ex, ey)
         denom = dx * ey - dy * ex
-        if abs(denom) > 1e-12 * L * Le:
+        if abs(denom) > PARALLEL_SIN * L * Le:
             wx, wy = u.x - a.x, u.y - a.y
             tt = (wx * ey - wy * ex) / denom
             ss = (wx * dy - wy * dx) / denom
@@ -473,7 +480,7 @@ def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
                     ts.append(min(1.0, max(0.0, lo)))
                     ts.append(min(1.0, max(0.0, hi)))
     ts.sort()
-    return ts[:1] + [v for u, v in zip(ts, ts[1:]) if v - u > 1e-12]
+    return ts[:1] + [v for u, v in zip(ts, ts[1:]) if v - u > EVENT_GAP]
 
 
 def _first_exit(a: Point, b: Point, t: Terrain) -> Optional[tuple[list[float], int, Point]]:

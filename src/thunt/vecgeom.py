@@ -10,10 +10,11 @@ sends the pairs it marks ambiguous to the exact test.
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every
 segment.  Its point test, `points_in_terrain`, is `geom.point_in_terrain`
-over arrays, one pass over each ring's edges for both the boundary test
+over arrays, one pass over the boundary edges for both the boundary test
 and the parity.  Its boundary events keep the scalar dedup rule (an event
-more than 1e-12 above the event just before it), one comparison over all
-the sorted events.  Batches hold at most CHUNK_CELLS segment x edge cells.
+more than `geom.EVENT_GAP` above the event just before it), one comparison
+over all the sorted events.  Batches hold at most CHUNK_CELLS segment x
+edge cells.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .geom import EPS, Polygon, Terrain
+from .geom import EPS, EVENT_GAP, PARALLEL_SIN, Terrain
 
 # Segment x boundary-edge cells per batch of the exact test: bounds its
 # arrays whatever the input size.
@@ -115,41 +116,20 @@ def _within_eps(px: np.ndarray, py: np.ndarray, a, b) -> np.ndarray:
     return within
 
 
-def _ring_location(px: np.ndarray, py: np.ndarray, ring: Polygon):
-    """`geom.point_in_polygon` over arrays, as (on the boundary, interior):
-    within EPS of an edge is on it, and parity decides the other points."""
-    x0, y0, x1, y1 = ring.bbox
-    on = np.zeros(px.shape, dtype=bool)
-    inner = np.zeros(px.shape, dtype=bool)
-    k = np.flatnonzero((px >= x0 - EPS) & (px <= x1 + EPS) & (py >= y0 - EPS) & (py <= y1 + EPS))
-    qx, qy = px[k], py[k]
-    hit = np.zeros(len(k), dtype=bool)
-    odd = np.zeros(len(k), dtype=bool)
-    for a, b in ring.edges():
-        far = (((qx < a.x - EPS) & (qx < b.x - EPS)) | ((qx > a.x + EPS) & (qx > b.x + EPS))
-               | ((qy < a.y - EPS) & (qy < b.y - EPS)) | ((qy > a.y + EPS) & (qy > b.y + EPS)))
-        m = np.flatnonzero(~far & ~hit)
-        if len(m):
-            hit[m] = _within_eps(qx[m], qy[m], a, b)
-        if a.y != b.y:
-            xint = a.x + (qy - a.y) * (b.x - a.x) / (b.y - a.y)
-            odd ^= ((a.y > qy) != (b.y > qy)) & (qx < xint)
-    on[k] = hit
-    inner[k] = ~hit & odd
-    return on, inner
-
-
 def points_in_terrain(px: np.ndarray, py: np.ndarray, t: Terrain) -> np.ndarray:
-    """`geom.point_in_terrain` over arrays: the outer ring first, then each
-    obstacle, the first ring that decides a point deciding it."""
-    on, inner = _ring_location(px, py, t.outer)
-    inside = on | inner
-    todo = np.flatnonzero(inner)
-    for obs in t.obstacles:
-        on, inner = _ring_location(px[todo], py[todo], obs)
-        inside[todo[inner]] = False
-        todo = todo[~(on | inner)]
-    return inside
+    """`geom.point_in_terrain` over arrays, in one pass over the boundary
+    edges: within EPS of an edge is in the terrain, else an odd number of
+    crossings of the ray toward +x."""
+    on = np.zeros(px.shape, dtype=bool)
+    odd = np.zeros(px.shape, dtype=bool)
+    for a, b in t.boundary_edges:
+        m = np.flatnonzero((px >= min(a.x, b.x) - EPS) & (px <= max(a.x, b.x) + EPS)
+                           & (py >= min(a.y, b.y) - EPS) & (py <= max(a.y, b.y) + EPS) & ~on)
+        if len(m):
+            on[m] = _within_eps(px[m], py[m], a, b)
+        k = np.flatnonzero((a.y > py) != (b.y > py))  # never on a horizontal edge
+        odd[k] ^= px[k] < a.x + (py[k] - a.y) * (b.x - a.x) / (b.y - a.y)
+    return on | odd
 
 
 def _interval_midpoints(A: np.ndarray, B: np.ndarray, ea: np.ndarray, eb: np.ndarray,
@@ -161,7 +141,7 @@ def _interval_midpoints(A: np.ndarray, B: np.ndarray, ea: np.ndarray, eb: np.nda
     The events are `geom._segment_boundary_params`: the crossings and
     collinear overlap ends on the edges its bbox cull keeps, clamped to
     [0, 1], with 0 and 1, sorted, then deduplicated by its rule (keep an
-    event more than 1e-12 above the event just before it), which one
+    event more than EVENT_GAP above the event just before it), which one
     comparison over the sorted rows applies to every segment at once."""
     D = B - A
     L = _hypot(D[:, 0], D[:, 1])
@@ -177,7 +157,7 @@ def _interval_midpoints(A: np.ndarray, B: np.ndarray, ea: np.ndarray, eb: np.nda
     wx, wy = (ea[c] - A[r]).T
     tol = EPS / Lr
     denom = dx * ey - dy * ex
-    cross = np.abs(denom) > 1e-12 * Lr * Le
+    cross = np.abs(denom) > PARALLEL_SIN * Lr * Le
     with np.errstate(divide="ignore", invalid="ignore"):
         tt = (wx * ey - wy * ex) / denom
         ss = (wx * dy - wy * dx) / denom
@@ -199,7 +179,7 @@ def _interval_midpoints(A: np.ndarray, B: np.ndarray, ea: np.ndarray, eb: np.nda
     rows, vals = rows[order], vals[order]
 
     keep = np.ones(len(rows), dtype=bool)  # a segment's first event, or a new value
-    keep[1:] = (rows[1:] != rows[:-1]) | (np.diff(vals) > 1e-12)
+    keep[1:] = (rows[1:] != rows[:-1]) | (np.diff(vals) > EVENT_GAP)
     kr, kv = rows[keep], vals[keep]
     inner = kr[1:] == kr[:-1]
     return kr[:-1][inner], 0.5 * (kv[:-1] + kv[1:])[inner]

@@ -39,7 +39,7 @@ class GridResolutionError(RuntimeError):
 
 def gadget_hull(params: GadgetParams) -> Polygon:
     """The bounding square of the gadget (side 5*lam centered at o)."""
-    h = params.hull_side / 2.0
+    h = 5.0 * params.lam / 2.0
     o = params.o
     return Polygon([(o.x - h, o.y - h), (o.x + h, o.y - h), (o.x + h, o.y + h), (o.x - h, o.y + h)])
 

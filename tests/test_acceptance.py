@@ -162,7 +162,7 @@ def test_acceptance_7_gadget_blinds(lam):
                      (margin, margin), (-margin, margin)])
     t = Terrain(outer, gadget(gp))
     hull = gadget_hull(gp)
-    half = gp.hull_side / 2.0
+    half = 5.0 * lam / 2.0
     rng = random.Random(0xB11D)
     n = 0
     while n < 10_000:

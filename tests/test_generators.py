@@ -48,7 +48,6 @@ def test_gadget_layout_lam_1():
     gp = GadgetParams(Point(0, 0), 1.0)
     assert gp.square_side == 1.5
     assert gp.lateral_gap == 0.25
-    assert gp.hull_side == 5.0
     squares = gadget(gp)
     assert len(squares) == 8
     north = squares[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -771,3 +772,53 @@ def test_relisting_the_terrain_changes_nothing(suite_head, relist):
         assert other.passed == base.passed
         assert other.first_sight_length == pytest.approx(base.first_sight_length,
                                                          rel=1e-9, abs=0)
+
+
+# --- metamorphic: rigid motions --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def suite_report():
+    """The report of a suite seed's untransformed scenario, computed once."""
+    return functools.cache(lambda seed: run_scenario(bench_scenario(seed)))
+
+
+def _moved(sc, f):
+    """The scenario with f applied to every ring vertex, the start and the treasure."""
+    rings = [Polygon([f(v) for v in ring.vertices]) for _, ring in sc.terrain.rings()]
+    return dataclasses.replace(sc, terrain=Terrain(rings[0], rings[1:]),
+                               start=f(sc.start), treasure=f(sc.treasure))
+
+
+@given(seed=st.integers(0, 199), d=st.sampled_from([1e3, 1e5, 1e6]))
+@settings(max_examples=100)
+def test_translation_keeps_advice_length_and_ratio(suite_report, seed, d):
+    # the tiling is anchored at the start, so the advice moves with it.  At 1e7
+    # the spacing of doubles exceeds EPS and two suite seeds fail, so 1e6 is the
+    # largest offset held to this
+    base = suite_report(seed)
+    moved = run_scenario(_moved(bench_scenario(seed), lambda v: Point(v.x + d, v.y + d)))
+    assert moved.passed and base.passed
+    assert moved.advice == base.advice
+    assert moved.L == pytest.approx(base.L, rel=1e-6, abs=0)
+    assert moved.ratio == pytest.approx(base.ratio, rel=1e-6, abs=0)
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return lambda v: Point(c * v.x - s * v.y, s * v.x + c * v.y)
+
+
+@pytest.mark.parametrize("motion", [
+    lambda v: Point(-v.x, v.y),
+    lambda v: Point(-v.y, v.x),
+    _rotation(math.pi / 6),
+    _rotation(1.0),
+], ids=["reflect-x", "rotate-90", "rotate-30", "rotate-1rad"])
+@given(seed=st.integers(0, 199))
+@settings(max_examples=60)
+def test_reflection_and_rotation_keep_the_length(suite_report, motion, seed):
+    # the tiling is axis-aligned at the start, so the advice may change
+    base = suite_report(seed)
+    moved = run_scenario(_moved(bench_scenario(seed), motion))
+    assert moved.passed and base.passed
+    assert moved.L == pytest.approx(base.L, rel=1e-9, abs=0)

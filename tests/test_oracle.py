@@ -446,10 +446,16 @@ def test_batch_exact_test_is_the_scalar_test(make, data):
     assert got.tolist() == [segment_in_terrain(pts[i], pts[j], t) for i, j in pairs]
 
 
+# obstacles that touch the outer ring: an edge on an outer edge, a vertex on one
+SHARED_EDGE = Terrain(square(0, 0, 10), [square(4, 0, 2)])
+TOUCHING_DIAMOND = Terrain(square(0, 0, 10), [Polygon([(5, 0), (6, 1), (5, 2), (4, 1)])])
+
 POINT_TERRAINS = {
     "suite": st.integers(0, 199).map(lambda seed: bench_scenario(seed).terrain),
     "comb": st.integers(1, 24).map(lambda i: comb_terrain(CombParams(12, i, 0.25))[0]),
     "lattice_4": st.just(diamond_lattice(4)),
+    "shared_edge": st.just(SHARED_EDGE),
+    "touching_diamond": st.just(TOUCHING_DIAMOND),
 }
 
 
@@ -473,6 +479,14 @@ def test_batch_point_test_is_the_scalar_test(family, data):
     pts = data.draw(st.lists(point, min_size=1, max_size=200))
     got = vecgeom.points_in_terrain(np.array([p.x for p in pts]), np.array([p.y for p in pts]), t)
     assert got.tolist() == [point_in_terrain(p, t) for p in pts]
+
+
+def test_within_eps_of_any_boundary_edge_is_in_the_terrain():
+    # more than EPS below the outer edge y = 0 once rounded, but within EPS of
+    # the obstacle edge on it: on the boundary, so in the terrain
+    p = Point(5.3693720278750465, -1e-9)
+    assert point_in_terrain(p, SHARED_EDGE)
+    assert vecgeom.points_in_terrain(np.array([p.x]), np.array([p.y]), SHARED_EDGE).tolist() == [True]
 
 
 def test_batch_exact_test_answers_do_not_depend_on_the_batch_size(monkeypatch):
