@@ -24,8 +24,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .codec import AdviceError, decode, tile_center
-from .geom import (ARC_TOL, EPS, ON_RING_TOL, GeometryError, Point, Polygon, Terrain,
-                   dist, first_hit, lerp, march, point_in_terrain, sees)
+from .geom import (ARC_TOL, EPS, ON_RING_TOL, SIGHT_RADIUS, GeometryError, Point, Polygon,
+                   Terrain, dist, first_hit, lerp, march, point_in_terrain, sees)
 
 class MoveKind(Enum):
     FREE_MOVE = "free_move"
@@ -120,8 +120,8 @@ def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: Trajectory) ->
     on the ring.  Returns r_prime.
     """
     P = ring.perimeter
-    arc_r = ring.arc_of_point(r)
-    arc_rp = ring.arc_of_point(r_prime)
+    _, arc_r = ring.locate(r)
+    _, arc_rp = ring.locate(r_prime)
     dir1, dir2 = choose_directions(ring, r)
     d_fwd = (arc_rp - arc_r) * dir1 % P  # distance to r' going dir1
 
@@ -186,33 +186,28 @@ def _first_sight_length(traj: Trajectory, start: Point, q: Point,
     """Arc length at which the treasure first becomes visible, exactly.
 
     Along a trajectory segment, whether x sees q can change only where
-    |xq| crosses the sight radius or where the line through x and q
-    passes a boundary vertex within that radius of q.  The visible set is
-    closed, so the first sight on a segment is the first of these events
-    that is visible itself or whose following interval is visible at its
-    midpoint.
+    |xq| crosses SIGHT_RADIUS or where the line through x and q passes a
+    boundary vertex within that radius of q.  The visible set is closed, so
+    the first sight on a segment is the first of these events that is
+    visible itself or whose following interval is visible at its midpoint.
+    Visible is `geom.sees`, which answers False for the points of a free
+    move that lie outside the terrain.
     """
-    radius = 1.0 + EPS
-
-    def visible(pt: Point) -> bool:
-        # a free move may leave the terrain; its points outside see nothing
-        return dist(pt, q) <= radius and point_in_terrain(pt, t) and sees(pt, q, t)
-
-    if visible(start):
+    if sees(start, q, t):
         return 0.0
-    near = [u for u, _ in t.boundary_edges if dist(u, q) <= radius]
+    near = [u for u, _ in t.boundary_edges if dist(u, q) <= SIGHT_RADIUS]
     arc = 0.0
     for piece in traj.pieces:
         for a, b in zip(piece.points, piece.points[1:]):
             seg = dist(a, b)
             dx, dy = b.x - a.x, b.y - a.y
             ax, ay = a.x - q.x, a.y - q.y
-            # the part of ab inside the sight disc: |a - q + s (b - a)| <= radius,
+            # the part of ab inside the sight disc: |a - q + s (b - a)| <= SIGHT_RADIUS,
             # solved about the foot s0 of the perpendicular from q: no cancellation
             A = dx * dx + dy * dy
             s0 = -(ax * dx + ay * dy) / A if A > 0.0 else 0.0
             hx, hy = ax + s0 * dx, ay + s0 * dy
-            gap = radius * radius - (hx * hx + hy * hy)
+            gap = SIGHT_RADIUS * SIGHT_RADIUS - (hx * hx + hy * hy)
             if A > 0.0 and gap >= 0.0:
                 w = math.sqrt(gap / A)
                 lo, hi = max(0.0, s0 - w), min(1.0, s0 + w)
@@ -226,9 +221,9 @@ def _first_sight_length(traj: Trajectory, start: Point, q: Point,
                             events.append(s)
                 events.sort()
                 for i, s in enumerate(events):
-                    if visible(lerp(a, b, s)) or (
+                    if sees(lerp(a, b, s), q, t) or (
                             i + 1 < len(events)
-                            and visible(lerp(a, b, 0.5 * (s + events[i + 1])))):
+                            and sees(lerp(a, b, 0.5 * (s + events[i + 1])), q, t)):
                         return arc + s * seg
             arc += seg
     return None

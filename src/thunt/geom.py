@@ -34,8 +34,11 @@ EPS = 1e-9
 # land on a ring via chained intersection arithmetic carry more rounding error
 # than raw coordinates, so it is looser than EPS but far below feature sizes.
 ON_RING_TOL = 1e-7
-# Arc-length slack for boundary-walk stop detection.
+# Arc-length slack: of the agent's boundary-walk stop detection and of the
+# verifier's arc and cow-path bound comparisons.
 ARC_TOL = 1e-9
+# The paper's sight radius: p sees q when |pq| is at most 1, within EPS.
+SIGHT_RADIUS = 1.0 + EPS
 # The boundary-event rule of the segment test: a segment and an edge are
 # parallel when the sine of their angle is at most PARALLEL_SIN, and an
 # event is kept only when it lies more than EVENT_GAP above the one before.
@@ -173,9 +176,10 @@ class Polygon:
         return lerp(self.vertices[i], self.vertices[(i + 1) % self.n], t)
 
     def locate(self, p: Point, near: Optional[int] = None) -> tuple[int, float]:
-        """Edge index and parameter of a point on the ring, within ON_RING_TOL;
-        raises if off it.  Given `near`, an edge index, that edge and its two
-        neighbours are tried first, and the whole ring only if none is close."""
+        """Edge index and arc position (in [0, perimeter)) of a point on the
+        ring, within ON_RING_TOL; raises if off it.  Given `near`, an edge
+        index, that edge and its two neighbours are tried first, and the
+        whole ring only if none is close."""
         vs, n = self.vertices, self.n
         tries = [range(n)] if near is None else [[(near + k) % n for k in (-1, 0, 1)], range(n)]
         for edges in tries:
@@ -190,13 +194,11 @@ class Polygon:
                         t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / L2
                         t = min(1.0, max(0.0, t))
                     best = (d, i, t)
-            if best[1] >= 0:
-                return best[1], best[2]
+            _, i, t = best
+            if i >= 0:
+                cum = self.cum_arc
+                return i, (cum[i] + t * (cum[i + 1] - cum[i])) % self.perimeter
         raise GeometryError("point is not on the ring")
-
-    def arc_of_point(self, p: Point) -> float:
-        i, t = self.locate(p)
-        return (self.cum_arc[i] + t * (self.cum_arc[i + 1] - self.cum_arc[i])) % self.perimeter
 
     def __repr__(self) -> str:
         return f"Polygon({list(self.vertices)!r})"
@@ -509,10 +511,10 @@ def segment_in_terrain(a: Point, b: Point, t: Terrain) -> bool:
 
 
 def sees(p: Point, q: Point, t: Terrain) -> bool:
-    """Mutual visibility: |pq| <= 1 and the segment stays in the terrain."""
-    if not point_in_terrain(p, t) or not point_in_terrain(q, t):
-        raise GeometryError("sees() requires both points inside the terrain")
-    return dist(p, q) <= 1.0 + EPS and _first_exit(p, q, t) is None
+    """The paper's sight predicate, for any two points of the plane: |pq| is
+    at most SIGHT_RADIUS and the segment pq lies in the terrain.  A point
+    outside the terrain sees nothing."""
+    return dist(p, q) <= SIGHT_RADIUS and segment_in_terrain(p, q, t)
 
 
 class HitEvent(NamedTuple):
@@ -581,9 +583,8 @@ def march(ring: Polygon, start_arc: float, length: float, direction: int) -> lis
 
 
 def distance_to_boundary(p: Point, t: Terrain) -> float:
-    """Distance from a terrain point to the nearest boundary segment."""
-    if not point_in_terrain(p, t):
-        raise GeometryError("point is outside the terrain")
+    """Distance from any point of the plane to the nearest boundary edge;
+    whether the point lies in the terrain is the caller's question."""
     return min(point_segment_distance(p, a, b) for a, b in t.boundary_edges)
 
 

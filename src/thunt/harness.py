@@ -3,15 +3,17 @@
 A run computes the advice from full knowledge, replays the hunt from the
 advice alone, and checks the trajectory, taking nothing else from the
 agent: it must lead from the start to the center of the tile the oracle
-selected, which must see the treasure; free moves must stay inside the
+selected, each piece starting within `geom.ON_RING_TOL` (the one
+tolerance for the same point after chained arithmetic) of the end of the
+one before, and that center must see the treasure (`geom.sees`, so a
+center outside the terrain sees nothing); free moves must stay inside the
 terrain and perimeter pieces must follow their ring, each point located
-on it once within `geom.ON_RING_TOL`, the one on-ring tolerance; each
-cow-path search, a maximal run of perimeter pieces on one ring, must walk
-(the run's length) within the doubling-search bound of its dmin (the
-shorter arc between the arcs located for the run's ends); the treasure
-must come into sight within RATIO_GATE times max(L, 1); the advice must
-fit its size budget.  A point off every ring is a failure, not an
-exception.
+on it once within `geom.ON_RING_TOL`; each cow-path search, a maximal run
+of perimeter pieces on one ring, must walk (the run's length) within the
+doubling-search bound of its dmin (the shorter arc between the arcs
+located for the run's ends), up to `geom.ARC_TOL`; the treasure must come
+into sight within RATIO_GATE times max(L, 1); the advice must fit its
+size budget.  A point off every ring is a failure, not an exception.
 
 Regularity has one owner: a strict `Scenario` (the default) checks that
 its terrain is regular when it is built, so a strict scenario file with an
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 from . import agent, oracle
 from .agent import HuntOutcome, MoveKind, thunt
-from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain,
+from .geom import (ARC_TOL, EPS, ON_RING_TOL, GeometryError, Point, Polygon, Terrain,
                    TerrainError, dist, distance_to_boundary, point_in_terrain, sees,
                    segment_in_terrain, validate_regular_terrain)
 from .generators import random_regular_terrain
@@ -36,9 +38,7 @@ CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_rat
 
 ADVICE_BITS_BUDGET_BASE = 10
 ADVICE_BITS_BUDGET_SLOPE = 6
-COWPATH_SLACK = 1e-9
 RATIO_GATE = 200.0  # first_sight / max(L, 1): the paper's O(L) cost claim
-PIECE_JOIN_TOL = 1e-6
 
 
 class ScenarioError(ValueError):
@@ -117,15 +117,12 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     # arrival is checked on the trajectory itself: a path from p to q'
     pieces = outcome.trajectory.pieces
     ends = [p] + [piece.points[-1] for piece in pieces]
-    if any(dist(end, piece.points[0]) > PIECE_JOIN_TOL for end, piece in zip(ends, pieces)):
+    if any(dist(end, piece.points[0]) > ON_RING_TOL for end, piece in zip(ends, pieces)):
         failures.append("trajectory is not continuous from the start point")
     if dist(ends[-1], q_prime) > EPS:
         failures.append("agent did not reach the target tile center")
-    try:
-        if not sees(q_prime, q, t):
-            failures.append("target tile center does not see the treasure")
-    except GeometryError:
-        failures.append("target tile center left the terrain")
+    if not sees(q_prime, q, t):  # a center outside the terrain sees nothing
+        failures.append("target tile center does not see the treasure")
     # called through the module, so that a wrapper installed there sees it
     first_sight = agent._first_sight_length(outcome.trajectory, p, q, t)
     if first_sight is None:
@@ -166,7 +163,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
         d = (last - first) % r.perimeter
         dmin = min(d, r.perimeter - d)
         searches.append((dmin, walked))
-        if walked > cowpath_bound(dmin) + COWPATH_SLACK:
+        if walked > cowpath_bound(dmin) + ARC_TOL:
             failures.append(
                 f"perimeter search walked {walked:.6f} over bound "
                 f"{cowpath_bound(dmin):.6f}")
@@ -195,12 +192,12 @@ def _arcs_along(points: Sequence[Point], ring: Polygon) -> Optional[list[float]]
     ON_RING_TOL (`Polygon.locate`), and each step spans the shorter arc
     between its ends, not a chord.  Each point is looked for next to its
     predecessor's edge first."""
-    P, cum = ring.perimeter, ring.cum_arc
+    P = ring.perimeter
     arcs, i = [], None
     try:
         for pt in points:
-            i, s = ring.locate(pt, near=i)
-            arcs.append((cum[i] + s * (cum[i + 1] - cum[i])) % P)
+            i, arc = ring.locate(pt, near=i)
+            arcs.append(arc)
     except GeometryError:
         return None
     for a, b, sa, sb in zip(points, points[1:], arcs, arcs[1:]):

@@ -160,13 +160,13 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
 
 
 def shortest_path(t: Terrain, p: Point, q: Point) -> float:
-    """Exact geodesic distance in the terrain between p and q."""
-    if not point_in_terrain(p, t) or not point_in_terrain(q, t):
-        raise GeometryError("shortest path endpoints must lie in the terrain")
-    if dist(p, q) <= EPS:
-        return 0.0
+    """Exact geodesic distance in the terrain between p and q: |pq| (so 0.0
+    for p == q) when the segment lies in the terrain, else over the
+    visibility graph.  An end outside the terrain raises GeometryError."""
     if segment_in_terrain(p, q, t):
         return dist(p, q)
+    if not point_in_terrain(p, t) or not point_in_terrain(q, t):
+        raise GeometryError("shortest path endpoints must lie in the terrain")
     nodes, ai, aj, w = _visibility_graph(t, p, q)
     V = len(nodes)
     graph = csr_matrix((np.array(w + w), (np.array(ai + aj), np.array(aj + ai))),

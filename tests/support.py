@@ -303,5 +303,5 @@ def reference_march(ring: Polygon, start_arc: float, length: float,
 
 def shorter_arc(ring: Polygon, a: Point, b: Point) -> float:
     """The shorter of the two arcs between ring points a and b."""
-    d = (ring.arc_of_point(b) - ring.arc_of_point(a)) % ring.perimeter
+    d = (ring.locate(b)[1] - ring.locate(a)[1]) % ring.perimeter
     return min(d, ring.perimeter - d)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -19,7 +20,7 @@ from thunt import (GeometryError, Location, Point, Polygon,
 from thunt import geom
 from thunt.generators import CombParams, comb_terrain, random_fat_polygon
 from thunt.harness import bench_scenario
-from thunt.geom import march
+from thunt.geom import EPS, march
 
 
 UNIT = square(0, 0, 1)
@@ -239,15 +240,36 @@ def test_sees_blocked_by_thin_obstacle():
     assert sees(p, Point(4.35, 5.0), t)
 
 
-def test_sees_requires_terrain_points():
-    t = empty_square_terrain()
-    with pytest.raises(GeometryError):
-        sees(Point(-5, -5), Point(1, 1), t)
+def test_sees_is_false_outside_the_terrain():
+    # a point outside the terrain sees nothing, even within the sight radius
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    for out, inside in ((Point(-0.5, 1), Point(0.2, 1)), (Point(5, 5), Point(3.5, 5))):
+        assert not sees(out, inside, t)
+        assert not sees(inside, out, t)
+    assert not sees(Point(5, 5), Point(5, 5), t)
+
+
+@functools.cache
+def suite_terrain(seed: int) -> Terrain:
+    return bench_scenario(seed).terrain
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 7, 10]), st.floats(0, 1), st.floats(0, 1),
+       st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_sees_is_the_sight_predicate_over_the_plane(seed, fx, fy, dx, dy):
+    # p in the outer bbox, inside or outside the terrain, and q near it
+    t = suite_terrain(seed)
+    x0, y0, x1, y1 = t.bbox
+    p = Point(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
+    q = Point(p.x + dx, p.y + dy)
+    expected = math.dist(p, q) <= 1 + EPS and segment_in_terrain(p, q, t)
+    assert sees(p, q, t) == sees(q, p, t) == expected
 
 
 def test_sees_tests_each_end_once(monkeypatch):
-    # within the sight radius, the containment precondition is the only
-    # test of the ends; the rest are interval midpoints
+    # within the sight radius, segment_in_terrain tests each end once; the
+    # rest are interval midpoints
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
     p, q = Point(3.5, 5.0), Point(3.5, 5.8)
     ends = []
@@ -474,10 +496,10 @@ def test_distance_obstacle_closer_than_wall():
     assert abs(distance_to_boundary(Point(1.55, 2.2), t) - 0.3) < 1e-12
 
 
-def test_distance_outside_raises():
+def test_distance_from_outside_the_terrain():
+    # any point of the plane has a distance to the nearest boundary edge
     t = Terrain(square(0, 0, 4))
-    with pytest.raises(GeometryError):
-        distance_to_boundary(Point(9, 9), t)
+    assert distance_to_boundary(Point(9, 9), t) == math.hypot(5, 5)
 
 
 # --- circles and fatness ----------------------------------------------------------

@@ -315,6 +315,26 @@ def test_run_scenario_fails_a_gap_between_pieces(monkeypatch):
     assert report.failures == ["trajectory is not continuous from the start point"]
 
 
+def test_run_scenario_fails_a_gap_of_5e_7_between_pieces(monkeypatch):
+    # the first free move sets off 5e-7 east of the start: a join gap above
+    # ON_RING_TOL, the tolerance for the same point after chained
+    # arithmetic, breaks the trajectory (the suite's joins meet within 1e-15)
+    hunt = harness.thunt
+
+    def slips(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        (_, *rest), kind, _ = out.trajectory.pieces[0]
+        walk = Trajectory()
+        walk.append([Point(p.x + 5e-7, p.y), *rest], kind)
+        for piece in out.trajectory.pieces[1:]:
+            walk.append(list(piece.points), piece.kind)
+        return dataclasses.replace(out, trajectory=walk)
+
+    monkeypatch.setattr(harness, "thunt", slips)
+    report = run_scenario(simple_scenario())
+    assert report.failures == ["trajectory is not continuous from the start point"]
+
+
 def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
     # the oracle names the tile three columns and three rows past its own,
     # 1.77 beyond the treasure on the agent's line, out of sight range; the
@@ -351,7 +371,7 @@ def test_run_scenario_fails_a_tile_center_outside_the_terrain(monkeypatch):
     monkeypatch.setattr(oracle, "make_advice", into_the_obstacle)
     monkeypatch.setattr(harness, "thunt", walks_in)
     report = run_scenario(simple_scenario())
-    assert report.failures == ["target tile center left the terrain",
+    assert report.failures == ["target tile center does not see the treasure",
                                "free move leaves the terrain"]
 
 

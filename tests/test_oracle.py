@@ -207,6 +207,26 @@ def test_shortest_path_symmetric():
     assert abs(L1 - L2) < 1e-9
 
 
+def test_shortest_path_between_a_point_and_itself_is_zero():
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    p = Point(2.5, 3.25)
+    assert shortest_path(t, p, p) == 0.0
+
+
+def test_shortest_path_between_points_under_eps_apart_is_their_distance():
+    t = empty_square_terrain()
+    p, q = Point(3, 3), Point(3 + 5e-10, 3)
+    assert 0.0 < dist(p, q) <= EPS
+    assert shortest_path(t, p, q) == dist(p, q)
+
+
+def test_shortest_path_from_outside_to_itself_raises():
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    for p in (Point(-1, 5), Point(5, 5)):
+        with pytest.raises(GeometryError, match="endpoints must lie in the terrain"):
+            shortest_path(t, p, p)
+
+
 @given(st.integers(0, 400))
 @settings(max_examples=20)
 def test_shortest_path_at_least_euclidean(seed):
