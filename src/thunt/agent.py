@@ -177,7 +177,7 @@ def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
             break
         if hit.travel > EPS:
             traj.append([pos, hit.point], MoveKind.FREE_MOVE)
-        pos = cow_path(t.ring(hit.ring), hit.point, hit.reentry, traj)
+        pos = cow_path(hit.ring, hit.point, hit.reentry, traj)
     return HuntOutcome(traj, q_prime)
 
 

@@ -260,7 +260,7 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
                       pad + rng.random() * (extent - 2 * pad)) for _ in range(14)]
     outer = Polygon(convex_hull(hull_pts))
     walls = []  # each outer edge's inward unit normal and first vertex
-    for a, b in outer.edges():
+    for a, b in outer.edges:
         L = dist(a, b)
         walls.append(((a.y - b.y) / L, (b.x - a.x) / L, a))
 

@@ -45,8 +45,6 @@ SIGHT_RADIUS = 1.0 + EPS
 PARALLEL_SIN = 1e-12
 EVENT_GAP = 1e-12
 
-OUTER_RING = -1  # ring id of the outer boundary (obstacles use their index)
-
 
 class GeometryError(ValueError):
     pass
@@ -145,7 +143,7 @@ class Polygon:
     (`_star_is_simple`); alone it settles fatness (`is_c_fat`).
     """
 
-    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "bbox", "_edges",
+    __slots__ = ("vertices", "n", "perimeter", "cum_arc", "bbox", "edges",
                  "is_convex", "R_plus", "rho")
 
     def __init__(self, vertices: Sequence):
@@ -156,16 +154,14 @@ class Polygon:
         verts, lengths, self.bbox, self.is_convex = _ring(verts)
         self.vertices: tuple[Point, ...] = tuple(verts)
         self.n = len(verts)
-        self._edges = tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
+        self.edges: tuple[tuple[Point, Point], ...] = tuple(
+            zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
         self.cum_arc: tuple[float, ...] = tuple(itertools.accumulate(lengths, initial=0.0))
         self.perimeter = self.cum_arc[-1]
         self.R_plus, self.rho, winds = (
             _star(verts, lengths) if self.is_convex else (math.inf, -math.inf, 0))
         if not _star_is_simple(self, min(lengths), winds):
-            _check_simple(self._edges)
-
-    def edges(self) -> tuple[tuple[Point, Point], ...]:
-        return self._edges
+            _check_simple(self.edges)
 
     def point_at_arc(self, s: float) -> Point:
         s = s % self.perimeter
@@ -337,13 +333,18 @@ class Terrain:
     EPS apart (`ring_distance`), neither `nested` in the other.  Under those
     conditions the navigable set is automatically connected, so no
     connectivity check is done here.
+
+    `rings` is the one ring list, the outer ring first and then the
+    obstacles: a ring is named by its `Polygon`, never by a number.
+    `boundary_edges` chains the rings' edges in that order.
     """
 
-    __slots__ = ("outer", "obstacles", "boundary_edges")
+    __slots__ = ("outer", "obstacles", "rings", "boundary_edges")
 
     def __init__(self, outer: Polygon, obstacles: Sequence[Polygon] = ()):
         self.outer = outer
         self.obstacles = tuple(obstacles)
+        self.rings: tuple[Polygon, ...] = (outer, *self.obstacles)
         # an obstacle lies in the outer polygon when its boundary does: no
         # vertex outside, and no edge leaving it between boundary events.
         # A convex outer ring holds every edge whose ends it holds
@@ -351,7 +352,7 @@ class Terrain:
         for i, obs in enumerate(self.obstacles):
             if (any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices)
                     or (bare is not None
-                        and any(_first_exit(a, b, bare) is not None for a, b in obs.edges()))):
+                        and any(_first_exit(a, b, bare) is not None for a, b in obs.edges))):
                 raise TerrainError(f"obstacle {i} is not inside the outer polygon")
         for (i, a), (j, b) in itertools.combinations(enumerate(self.obstacles), 2):
             # rings whose bboxes lie apart can neither touch nor nest
@@ -359,17 +360,7 @@ class Terrain:
                     ring_distance(a, b, 2 * EPS) <= EPS or nested(a, b)):
                 raise TerrainError(f"obstacles {i} and {j} are not disjoint")
         self.boundary_edges: tuple[tuple[Point, Point], ...] = tuple(
-            itertools.chain(outer.edges(), *(obs.edges() for obs in self.obstacles)))
-
-    def ring(self, ring_id: int) -> Polygon:
-        return self.outer if ring_id == OUTER_RING else self.obstacles[ring_id]
-
-    def rings(self):
-        return itertools.chain([(OUTER_RING, self.outer)], enumerate(self.obstacles))
-
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        return self.outer.bbox
+            itertools.chain.from_iterable(ring.edges for ring in self.rings))
 
 
 def bbox_gap(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -388,9 +379,9 @@ def ring_distance(a: Polygon, b: Polygon, reach: float) -> float:
     are skipped, being at least that far away."""
     if bbox_gap(a.bbox, b.bbox) >= reach:
         return reach
-    near = [e for e in b.edges() if bbox_gap(_segment_bbox(*e), a.bbox) < reach]
+    near = [e for e in b.edges if bbox_gap(_segment_bbox(*e), a.bbox) < reach]
     best = reach
-    for ea in a.edges():
+    for ea in a.edges:
         if bbox_gap(_segment_bbox(*ea), b.bbox) >= reach:
             continue
         for eb in near:
@@ -418,7 +409,7 @@ def point_in_polygon(p: Point, poly: Polygon) -> Location:
         return Location.EXTERIOR
     px, py = p.x, p.y
     inside = False
-    for a, b in poly.edges():
+    for a, b in poly.edges:
         if (a.y > py) != (b.y > py) and px < a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y):
             inside = not inside
         if ((px >= a.x - EPS or px >= b.x - EPS) and (px <= a.x + EPS or px <= b.x + EPS)
@@ -435,7 +426,7 @@ def point_in_terrain(p: Point, t: Terrain) -> bool:
     so an odd count means inside the outer ring and outside every
     obstacle."""
     inside = False
-    for ring in (t.outer, *t.obstacles):
+    for ring in t.rings:
         loc = point_in_polygon(p, ring)
         if loc is Location.ON_BOUNDARY:
             return True
@@ -453,9 +444,7 @@ def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
     through a vertex) is one.
     """
     dx, dy = b.x - a.x, b.y - a.y
-    L = math.hypot(dx, dy)
-    if L <= EPS:
-        return [0.0, 1.0]
+    L = math.hypot(dx, dy)  # > EPS: `_first_exit`, the one caller, returned on shorter ones
     sx0, sx1 = min(a.x, b.x) - EPS, max(a.x, b.x) + EPS
     sy0, sy1 = min(a.y, b.y) - EPS, max(a.y, b.y) + EPS
     tol_t = EPS / L
@@ -519,7 +508,7 @@ def sees(p: Point, q: Point, t: Terrain) -> bool:
 
 class HitEvent(NamedTuple):
     point: Point
-    ring: int  # OUTER_RING or obstacle index
+    ring: Polygon  # the ring crossed: an obstacle entered, or t.outer left
     travel: float
     reentry: Point
 
@@ -542,8 +531,8 @@ def first_hit(frm: Point, toward: Point, t: Terrain) -> Optional[HitEvent]:
     if found is None:
         return None
     ts, i, mid = found
-    ring = next((k for k, obs in enumerate(t.obstacles)
-                 if point_in_polygon(mid, obs) is Location.INTERIOR), OUTER_RING)
+    ring = next((obs for obs in t.obstacles
+                 if point_in_polygon(mid, obs) is Location.INTERIOR), t.outer)
     j = i + 1
     while j + 1 < len(ts) and not point_in_terrain(
             lerp(frm, toward, 0.5 * (ts[j] + ts[j + 1])), t):

@@ -6,14 +6,17 @@ agent: it must lead from the start to the center of the tile the oracle
 selected, each piece starting within `geom.ON_RING_TOL` (the one
 tolerance for the same point after chained arithmetic) of the end of the
 one before, and that center must see the treasure (`geom.sees`, so a
-center outside the terrain sees nothing); free moves must stay inside the
-terrain and perimeter pieces must follow their ring, each point located
-on it once within `geom.ON_RING_TOL`; each cow-path search, a maximal run
-of perimeter pieces on one ring, must walk (the run's length) within the
-doubling-search bound of its dmin (the shorter arc between the arcs
-located for the run's ends), up to `geom.ARC_TOL`; the treasure must come
-into sight within RATIO_GATE times max(L, 1); the advice must fit its
-size budget.  A point off every ring is a failure, not an exception.
+center outside the terrain sees nothing).  A label the agent puts on a
+piece skips no check.  A piece runs along a ring when each of its
+points is located on it once within `geom.ON_RING_TOL` and each step
+spans the shorter arc between its ends; a cow-path search is a maximal
+run of pieces along one ring, and must walk (the run's length) within
+the doubling-search bound of its dmin (the shorter arc between the arcs
+located for the run's ends), up to `geom.ARC_TOL`.  Any other piece is a
+free move, and each of its steps must lie in the terrain; one labelled a
+perimeter walk fails as such.  The treasure must come into sight within
+RATIO_GATE times max(L, 1); the advice must fit its size budget.  A
+point off every ring is a failure, not an exception.
 
 Regularity has one owner: a strict `Scenario` (the default) checks that
 its terrain is regular when it is built, so a strict scenario file with an
@@ -136,22 +139,23 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     if len(advice) > budget:
         failures.append(f"advice length {len(advice)} exceeds budget {budget}")
 
+    # a piece that runs along a ring belongs to that ring's search, whatever
+    # its label; any other piece is a free move, checked step by step
     runs: list[list] = []  # per search: [ring, first arc, last arc, walked]
     ring = None
     for piece in pieces:
-        if piece.kind is MoveKind.FREE_MOVE:
-            ring = None
-            if not segment_in_terrain(piece.points[0], piece.points[-1], t):
-                failures.append("free move leaves the terrain")
-                break
-            continue
         prev = ring
-        ring, arcs = next(((r, arcs) for _, r in t.rings()
+        ring, arcs = next(((r, arcs) for r in t.rings
                            if (arcs := _arcs_along(piece.points, r)) is not None), (None, None))
         if ring is None:
-            failures.append("perimeter walk leaves its ring")
-            break
-        if ring is prev:
+            if piece.kind is MoveKind.PERIMETER_WALK:
+                failures.append("perimeter walk leaves its ring")
+                break
+            if not all(segment_in_terrain(a, b, t)
+                       for a, b in zip(piece.points, piece.points[1:])):
+                failures.append("free move leaves the terrain")
+                break
+        elif ring is prev:
             runs[-1][2] = arcs[-1]
             runs[-1][3] += piece.length
         else:

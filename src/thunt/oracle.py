@@ -42,9 +42,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from . import vecgeom
 from .codec import AdviceTriple, encode, tile_center, tile_index
-from .geom import (EPS, OUTER_RING, GeometryError, Point, Terrain, cross3, dist,
-                   distance_to_boundary, point_in_terrain,
-                   segment_in_terrain)
+from .geom import (EPS, GeometryError, Point, Terrain, cross3, dist, distance_to_boundary,
+                   point_in_terrain, segment_in_terrain)
 
 
 class TreasureSpec(NamedTuple):
@@ -119,9 +118,9 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
     edge_ids = [(-1, -1), (-1, -1)]
     wedges = [(0.0, 0.0, 0.0, 0.0)] * 2
     base = 0
-    for rid, ring in t.rings():
+    for ring in t.rings:
         vs, n = ring.vertices, ring.n
-        step = 1 if rid == OUTER_RING else -1  # free space on the left
+        step = 1 if ring is t.outer else -1  # free space on the left
         for vi in range(n):
             u, a, b = vs[vi], vs[(vi - step) % n], vs[(vi + step) % n]
             if cross3(a, u, b) > 0:  # convex in free space: no shortest path bends here

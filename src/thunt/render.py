@@ -42,7 +42,7 @@ def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
     the treasure visibility disc, the target tile center, and the tiles
     around that disc of the grid anchored at the start.  Identical inputs yield identical bytes."""
     t = scenario.terrain
-    x0, y0, x1, y1 = t.bbox
+    x0, y0, x1, y1 = t.outer.bbox
     margin = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     vx, vy = x0 - margin, y0 - margin
     vw, vh = (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin

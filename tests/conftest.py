@@ -78,7 +78,7 @@ def brute_inscribed_circle(poly):
     """Reference Chebyshev center: scan the edge-line triples one at a time
     with scalar Cramer's rule, keeping the first largest feasible radius."""
     normals = []
-    for a, b in poly.edges():
+    for a, b in poly.edges:
         ex, ey = b.x - a.x, b.y - a.y
         L = math.hypot(ex, ey)
         nx, ny = -ey / L, ex / L  # inward for a CCW ring

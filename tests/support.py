@@ -50,7 +50,7 @@ def obstacle_inside(outer: Polygon, obs: Polygon) -> bool:
     leaving the bare outer polygon between boundary events."""
     bare = Terrain(outer)
     return (all(point_in_polygon(v, outer) is not Location.EXTERIOR for v in obs.vertices)
-            and all(_first_exit(a, b, bare) is None for a, b in obs.edges()))
+            and all(_first_exit(a, b, bare) is None for a, b in obs.edges))
 
 
 def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float:
@@ -61,7 +61,7 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     if dist(p, q) <= EPS:
         return 0.0
     h = resolution
-    x0, y0, x1, y1 = t.bbox
+    x0, y0, x1, y1 = t.outer.bbox
     xs = np.arange(x0 - h, x1 + 2 * h, h)
     ys = np.arange(y0 - h, y1 + 2 * h, h)
     nx, ny = len(xs), len(ys)
@@ -159,7 +159,7 @@ def all_vertex_path(t: Terrain, p: Point, q: Point) -> float:
     """Geodesic from p to q over the visibility graph whose nodes are p, q
     and every ring vertex, each pair tested by `geom.segment_in_terrain`,
     by a scalar Dijkstra."""
-    nodes = [p, q] + [v for _, ring in t.rings() for v in ring.vertices]
+    nodes = [p, q] + [v for ring in t.rings for v in ring.vertices]
     adj: list[list[int]] = [[] for _ in nodes]
     for i, j in itertools.combinations(range(len(nodes)), 2):
         if segment_in_terrain(nodes[i], nodes[j], t):

@@ -185,6 +185,13 @@ def test_hunt_rejects_malformed_advice():
         thunt(t, Point(0, 0), "110110")
 
 
+def test_hunt_rejects_a_start_outside_the_terrain():
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    for p in (Point(-1, 5), Point(5, 5)):  # outside the outer ring, in the obstacle
+        with pytest.raises(GeometryError, match="agent start must lie in the terrain"):
+            thunt(t, p, encode(2, 1, 1))
+
+
 def test_hunt_rejects_advice_pointing_outside():
     t = empty_square_terrain(10, -5)
     with pytest.raises(AdviceError):

@@ -94,6 +94,12 @@ def test_packed_roundtrip(a1, a2, a3):
     assert unpack_bits(pack_bits(s)) == s
 
 
+@pytest.mark.parametrize("bad", ["012", "0 1", "O1"])
+def test_pack_bits_rejects_other_characters(bad):
+    with pytest.raises(AdviceError, match="advice must be a string of 0/1"):
+        pack_bits(bad)
+
+
 def test_packed_rejects_corruption():
     data = pack_bits(WORKED_EXAMPLE)
     with pytest.raises(AdviceError):

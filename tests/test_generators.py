@@ -26,7 +26,7 @@ from thunt import generators, geom, vecgeom
 def free_space_labels(terrain, step, offset=0.5):
     """Flood-fill audit: label the 4-connected free-space components of an
     offset lattice (offset keeps sample points off boundaries)."""
-    x0, y0, x1, y1 = terrain.bbox
+    x0, y0, x1, y1 = terrain.outer.bbox
     xs = np.arange(x0 + offset * step, x1, step)
     ys = np.arange(y0 + offset * step, y1, step)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -58,13 +58,19 @@ def test_gadget_layout_lam_1():
     assert hull.bbox == (-2.5, -2.5, 2.5, 2.5)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
+def test_gadget_params_reject_lam_outside_0_1(lam):
+    with pytest.raises(GenerationError, match=r"lam must lie in \(0, 1\]"):
+        GadgetParams(Point(0, 0), lam)
+
+
 @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
 def test_gadget_squares_pairwise_disjoint(lam):
     squares = gadget(GadgetParams(Point(3, 7), lam))
     for i in range(len(squares)):
         for j in range(i + 1, len(squares)):
             d = min(segment_segment_distance(*ea, *eb)
-                    for ea in squares[i].edges() for eb in squares[j].edges())
+                    for ea in squares[i].edges for eb in squares[j].edges)
             assert d > 1e-9
 
 
@@ -182,12 +188,12 @@ def test_comb_structure_and_connectivity():
     assert bottom == top
 
     # ...but only through corridor i: masking its mouth disconnects them
-    x0, y0, _, _ = t.bbox
+    x0, y0, _, _ = t.outer.bbox
     step = x / 4
     xs0 = x0 + 0.5 * step
     ys0 = y0 + 0.5 * step
-    gxs = np.arange(xs0, t.bbox[2], step)
-    gys = np.arange(ys0, t.bbox[3], step)
+    gxs = np.arange(xs0, t.outer.bbox[2], step)
+    gys = np.arange(ys0, t.outer.bbox[3], step)
     gx, gy = np.meshgrid(gxs, gys, indexing="ij")
     mask = vecgeom.points_in_terrain(gx.ravel(), gy.ravel(), t).reshape(len(gxs), len(gys))
     mouth = ((gx >= (2 * i - 2) * x) & (gx <= (2 * i - 1) * x)
@@ -273,7 +279,7 @@ def test_random_regular_terrain_is_regular():
 
 def _min_distance(poly, rings):
     return min(segment_segment_distance(*e, *eo)
-               for ring in rings for e in poly.edges() for eo in ring.edges())
+               for ring in rings for e in poly.edges for eo in ring.edges)
 
 
 def _clear_of(poly, others, outer, clearance):
@@ -402,7 +408,7 @@ def test_the_simplicity_certificate_settles_every_suite_ring(monkeypatch):
         bench_scenario(s)
     assert (len(built), len(swept)) == (3459, 0)
     comb, _, _ = comb_terrain(CombParams(12, 5, 0.25))
-    assert swept == [comb.outer.edges()]
+    assert swept == [comb.outer.edges]
 
 
 def test_outer_clearance_decides_as_ring_distance(monkeypatch):

@@ -179,7 +179,7 @@ def test_a_ring_the_star_certificate_passes_is_simple(ring):
         except GeometryError:  # fewer than 3 vertices left
             return
     if not swept:  # the certificate skipped the sweep
-        geom._check_simple(poly.edges())
+        geom._check_simple(poly.edges)
 
 
 # --- point classification ---------------------------------------------------
@@ -260,7 +260,7 @@ def suite_terrain(seed: int) -> Terrain:
 def test_sees_is_the_sight_predicate_over_the_plane(seed, fx, fy, dx, dy):
     # p in the outer bbox, inside or outside the terrain, and q near it
     t = suite_terrain(seed)
-    x0, y0, x1, y1 = t.bbox
+    x0, y0, x1, y1 = t.outer.bbox
     p = Point(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
     q = Point(p.x + dx, p.y + dy)
     expected = math.dist(p, q) <= 1 + EPS and segment_in_terrain(p, q, t)
@@ -309,7 +309,7 @@ def test_first_hit_enters_obstacle():
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
     hit = first_hit(Point(1, 5), Point(9, 5), t)
     assert hit is not None
-    assert hit.ring == 0
+    assert hit.ring is t.obstacles[0]
     assert abs(hit.point.x - 4.0) < 1e-9 and abs(hit.point.y - 5.0) < 1e-9
     assert abs(hit.travel - 3.0) < 1e-9
 
@@ -328,7 +328,7 @@ def test_first_hit_exits_outer():
     t = empty_square_terrain()
     hit = first_hit(Point(5, 5), Point(15, 5), t)
     assert hit is not None
-    assert hit.ring == -1
+    assert hit.ring is t.outer
     assert abs(hit.travel - 5.0) < 1e-9
 
 
@@ -341,7 +341,7 @@ def test_first_hit_reentry_through_opposite_vertex():
     diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
     t = Terrain(square(-2, -3, 12), [diamond])
     hit = first_hit(Point(0, 0), Point(8, 0), t)
-    assert hit.ring == 0
+    assert hit.ring is t.obstacles[0]
     assert math.dist(hit.point, (3, 0)) < 1e-12
     assert math.dist(hit.reentry, (5, 0)) < 1e-12
 
@@ -352,8 +352,9 @@ def test_first_hit_reentry_skips_a_graze_outside():
     # x = 3, grazes the spike from outside and comes back in at x = 7
     outer = Polygon([(0, 0), (10, 0), (10, 10), (7, 10), (7, 4), (5, 6), (3, 4),
                      (3, 10), (0, 10)])
-    hit = first_hit(Point(1, 6), Point(9, 6), Terrain(outer))
-    assert hit.ring == -1
+    t = Terrain(outer)
+    hit = first_hit(Point(1, 6), Point(9, 6), t)
+    assert hit.ring is t.outer
     assert math.dist(hit.point, (3, 6)) < 1e-12
     assert math.dist(hit.reentry, (7, 6)) < 1e-12
 
@@ -371,7 +372,7 @@ def test_first_hit_finds_both_ends_of_a_chord(seed):
             for k in rng.sample(range(poly.n), 2))
     hit = first_hit(geom.lerp(a, b, -rng.uniform(0.1, 2)),
                     geom.lerp(b, a, -rng.uniform(0.1, 2)), t)
-    assert hit.ring == 0
+    assert hit.ring is t.obstacles[0]
     assert math.dist(hit.point, a) <= 1e-9
     assert math.dist(hit.reentry, b) <= 1e-9
 
@@ -401,7 +402,7 @@ def test_first_hit_consistent_with_containment(seed):
 def test_segment_in_terrain_is_no_first_hit_and_an_end_inside(seed):
     rng = random.Random(seed)
     t = Terrain(square(0, 0, 10), [square(3, 3, 2), square(6.5, 6.5, 1.5)])
-    corners = [v for _, ring in t.rings() for v in ring.vertices]
+    corners = [v for ring in t.rings for v in ring.vertices]
 
     def sample(lo, hi):
         # ring vertices now and then, so that segments run along edges
@@ -788,7 +789,7 @@ def convex_outer_and_obstacle(draw):
         if with_grid and draw(st.booleans()):
             vertices.append(Point(*map(float, draw(grid))))
             continue
-        a, b = outer.edges()[draw(st.integers(0, outer.n - 1))]
+        a, b = outer.edges[draw(st.integers(0, outer.n - 1))]
         s = draw(st.sampled_from([0.0, 1.0, draw(st.floats(0, 1))]))
         x, y = a.x + s * (b.x - a.x), a.y + s * (b.y - a.y)
         nudge = draw(st.sampled_from([n for n in NUDGES if n <= reach]))
@@ -865,7 +866,7 @@ def test_terrain_rejects_obstacle_pairs_by_a_full_scan(pa, pb, scale, shift, abu
     dx = (a.bbox[2] - scale * min(x for x, _ in pb) if abut else shift[0] / 2) + nudge
     b = _star_ring([(scale * x + dx, scale * y + shift[1] / 2) for x, y in pb])
     touch = min(geom.segment_segment_distance(*ea, *eb)
-                for ea in a.edges() for eb in b.edges()) <= geom.EPS
+                for ea in a.edges for eb in b.edges) <= geom.EPS
     inside = any(all(point_in_polygon(v, outer) is not Location.EXTERIOR
                      for v in inner.vertices) for inner, outer in ((a, b), (b, a)))
     try:

@@ -296,6 +296,49 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
     assert report.failures == ["free move leaves the terrain"]
 
 
+def test_run_scenario_checks_every_step_of_a_free_move(monkeypatch):
+    # one free move from the start to the tile center bends at (5, 5),
+    # inside the obstacle [4, 6]^2; the chord from its first point to its
+    # last stays clear of the obstacle
+    hunt = harness.thunt
+
+    def bends(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        walk = Trajectory()
+        walk.append([p, Point(5, 5), out.q_prime], MoveKind.FREE_MOVE)
+        return dataclasses.replace(out, trajectory=walk)
+
+    monkeypatch.setattr(harness, "thunt", bends)
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    report = run_scenario(Scenario(t, Point(2, 2), Point(8, 2.3)))
+    assert geom.segment_in_terrain(Point(2, 2), report.outcome.q_prime, t)
+    assert report.failures == ["free move leaves the terrain"]
+
+
+def test_run_scenario_counts_a_walk_along_a_ring_whatever_its_label(monkeypatch):
+    # at the hit point the agent laps the obstacle three times out and three
+    # times back before its real search, and every step of the trajectory is
+    # labelled a free move of its own: the steps along the ring are still
+    # one search, which walks 6 perimeters more than its bound allows
+    hunt = harness.thunt
+
+    def relabels(t, p, advice, **kwargs):
+        out = hunt(t, p, advice, **kwargs)
+        free, search, rest = out.trajectory.pieces
+        ring = next(r for r in t.rings if harness._arcs_along(search.points, r) is not None)
+        _, arc = ring.locate(search.points[0])
+        laps = geom.march(ring, arc, 3 * ring.perimeter, 1)
+        points = [*free.points, *laps[1:], *laps[-2::-1], *search.points[1:], *rest.points[1:]]
+        walk = Trajectory()
+        for a, b in zip(points, points[1:]):
+            walk.append([a, b], MoveKind.FREE_MOVE)
+        return dataclasses.replace(out, trajectory=walk)
+
+    monkeypatch.setattr(harness, "thunt", relabels)
+    report = run_scenario(bench_scenario(9))
+    assert report.failures == ["perimeter search walked 13.588006 over bound 5.495058"]
+
+
 def test_run_scenario_fails_a_gap_between_pieces(monkeypatch):
     # before setting off, the agent walks north, jumps 0.01 east and walks
     # back; every piece stays in the terrain and it still arrives
@@ -560,12 +603,14 @@ def _scenario_bytes(**fields) -> bytes:
     (_scenario_bytes(start=[10, 10], treasure=[1500, 600], obstacles=[],
                      outer=[[0, 0], [1000, 4e-7], [2000, 0], [2000, 1000], [0, 1000]]),
      "outer polygon is not convex"),
+    (_scenario_bytes(obstacles=[[[2, 2], [4, 2], [4, 3], [3, 3], [3, 4], [2, 4]]]),
+     "terrain is not regular: obstacle 0 is not convex"),
     (b'{"format": "thunt-sc\xe9nario"}', "not UTF-8 text"),
     (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
     (None, "Is a directory"),
 ], ids=["huge-int", "huge-fatness", "nan-fatness", "infinite-fatness", "obstacles-string",
         "boolean-start", "string-version", "boolean-version", "obstacle-pokes-out",
-        "shallow-dent", "latin-1", "deep-nesting", "directory"])
+        "shallow-dent", "obstacle-l-shape", "latin-1", "deep-nesting", "directory"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, body, message):
     path = tmp_path / "scen.json"
     if body is None:
@@ -784,7 +829,7 @@ def test_relisting_the_terrain_changes_nothing(suite_head, relist):
     # rings are given as vertex lists, the outer one first
     rng = random.Random(0xAB1E)
     for sc, base in suite_head:
-        rings = relist([list(ring.vertices) for _, ring in sc.terrain.rings()], rng)
+        rings = relist([list(ring.vertices) for ring in sc.terrain.rings], rng)
         terrain = Terrain(Polygon(rings[0]), [Polygon(ring) for ring in rings[1:]])
         other = run_scenario(dataclasses.replace(sc, terrain=terrain))
         assert other.advice == base.advice
@@ -804,7 +849,7 @@ def suite_report():
 
 def _moved(sc, f):
     """The scenario with f applied to every ring vertex, the start and the treasure."""
-    rings = [Polygon([f(v) for v in ring.vertices]) for _, ring in sc.terrain.rings()]
+    rings = [Polygon([f(v) for v in ring.vertices]) for ring in sc.terrain.rings]
     return dataclasses.replace(sc, terrain=Terrain(rings[0], rings[1:]),
                                start=f(sc.start), treasure=f(sc.treasure))
 

@@ -13,7 +13,7 @@ from thunt import (AdviceTriple, GeometryError, Point, Polygon, Terrain, accessi
                    decode, encode, make_advice, segment_in_terrain, select_tile,
                    shortest_path)
 from thunt import oracle, vecgeom
-from thunt.geom import EPS, OUTER_RING, cross3, dist, lerp, point_in_terrain
+from thunt.geom import EPS, cross3, dist, lerp, point_in_terrain
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
 from thunt.harness import bench_scenario
@@ -74,6 +74,17 @@ def test_accessibility_rejects_boundary_point():
     t = Terrain(square(0, 0, 4))
     with pytest.raises(GeometryError):
         accessibility(t, Point(0, 2))
+
+
+def test_accessibility_and_advice_reject_points_outside_the_terrain():
+    # outside the outer ring, and inside the obstacle
+    t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+    spec = accessibility(t, Point(8, 8))
+    for outside in (Point(-1, 5), Point(5, 5)):
+        with pytest.raises(GeometryError, match="treasure must lie inside the terrain"):
+            accessibility(t, outside)
+        with pytest.raises(GeometryError, match="start point must lie in the terrain"):
+            make_advice(t, outside, spec)
 
 
 # --- tile selection ------------------------------------------------------------
@@ -353,12 +364,12 @@ def test_visibility_graph_drops_exactly_the_free_space_convex_vertices(make):
     # without the convex vertices gives the L of the graph with them all
     t, p, q = make()
     kept, dropped = [p, q], []
-    for rid, ring in t.rings():
+    for ring in t.rings:
         vs, n = ring.vertices, ring.n
         for i, v in enumerate(vs):
             a, b = vs[i - 1], vs[(i + 1) % n]
             # free space on the left: the outer ring as stored, obstacles reversed
-            turn = cross3(a, v, b) if rid == OUTER_RING else cross3(b, v, a)
+            turn = cross3(a, v, b) if ring is t.outer else cross3(b, v, a)
             (dropped if turn > 0 else kept).append(v)
     nodes, _, _, _ = _visibility_graph(t, p, q)
     assert nodes == kept and dropped
@@ -485,7 +496,7 @@ POINT_TERRAINS = {
 def test_batch_point_test_is_the_scalar_test(family, data):
     t = data.draw(POINT_TERRAINS[family])
     edges = t.boundary_edges
-    x0, _, x1, _ = t.bbox
+    x0, _, x1, _ = t.outer.bbox
     edge = st.sampled_from(edges)
     on_ring = st.one_of(edge.map(lambda e: e[0]),                          # a vertex
                         st.tuples(edge, st.floats(0, 1)).map(lambda es: lerp(*es[0], es[1])))
