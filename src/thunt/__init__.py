@@ -6,7 +6,7 @@ with free moves along a target line and doubling searches around the
 obstacles it bumps into.  Generators build the terrain families used by
 the verification suites.
 """
-from .agent import HuntOutcome, MoveKind, Trajectory, choose_directions, cow_path, thunt
+from .agent import HuntOutcome, Trajectory, choose_directions, cow_path, thunt
 from .codec import AdviceError, AdviceTriple, decode, encode, pack_bits, unpack_bits
 from .generators import (CombParams, GadgetParams, GenerationError, comb_terrain,
                          gadget, random_fat_polygon, random_regular_terrain,

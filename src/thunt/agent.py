@@ -7,11 +7,11 @@ decides both ends of every contact with an obstacle: the boundary event
 where the segment leaves the terrain and the one where it comes back.
 The agent runs a doubling (cow-path) search along the perimeter from the
 first until it walks onto the second, then continues.  It imports nothing
-from the oracle and returns only its trajectory and the tile center it
-aimed for; it is never given the treasure and keeps no account of its own
-costs.  The search is the same on any terrain: the paper's guarantees hold
-on regular ones, which a strict `harness.Scenario` enforces when it is
-built.
+from the oracle and returns only its trajectory, the points it walked, and
+the tile center it aimed for; it is never given the treasure and keeps no
+lengths and no labels: the verifier measures what was walked.  The search
+is the same on any terrain: the paper's guarantees hold on regular ones,
+which a strict `harness.Scenario` enforces when it is built.
 
 `_first_sight_length` measures, for the verifier, where along a
 trajectory the treasure first becomes visible.
@@ -20,41 +20,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .codec import AdviceError, decode, tile_center
 from .geom import (ARC_TOL, EPS, ON_RING_TOL, SIGHT_RADIUS, GeometryError, Point, Polygon,
-                   Terrain, dist, first_hit, lerp, march, point_in_terrain, sees)
-
-class MoveKind(Enum):
-    FREE_MOVE = "free_move"
-    PERIMETER_WALK = "perimeter_walk"
-
-
-class TrajectoryPiece(NamedTuple):
-    points: tuple[Point, ...]
-    kind: MoveKind
-    length: float
+                   Terrain, dist, first_hit, lerp, march, point_in_terrain,
+                   polyline_length, sees)
 
 
 @dataclass
 class Trajectory:
-    pieces: list[TrajectoryPiece] = field(default_factory=list)
-    total_length: float = 0.0
+    """The agent's path, each piece the tuple of its points, from which the
+    verifier measures every length.  `append` drops a piece of length
+    1e-15 or less."""
+    pieces: list[tuple[Point, ...]] = field(default_factory=list)
 
-    def append(self, points: list[Point], kind: MoveKind) -> None:
-        if len(points) < 2:
-            return
-        L = sum(dist(points[i], points[i + 1]) for i in range(len(points) - 1))
-        if L <= 1e-15:
-            return
-        self.pieces.append(TrajectoryPiece(tuple(points), kind, L))
-        self.total_length += L
+    def append(self, points: list[Point]) -> None:
+        if polyline_length(points) > 1e-15:
+            self.pieces.append(tuple(points))
 
     @property
     def end(self) -> Optional[Point]:
-        return self.pieces[-1].points[-1] if self.pieces else None
+        return self.pieces[-1][-1] if self.pieces else None
 
 
 @dataclass
@@ -132,11 +119,11 @@ def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: Trajectory) ->
         if target <= leg + ARC_TOL:
             pts = march(ring, arc_r, target, sense)
             pts[-1] = r_prime  # exact landing, no arc rounding
-            trajectory.append(pts, MoveKind.PERIMETER_WALK)
+            trajectory.append(pts)
             return r_prime
         out = march(ring, arc_r, leg, sense)
-        trajectory.append(out, MoveKind.PERIMETER_WALK)
-        trajectory.append(list(reversed(out)), MoveKind.PERIMETER_WALK)
+        trajectory.append(out)
+        trajectory.append(list(reversed(out)))
         leg *= 2
         sense = dir2 if sense == dir1 else dir1
 
@@ -172,11 +159,11 @@ def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
             raise GeometryError("hunt failed to make progress (non-regular terrain?)")
         hit = first_hit(pos, q_prime, t)
         if hit is None:
-            traj.append([pos, q_prime], MoveKind.FREE_MOVE)
+            traj.append([pos, q_prime])
             pos = q_prime
             break
         if hit.travel > EPS:
-            traj.append([pos, hit.point], MoveKind.FREE_MOVE)
+            traj.append([pos, hit.point])
         pos = cow_path(hit.ring, hit.point, hit.reentry, traj)
     return HuntOutcome(traj, q_prime)
 
@@ -198,7 +185,7 @@ def _first_sight_length(traj: Trajectory, start: Point, q: Point,
     near = [u for u, _ in t.boundary_edges if dist(u, q) <= SIGHT_RADIUS]
     arc = 0.0
     for piece in traj.pieces:
-        for a, b in zip(piece.points, piece.points[1:]):
+        for a, b in zip(piece, piece[1:]):
             seg = dist(a, b)
             dx, dy = b.x - a.x, b.y - a.y
             ax, ay = a.x - q.x, a.y - q.y

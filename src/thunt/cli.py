@@ -13,7 +13,7 @@ from . import agent, codec, oracle
 from .agent import thunt
 from .generators import (CombParams, GenerationError, comb_terrain,
                          random_regular_terrain, regular_lb_terrain)
-from .geom import EPS, GeometryError, dist
+from .geom import EPS, GeometryError, dist, polyline_length
 from .harness import (Scenario, ScenarioError, advice_bits_budget, bench,
                       cowpath_bound, load_scenario, reports_to_csv, run_scenario,
                       save_scenario)
@@ -73,7 +73,7 @@ def _cmd_hunt(args) -> int:
     print(f"advice_bits={len(advice)}")
     end = outcome.trajectory.end or sc.start
     print(f"reached_qprime={dist(end, outcome.q_prime) <= EPS}")
-    print(f"total_length={outcome.trajectory.total_length!r}")
+    print(f"total_length={sum(map(polyline_length, outcome.trajectory.pieces))!r}")
     print(f"first_sight_length={first_sight!r}")
     if args.svg:
         spec = oracle.accessibility(sc.terrain, sc.treasure)
@@ -90,7 +90,7 @@ def _cmd_run(args) -> int:
     print(f"advice_bits={report.advice_bits}")
     print(f"lambda={report.lam!r} rho={report.rho!r}")
     print(f"L={report.L!r}")
-    print(f"total_length={report.outcome.trajectory.total_length!r}")
+    print(f"total_length={sum(map(polyline_length, report.outcome.trajectory.pieces))!r}")
     print(f"first_sight_length={report.first_sight_length!r}")
     print(f"ratio={report.ratio!r}")
     print(f"max_cowpath_ratio={report.max_cowpath_ratio!r}")

@@ -69,6 +69,11 @@ def dist(a: Point, b: Point) -> float:
     return math.hypot(b.x - a.x, b.y - a.y)
 
 
+def polyline_length(points: Sequence[Point]) -> float:
+    """The length of a polyline, its steps summed in order."""
+    return sum(dist(a, b) for a, b in zip(points, points[1:]))
+
+
 def lerp(a: Point, b: Point, t: float) -> Point:
     return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
 

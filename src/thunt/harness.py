@@ -2,21 +2,21 @@
 
 A run computes the advice from full knowledge, replays the hunt from the
 advice alone, and checks the trajectory, taking nothing else from the
-agent: it must lead from the start to the center of the tile the oracle
-selected, each piece starting within `geom.ON_RING_TOL` (the one
-tolerance for the same point after chained arithmetic) of the end of the
-one before, and that center must see the treasure (`geom.sees`, so a
-center outside the terrain sees nothing).  A label the agent puts on a
-piece skips no check.  A piece runs along a ring when each of its
-points is located on it once within `geom.ON_RING_TOL` and each step
-spans the shorter arc between its ends; a cow-path search is a maximal
-run of pieces along one ring, and must walk (the run's length) within
-the doubling-search bound of its dmin (the shorter arc between the arcs
-located for the run's ends), up to `geom.ARC_TOL`.  Any other piece is a
-free move, and each of its steps must lie in the terrain; one labelled a
-perimeter walk fails as such.  The treasure must come into sight within
-RATIO_GATE times max(L, 1); the advice must fit its size budget.  A
-point off every ring is a failure, not an exception.
+agent: the trajectory is its points, and every length is measured from
+them (`geom.polyline_length`).  It must lead from the start to the center
+of the tile the oracle selected, each piece starting within
+`geom.ON_RING_TOL` (the one tolerance for the same point after chained
+arithmetic) of the end of the one before, and that center must see the
+treasure (`geom.sees`, so a center outside the terrain sees nothing).  A
+piece runs along a ring when each of its points is located on it once
+within `geom.ON_RING_TOL` and each step spans the shorter arc between its
+ends; a cow-path search is a maximal run of pieces along one ring, and
+must walk (the sum of its pieces' lengths) within the doubling-search
+bound of its dmin (the shorter arc between the arcs located for the run's
+ends), up to `geom.ARC_TOL`.  Any other piece is a free move, and each of
+its steps must lie in the terrain.  The treasure must come into sight
+within RATIO_GATE times max(L, 1); the advice must fit its size budget.
+A point off every ring is a failure, not an exception.
 
 Regularity has one owner: a strict `Scenario` (the default) checks that
 its terrain is regular when it is built, so a strict scenario file with an
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import agent, oracle
-from .agent import HuntOutcome, MoveKind, thunt
+from .agent import HuntOutcome, thunt
 from .geom import (ARC_TOL, EPS, ON_RING_TOL, GeometryError, Point, Polygon, Terrain,
-                   TerrainError, dist, distance_to_boundary, point_in_terrain, sees,
-                   segment_in_terrain, validate_regular_terrain)
+                   TerrainError, dist, distance_to_boundary, point_in_terrain,
+                   polyline_length, sees, segment_in_terrain, validate_regular_terrain)
 from .generators import random_regular_terrain
 
 CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_ratio"
@@ -119,8 +119,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
 
     # arrival is checked on the trajectory itself: a path from p to q'
     pieces = outcome.trajectory.pieces
-    ends = [p] + [piece.points[-1] for piece in pieces]
-    if any(dist(end, piece.points[0]) > ON_RING_TOL for end, piece in zip(ends, pieces)):
+    ends = [p] + [piece[-1] for piece in pieces]
+    if any(dist(end, piece[0]) > ON_RING_TOL for end, piece in zip(ends, pieces)):
         failures.append("trajectory is not continuous from the start point")
     if dist(ends[-1], q_prime) > EPS:
         failures.append("agent did not reach the target tile center")
@@ -139,27 +139,23 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     if len(advice) > budget:
         failures.append(f"advice length {len(advice)} exceeds budget {budget}")
 
-    # a piece that runs along a ring belongs to that ring's search, whatever
-    # its label; any other piece is a free move, checked step by step
+    # a piece that runs along a ring belongs to that ring's search; any
+    # other piece is a free move, checked step by step
     runs: list[list] = []  # per search: [ring, first arc, last arc, walked]
     ring = None
     for piece in pieces:
         prev = ring
         ring, arcs = next(((r, arcs) for r in t.rings
-                           if (arcs := _arcs_along(piece.points, r)) is not None), (None, None))
+                           if (arcs := _arcs_along(piece, r)) is not None), (None, None))
         if ring is None:
-            if piece.kind is MoveKind.PERIMETER_WALK:
-                failures.append("perimeter walk leaves its ring")
-                break
-            if not all(segment_in_terrain(a, b, t)
-                       for a, b in zip(piece.points, piece.points[1:])):
+            if not all(segment_in_terrain(a, b, t) for a, b in zip(piece, piece[1:])):
                 failures.append("free move leaves the terrain")
                 break
         elif ring is prev:
             runs[-1][2] = arcs[-1]
-            runs[-1][3] += piece.length
+            runs[-1][3] += polyline_length(piece)
         else:
-            runs.append([ring, arcs[0], arcs[-1], piece.length])
+            runs.append([ring, arcs[0], arcs[-1], polyline_length(piece)])
 
     searches = []
     max_cp = 0.0

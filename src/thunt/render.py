@@ -1,12 +1,15 @@
-"""Deterministic SVG rendering of scenarios and trajectories."""
+"""Deterministic SVG rendering of scenarios and trajectories.
+
+A piece is drawn in the walk colour when it runs along a ring by the
+verifier's rule (`harness._arcs_along`), and in the free colour otherwise."""
 from __future__ import annotations
 
 import math
 from typing import Optional
 
-from .agent import MoveKind, Trajectory
+from .agent import Trajectory
 from .geom import Point
-from .harness import Scenario
+from .harness import Scenario, _arcs_along
 
 _COLORS = {
     "outer_fill": "#f7f6f1",
@@ -14,8 +17,8 @@ _COLORS = {
     "obstacle_fill": "#8d99ae",
     "obstacle_stroke": "#4a5568",
     "grid": "#c8d2e0",
-    MoveKind.FREE_MOVE: "#1d6fb8",
-    MoveKind.PERIMETER_WALK: "#e07b00",
+    "free": "#1d6fb8",
+    "walk": "#e07b00",
     "treasure": "#2a9d3a",
     "q_prime": "#8e44ad",
     "start": "#000000",
@@ -85,9 +88,10 @@ def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
 
     if trajectory is not None:
         for piece in trajectory.pieces:
-            out.append(f'<path d="{_path(piece.points)}" fill="none" '
-                       f'stroke="{_COLORS[piece.kind]}" stroke-width="{_fmt(1.5 * stroke)}" '
-                       f'stroke-linecap="round"/>')
+            along = any(_arcs_along(piece, r) is not None for r in t.rings)
+            out.append(f'<path d="{_path(piece)}" fill="none" '
+                       f'stroke="{_COLORS["walk" if along else "free"]}" '
+                       f'stroke-width="{_fmt(1.5 * stroke)}" stroke-linecap="round"/>')
 
     out.append(f'<circle cx="{_fmt(scenario.start.x)}" cy="{_fmt(scenario.start.y)}" '
                f'r="{_fmt(dot)}" fill="{_COLORS["start"]}"/>')

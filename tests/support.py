@@ -5,8 +5,10 @@ obstacle containment rule with no convexity certificate, a fat obstacle
 that the star certificate does not settle, and a probe that tells
 whether that certificate settles an `is_c_fat` call, the two-path
 ring construction that `Polygon` used before one loop made its passes,
-the two-branch `march` that one loop for both senses replaced, and the
-shorter arc between two ring points.
+the two-branch `march` that one loop for both senses replaced, the
+shorter arc between two ring points, the length of a trajectory summed
+piece by piece from its points, and the ring a piece runs along by the
+verifier's rule.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from thunt import geom, vecgeom
+from thunt import geom, harness, vecgeom
 from thunt.generators import GadgetParams
 from thunt.geom import (EPS, GeometryError, Location, Point, Polygon, Terrain, _first_exit,
                         cross3, dist, is_c_fat, point_in_polygon, point_segment_distance,
@@ -305,3 +307,13 @@ def shorter_arc(ring: Polygon, a: Point, b: Point) -> float:
     """The shorter of the two arcs between ring points a and b."""
     d = (ring.locate(b)[1] - ring.locate(a)[1]) % ring.perimeter
     return min(d, ring.perimeter - d)
+
+
+def trajectory_length(traj) -> float:
+    """The sum of the pieces' lengths, each measured from its points."""
+    return sum(map(geom.polyline_length, traj.pieces))
+
+
+def ring_along(piece, t: Terrain):
+    """The ring the verifier counts the piece as walked along, else None."""
+    return next((r for r in t.rings if harness._arcs_along(piece, r) is not None), None)

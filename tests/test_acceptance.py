@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from support import gadget_hull, grid_path_oracle, shorter_arc
+from support import gadget_hull, grid_path_oracle, shorter_arc, trajectory_length
 from thunt import (Point, Polygon, Scenario, Terrain, decode, encode, render_svg, sees,
                    shortest_path)
 from thunt.agent import Trajectory, cow_path
@@ -117,7 +117,7 @@ def test_acceptance_5_cowpath_bound():
         r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
         traj = Trajectory()
         assert cow_path(poly, r, r_prime, traj) == r_prime
-        dmin, walked = shorter_arc(poly, r, r_prime), traj.total_length
+        dmin, walked = shorter_arc(poly, r, r_prime), trajectory_length(traj)
         assert walked <= cowpath_bound(dmin) + 1e-9, (walked, dmin)
         worst = max(worst, walked / cowpath_bound(dmin))
         checked += 1

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
-from support import shorter_arc
+from support import ring_along, shorter_arc, trajectory_length
 from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Scenario, Terrain,
                    accessibility, choose_directions, cow_path, encode, make_advice,
                    run_scenario, sees, segment_in_terrain, thunt)
-from thunt import agent
-from thunt.agent import MoveKind, Trajectory, _first_sight_length
+from thunt import agent, geom, harness
+from thunt.agent import Trajectory, _first_sight_length
 from thunt.generators import random_fat_polygon
 
 UNIT = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -25,8 +25,8 @@ def assert_arrives(out, p):
     """The trajectory is a continuous path from p that ends at q'."""
     end = p
     for piece in out.trajectory.pieces:
-        assert math.dist(end, piece.points[0]) <= 1e-6
-        end = piece.points[-1]
+        assert math.dist(end, piece[0]) <= 1e-6
+        end = piece[-1]
     assert math.dist(end, out.q_prime) <= EPS
 
 
@@ -69,12 +69,12 @@ def test_dir1_tie_breaks_clockwise_from_north():
 def test_cow_path_square_hand_simulation():
     traj = Trajectory()
     rp = cow_path(UNIT, Point(0, 0.5), Point(1, 0.5), traj)
-    dmin, walked = shorter_arc(UNIT, Point(0, 0.5), rp), traj.total_length
+    dmin, walked = shorter_arc(UNIT, Point(0, 0.5), rp), trajectory_length(traj)
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
     assert abs(dmin - 2.0) < 1e-9
     assert abs(walked - 4.0) < 1e-9
-    assert [round(p.length, 9) for p in traj.pieces] == [1.0, 1.0, 2.0]
-    assert all(p.kind is MoveKind.PERIMETER_WALK for p in traj.pieces)
+    assert [round(geom.polyline_length(p), 9) for p in traj.pieces] == [1.0, 1.0, 2.0]
+    assert all(harness._arcs_along(p, UNIT) is not None for p in traj.pieces)
 
 
 def test_cow_path_found_in_first_leg():
@@ -84,7 +84,7 @@ def test_cow_path_found_in_first_leg():
     traj = Trajectory()
     rp = cow_path(UNIT, r, rp_expect, traj)
     assert math.dist(rp, rp_expect) < 1e-9
-    assert abs(traj.total_length - 0.5) < 1e-9
+    assert abs(trajectory_length(traj) - 0.5) < 1e-9
 
 
 @given(st.integers(0, 10 ** 6))
@@ -96,7 +96,7 @@ def test_cow_path_respects_doubling_bound(seed):
     r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
     traj = Trajectory()
     assert cow_path(poly, r, r_prime, traj) == r_prime
-    dmin, walked = shorter_arc(poly, r, r_prime), traj.total_length
+    dmin, walked = shorter_arc(poly, r, r_prime), trajectory_length(traj)
     assert walked <= cowpath_bound(dmin) + 1e-9
 
 
@@ -107,9 +107,9 @@ def test_hunt_straight_line():
     out = thunt(t, Point(0, 0), encode(2, 2, 1))
     assert_arrives(out, Point(0, 0))
     assert math.dist(out.q_prime, (0.75, 0.25)) < 1e-12
-    assert abs(out.trajectory.total_length - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
+    assert abs(trajectory_length(out.trajectory) - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
     assert len(out.trajectory.pieces) == 1
-    assert out.trajectory.pieces[0].kind is MoveKind.FREE_MOVE
+    assert ring_along(out.trajectory.pieces[0], t) is None
 
 
 def test_hunt_around_one_obstacle():
@@ -118,14 +118,13 @@ def test_hunt_around_one_obstacle():
     report = run_scenario(Scenario(t, p, q))
     out = report.outcome
     assert_arrives(out, p)
-    assert math.dist(out.trajectory.pieces[-1].points[-1], out.q_prime) < 1e-9
+    assert math.dist(out.trajectory.pieces[-1][-1], out.q_prime) < 1e-9
     assert sees(out.q_prime, q, t)
-    kinds = {piece.kind for piece in out.trajectory.pieces}
-    assert kinds == {MoveKind.FREE_MOVE, MoveKind.PERIMETER_WALK}
+    assert {ring_along(piece, t) for piece in out.trajectory.pieces} == {None, t.obstacles[0]}
     assert len(report.searches) == 1
     # every sub-segment of every piece must stay in the terrain
     for piece in out.trajectory.pieces:
-        for a, b in zip(piece.points, piece.points[1:]):
+        for a, b in zip(piece, piece[1:]):
             assert segment_in_terrain(a, b, t)
 
 
@@ -143,7 +142,7 @@ def test_hunt_first_sight_bracketed():
     out = thunt(t, Point(0, 0), advice)
     first_sight = _first_sight_length(out.trajectory, Point(0, 0), q, t)
     assert first_sight is not None
-    assert 0 < first_sight <= out.trajectory.total_length
+    assert 0 < first_sight <= trajectory_length(out.trajectory)
     # straight walk toward a tile center near q: visibility starts around
     # distance |pq| - 1 = 4
     assert abs(first_sight - 4.0) < 0.2
@@ -205,7 +204,7 @@ def test_hunt_deterministic():
     a = thunt(t, p, advice)
     b = thunt(t, p, advice)
     assert a.trajectory.pieces == b.trajectory.pieces
-    assert a.trajectory.total_length == b.trajectory.total_length
+    assert trajectory_length(a.trajectory) == trajectory_length(b.trajectory)
     assert (_first_sight_length(a.trajectory, p, q, t)
             == _first_sight_length(b.trajectory, p, q, t))
 
@@ -221,7 +220,7 @@ def test_cow_path_enters_at_vertex():
     assert abs(shorter_arc(diamond, Point(3, 0), rp) - 2 * math.sqrt(2)) < 1e-9
     # (5, 0) lies 2*sqrt(2) away either way: the legs of 1 (north-east, dir1)
     # and 2 (south-east) fail and come back, the leg of 4 reaches it
-    assert abs(traj.total_length - (6 + 2 * math.sqrt(2))) < 1e-9
+    assert abs(trajectory_length(traj) - (6 + 2 * math.sqrt(2))) < 1e-9
 
 
 def test_hunt_through_diamond_obstacle():
@@ -247,7 +246,7 @@ def test_hunt_rides_along_obstacle_edge():
     assert_arrives(out, p)
     assert report.searches == []
     assert len(out.trajectory.pieces) == 1
-    assert abs(out.trajectory.total_length - math.dist(p, out.q_prime)) < 1e-9
+    assert abs(trajectory_length(out.trajectory) - math.dist(p, out.q_prime)) < 1e-9
 
 
 def test_hunt_first_sight_through_narrow_slit():

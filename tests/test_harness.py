@@ -11,17 +11,17 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import square
-from support import chord_cut_disc
+from support import chord_cut_disc, ring_along, trajectory_length
 from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenario,
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
-from thunt import agent, cli, geom, harness, oracle
+from thunt import agent, cli, geom, harness, oracle, render
 from thunt.codec import AdviceTriple, encode, tile_center, tile_index
-from thunt.agent import MoveKind, Trajectory, TrajectoryPiece
+from thunt.agent import Trajectory
 from thunt.cli import main as cli_main
 from thunt.generators import CombParams, comb_terrain
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
@@ -100,7 +100,7 @@ def test_run_scenario_passes_and_reports():
     assert report.passed, report.failures
     assert report.advice_bits == len(report.advice)
     assert report.advice_bits <= advice_bits_budget(report.L, report.lam)
-    assert report.first_sight_length <= report.outcome.trajectory.total_length
+    assert report.first_sight_length <= trajectory_length(report.outcome.trajectory)
     assert report.ratio >= 0
     assert report.L >= 8.0  # crow-flight distance
 
@@ -136,7 +136,7 @@ def test_run_scenario_checks_arrival_on_the_trajectory(monkeypatch):
         out = hunt(*args, **kwargs)
         short = Trajectory()
         for piece in out.trajectory.pieces[:-1]:
-            short.append(list(piece.points), piece.kind)
+            short.append(list(piece))
         return dataclasses.replace(out, trajectory=short)
 
     monkeypatch.setattr(harness, "thunt", stops_short)
@@ -172,7 +172,7 @@ def test_run_scenario_rejects_a_chord_across_an_obstacle(monkeypatch):
 
     monkeypatch.setattr(agent, "march", chord)
     report = run_scenario(simple_scenario())
-    assert "perimeter walk leaves its ring" in report.failures
+    assert "free move leaves the terrain" in report.failures
 
 
 def test_follows_locates_each_point_next_to_its_predecessor(monkeypatch):
@@ -195,31 +195,36 @@ def test_follows_locates_each_point_next_to_its_predecessor(monkeypatch):
     assert harness._arcs_along([piece[0], piece[-1]], ring) is None  # a chord
 
 
-@pytest.mark.parametrize("offset, passes", [(5e-7, False), (5e-8, True)])
+@pytest.mark.parametrize("offset, passes", [(5e-7, False), (5e-8, True), (-5e-7, False)])
 def test_run_scenario_reports_a_walk_end_off_its_ring(monkeypatch, offset, passes):
-    # the last point of the search's last piece is pushed off its edge
-    # along the outward normal: beyond ON_RING_TOL the verifier reports the
-    # walk, within it the run passes; neither raises
+    # the last point of the search's last piece is pushed off its edge along
+    # the outward normal (inward for a negative offset).  Within ON_RING_TOL
+    # the run passes.  Beyond it the piece runs along no ring, so it is a
+    # free move: pushed out of the obstacle it stays in the terrain, and the
+    # next piece does not start where it ends; pushed in, it leaves the
+    # terrain.  Neither raises
     search = agent.cow_path
 
     def pushed(ring, r, r_prime, trajectory):
         out = search(ring, r, r_prime, trajectory)
-        pts = list(trajectory.pieces[-1].points)
+        pts = list(trajectory.pieces[-1])
         i, _ = ring.locate(pts[-1])
         u, v = ring.vertices[i], ring.vertices[(i + 1) % ring.n]
         L = math.dist(u, v)
         # the stored ring is counterclockwise: (dy, -dx) of an edge points out
         pts[-1] = Point(pts[-1].x + offset * (v.y - u.y) / L,
                         pts[-1].y - offset * (v.x - u.x) / L)
-        trajectory.pieces[-1] = trajectory.pieces[-1]._replace(points=tuple(pts))
+        trajectory.pieces[-1] = tuple(pts)
         return out
 
     monkeypatch.setattr(agent, "cow_path", pushed)
     report = run_scenario(bench_scenario(8))
     if passes:
         assert report.passed, report.failures
+    elif offset > 0:
+        assert "trajectory is not continuous from the start point" in report.failures
     else:
-        assert "perimeter walk leaves its ring" in report.failures
+        assert "free move leaves the terrain" in report.failures
 
 
 def test_run_scenario_selects_the_tile_once(monkeypatch):
@@ -260,12 +265,12 @@ def test_run_scenario_gates_the_cost_ratio(monkeypatch):
     def detours(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
         walk = Trajectory()
-        walk.append([p, Point(1, 9.5)], MoveKind.FREE_MOVE)
+        walk.append([p, Point(1, 9.5)])
         for k in range(250):
-            walk.append([walk.end, Point(1, 0.5 if k % 2 == 0 else 9.5)], MoveKind.FREE_MOVE)
-        walk.append([walk.end, p], MoveKind.FREE_MOVE)
+            walk.append([walk.end, Point(1, 0.5 if k % 2 == 0 else 9.5)])
+        walk.append([walk.end, p])
         for piece in out.trajectory.pieces:
-            walk.append(list(piece.points), piece.kind)
+            walk.append(list(piece))
         return dataclasses.replace(out, trajectory=walk)
 
     monkeypatch.setattr(harness, "thunt", detours)
@@ -284,10 +289,10 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
     def trespasses(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
         walk = Trajectory()
-        walk.append([p, inside], MoveKind.FREE_MOVE)
-        walk.append([inside, p], MoveKind.FREE_MOVE)
+        walk.append([p, inside])
+        walk.append([inside, p])
         for piece in out.trajectory.pieces:
-            walk.append(list(piece.points), piece.kind)
+            walk.append(list(piece))
         return dataclasses.replace(out, trajectory=walk)
 
     monkeypatch.setattr(harness, "thunt", trespasses)
@@ -296,47 +301,180 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
     assert report.failures == ["free move leaves the terrain"]
 
 
-def test_run_scenario_checks_every_step_of_a_free_move(monkeypatch):
-    # one free move from the start to the tile center bends at (5, 5),
-    # inside the obstacle [4, 6]^2; the chord from its first point to its
-    # last stays clear of the obstacle
+# --- a tampering agent -------------------------------------------------------------
+# The agent below hands the verifier a rewrite of the points of its real
+# trajectory.  Each class of rewrite has one expected result on every suite
+# seed with a cow-path search: a regrouping of the same points changes no
+# verdict and no number, and every other rewrite fails with its own failure.
+
+_CSV = Path(__file__).resolve().parent.parent / "artifacts" / "acceptance_bench.csv"
+COWPATH_SEEDS = [int(row.split(",")[0]) for row in _CSV.read_text().splitlines()[1:]
+                 if float(row.split(",")[-1]) > 0]  # max_cowpath_ratio
+
+
+def _run_rewritten(sc, rewrite):
+    """Run the scenario with an agent that hands in rewrite(pieces) in
+    place of the pieces of its real trajectory."""
     hunt = harness.thunt
 
-    def bends(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
-        walk = Trajectory()
-        walk.append([p, Point(5, 5), out.q_prime], MoveKind.FREE_MOVE)
-        return dataclasses.replace(out, trajectory=walk)
+    def tampered(t, p, advice):
+        out = hunt(t, p, advice)
+        return dataclasses.replace(out, trajectory=Trajectory(rewrite(out.trajectory.pieces)))
 
-    monkeypatch.setattr(harness, "thunt", bends)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "thunt", tampered)
+        return run_scenario(sc)
+
+
+def _steps(pieces):
+    """Every step of the pieces as a piece of its own."""
+    return [(a, b) for piece in pieces for a, b in zip(piece, piece[1:])]
+
+
+def _laps(ring, at, n, sense=1):
+    """n laps of the ring from the point at, out and back, as two pieces."""
+    _, arc = ring.locate(at)
+    out = tuple(geom.march(ring, arc, n * ring.perimeter, sense))
+    return [out, out[::-1]]
+
+
+def _search_starts(pieces, t):
+    """The index of the first piece of each cow-path search, in order."""
+    rings = [ring_along(piece, t) for piece in pieces]
+    return [i for i, ring in enumerate(rings)
+            if ring is not None and (i == 0 or rings[i - 1] is not ring)]
+
+
+def test_run_scenario_checks_every_step_of_a_free_move():
+    # the one free move from the start to the tile center bends at (5, 5),
+    # inside the obstacle [4, 6]^2; the chord from its first point to its
+    # last stays clear of the obstacle
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
-    report = run_scenario(Scenario(t, Point(2, 2), Point(8, 2.3)))
+    report = _run_rewritten(Scenario(t, Point(2, 2), Point(8, 2.3)),
+                            lambda pieces: [(pieces[0][0], Point(5, 5), *pieces[0][1:])])
     assert geom.segment_in_terrain(Point(2, 2), report.outcome.q_prime, t)
+    assert report.outcome.trajectory.pieces == [(Point(2, 2), Point(5, 5), report.outcome.q_prime)]
     assert report.failures == ["free move leaves the terrain"]
 
 
-def test_run_scenario_counts_a_walk_along_a_ring_whatever_its_label(monkeypatch):
-    # at the hit point the agent laps the obstacle three times out and three
-    # times back before its real search, and every step of the trajectory is
-    # labelled a free move of its own: the steps along the ring are still
-    # one search, which walks 6 perimeters more than its bound allows
-    hunt = harness.thunt
+@pytest.mark.parametrize("cut", ["two-pieces", "steps"])
+def test_laps_at_the_hit_point_fail_the_bound_however_they_are_cut(cut):
+    # the real bench_scenario(9) hunt is a free move, a search of one piece
+    # and a free move.  At the hit point the agent laps the obstacle three
+    # times out and three times back before its search: as two pieces (an
+    # agent that reported the length of each piece passed with these two
+    # called 0.0 long, searches == [(0.6106, 0.6106)]), or as a piece per
+    # step.  Either way the laps and the search are one search, which walks
+    # 6 perimeters more than its bound allows
+    sc = bench_scenario(9)
 
-    def relabels(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
-        free, search, rest = out.trajectory.pieces
-        ring = next(r for r in t.rings if harness._arcs_along(search.points, r) is not None)
-        _, arc = ring.locate(search.points[0])
-        laps = geom.march(ring, arc, 3 * ring.perimeter, 1)
-        points = [*free.points, *laps[1:], *laps[-2::-1], *search.points[1:], *rest.points[1:]]
-        walk = Trajectory()
-        for a, b in zip(points, points[1:]):
-            walk.append([a, b], MoveKind.FREE_MOVE)
-        return dataclasses.replace(out, trajectory=walk)
+    def laps(pieces):
+        free, search, rest = pieces
+        pieces = [free, *_laps(ring_along(search, sc.terrain), search[0], 3), search, rest]
+        return _steps(pieces) if cut == "steps" else pieces
 
-    monkeypatch.setattr(harness, "thunt", relabels)
-    report = run_scenario(bench_scenario(9))
+    report = _run_rewritten(sc, laps)
     assert report.failures == ["perimeter search walked 13.588006 over bound 5.495058"]
+
+
+@given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
+def test_regrouping_the_points_changes_no_verdict_and_no_number(suite_report, seed, data):
+    # a piece is cut at an inner point, two pieces in a row along one ring
+    # are joined, or every step becomes a piece: the same points are walked
+    # in the same order
+    base, sc = suite_report(seed), bench_scenario(seed)
+    pieces = base.outcome.trajectory.pieces
+    rings = [ring_along(piece, sc.terrain) for piece in pieces]
+    regroups = ([("cut", i, j) for i, piece in enumerate(pieces) for j in range(1, len(piece) - 1)]
+                + [("join", i, None) for i in range(len(pieces) - 1)
+                   if rings[i] is not None and rings[i] is rings[i + 1]]
+                + [("steps", None, None)])
+    how, i, j = data.draw(st.sampled_from(regroups))
+    if how == "cut":
+        regrouped = pieces[:i] + [pieces[i][:j + 1], pieces[i][j:]] + pieces[i + 1:]
+    elif how == "join":
+        regrouped = pieces[:i] + [pieces[i] + pieces[i + 1][1:]] + pieces[i + 2:]
+    else:
+        regrouped = _steps(pieces)
+    report = _run_rewritten(sc, lambda _: regrouped)
+    assert report.failures == base.failures == []
+    assert (report.advice, report.L, report.first_sight_length, report.ratio) == (
+        base.advice, base.L, base.first_sight_length, base.ratio)
+    assert len(report.searches) == len(base.searches)
+    for (dmin, walked), (base_dmin, base_walked) in zip(report.searches, base.searches):
+        assert dmin == base_dmin
+        assert walked == pytest.approx(base_walked, rel=1e-12, abs=0)
+    assert report.max_cowpath_ratio == pytest.approx(base.max_cowpath_ratio, rel=1e-12, abs=0)
+
+
+@given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
+def test_a_detour_through_an_obstacle_fails_as_a_free_move(suite_report, seed, data):
+    # where a free move starts, the agent steps to a point inside an
+    # obstacle and back, or bends the free move through that point
+    sc = bench_scenario(seed)
+    pieces = suite_report(seed).outcome.trajectory.pieces
+    free = [k for k, piece in enumerate(pieces) if ring_along(piece, sc.terrain) is None]
+    assume(free)
+    k = data.draw(st.sampled_from(free))
+    obstacle = data.draw(st.sampled_from(sc.terrain.obstacles))
+    vs = obstacle.vertices
+    mean = Point(sum(v.x for v in vs) / len(vs), sum(v.y for v in vs) / len(vs))
+    inside = geom.lerp(mean, data.draw(st.sampled_from(vs)), data.draw(st.floats(0, 0.9)))
+    x, *rest = pieces[k]
+    if data.draw(st.booleans()):
+        detour = [(x, inside), (inside, x), pieces[k]]
+    else:
+        detour = [(x, inside, *rest)]
+    report = _run_rewritten(sc, lambda _: pieces[:k] + detour + pieces[k + 1:])
+    assert report.failures == ["free move leaves the terrain"]
+
+
+@given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
+def test_dropping_an_inner_piece_breaks_the_trajectory(suite_report, seed, data):
+    # a piece whose ends lie within ON_RING_TOL of each other leaves no gap
+    sc = bench_scenario(seed)
+    pieces = suite_report(seed).outcome.trajectory.pieces
+    inner = [k for k in range(1, len(pieces) - 1)
+             if geom.dist(pieces[k][0], pieces[k][-1]) > geom.ON_RING_TOL]
+    assume(inner)
+    k = data.draw(st.sampled_from(inner))
+    report = _run_rewritten(sc, lambda _: pieces[:k] + pieces[k + 1:])
+    assert report.failures[0] == "trajectory is not continuous from the start point"
+
+
+@given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
+def test_stopping_short_of_the_tile_center_fails_arrival(suite_report, seed, data):
+    # the agent hands in the first k pieces of its trajectory
+    base, sc = suite_report(seed), bench_scenario(seed)
+    pieces = base.outcome.trajectory.pieces
+    k = data.draw(st.integers(0, len(pieces) - 1))
+    assume(geom.dist(pieces[k - 1][-1] if k else sc.start, base.outcome.q_prime) > geom.EPS)
+    report = _run_rewritten(sc, lambda _: pieces[:k])
+    assert report.failures[0] == "agent did not reach the target tile center"
+
+
+@given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
+def test_laps_around_the_hit_ring_fail_the_cow_path_bound(suite_report, seed, data):
+    # before one of its searches the agent laps the hit ring n times out
+    # and n times back, n enough to walk past the search's bound
+    base, sc = suite_report(seed), bench_scenario(seed)
+    pieces = base.outcome.trajectory.pieces
+    starts = _search_starts(pieces, sc.terrain)
+    s = data.draw(st.integers(0, len(starts) - 1))
+    i, (dmin, walked) = starts[s], base.searches[s]
+    ring = ring_along(pieces[i], sc.terrain)
+    # a search may walk its whole bound: seed 120's does
+    fewest = max(1, math.floor((harness.cowpath_bound(dmin) - walked) / (2 * ring.perimeter)) + 1)
+    n = data.draw(st.integers(fewest, fewest + 2))
+    laps = _laps(ring, pieces[i][0], n, data.draw(st.sampled_from([1, -1])))
+    if data.draw(st.booleans()):
+        laps = _steps(laps)
+    report = _run_rewritten(sc, lambda _: pieces[:i] + laps + pieces[i:])
+    lapped_dmin, lapped = report.searches[s]
+    assert lapped_dmin == pytest.approx(dmin, rel=1e-12, abs=0)
+    assert lapped == pytest.approx(walked + 2 * n * ring.perimeter, rel=1e-12, abs=0)
+    assert report.failures == [f"perimeter search walked {lapped:.6f} over bound "
+                               f"{harness.cowpath_bound(lapped_dmin):.6f}"]
 
 
 def test_run_scenario_fails_a_gap_between_pieces(monkeypatch):
@@ -347,10 +485,9 @@ def test_run_scenario_fails_a_gap_between_pieces(monkeypatch):
     def jumps(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
         a, b = Point(1, 6), Point(1.01, 6)
-        walk = Trajectory([TrajectoryPiece((p, a), MoveKind.FREE_MOVE, 1.0),
-                           TrajectoryPiece((b, p), MoveKind.FREE_MOVE, geom.dist(b, p))])
+        walk = Trajectory([(p, a), (b, p)])
         for piece in out.trajectory.pieces:
-            walk.append(list(piece.points), piece.kind)
+            walk.append(list(piece))
         return dataclasses.replace(out, trajectory=walk)
 
     monkeypatch.setattr(harness, "thunt", jumps)
@@ -366,11 +503,11 @@ def test_run_scenario_fails_a_gap_of_5e_7_between_pieces(monkeypatch):
 
     def slips(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
-        (_, *rest), kind, _ = out.trajectory.pieces[0]
+        _, *rest = out.trajectory.pieces[0]
         walk = Trajectory()
-        walk.append([Point(p.x + 5e-7, p.y), *rest], kind)
+        walk.append([Point(p.x + 5e-7, p.y), *rest])
         for piece in out.trajectory.pieces[1:]:
-            walk.append(list(piece.points), piece.kind)
+            walk.append(list(piece))
         return dataclasses.replace(out, trajectory=walk)
 
     monkeypatch.setattr(harness, "thunt", slips)
@@ -408,7 +545,7 @@ def test_run_scenario_fails_a_tile_center_outside_the_terrain(monkeypatch):
 
     def walks_in(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
-        out.trajectory.append([out.trajectory.end, inside], MoveKind.FREE_MOVE)
+        out.trajectory.append([out.trajectory.end, inside])
         return dataclasses.replace(out, q_prime=inside)
 
     monkeypatch.setattr(oracle, "make_advice", into_the_obstacle)
@@ -480,6 +617,18 @@ def test_render_deterministic():
     assert svg1.count("<path") >= 3  # outer + obstacle + trajectory
 
 
+def test_render_colours_a_piece_by_the_verifiers_rule():
+    # the hunt of simple_scenario runs into the obstacle and walks around it
+    sc = simple_scenario()
+    out = run_scenario(sc).outcome
+    svg = render_svg(sc, out.trajectory)
+    for colour in (render._COLORS["walk"], render._COLORS["free"]):
+        assert re.search(rf'<path d="[^"]*" fill="none" stroke="{colour}"', svg)
+    strokes = re.findall(r'<path d="[^"]*" fill="none" stroke="([^"]*)"', svg)
+    assert strokes == [render._COLORS["free" if ring_along(piece, sc.terrain) is None
+                                      else "walk"] for piece in out.trajectory.pieces]
+
+
 def test_render_empty_terrain_minimal_structure():
     t = Terrain(square(0, 0, 12))
     sc = Scenario(t, Point(2, 2), Point(10, 10))
@@ -499,11 +648,21 @@ def test_render_comb_shows_corridors():
 
 # --- CLI ---------------------------------------------------------------------------
 
-def test_cli_generate_run_roundtrip(tmp_path, monkeypatch):
+def _printed(out: str, key: str) -> float:
+    return float(re.search(rf"^{key}=(\S+)$", out, re.M).group(1))
+
+
+def test_cli_generate_run_roundtrip(tmp_path, monkeypatch, capsys):
     scen = tmp_path / "s.json"
     assert cli_main(["generate", "random", "--seed", "5", "--obstacles", "3",
                      "-o", str(scen)]) == 0
+    capsys.readouterr()
     assert cli_main(["run", str(scen)]) == 0
+    # the printed length is the one measured from the points of the hunt
+    out = capsys.readouterr().out
+    report = run_scenario(load_scenario(str(scen)))
+    assert _printed(out, "total_length") == trajectory_length(report.outcome.trajectory)
+    assert _printed(out, "total_length") >= _printed(out, "first_sight_length")
 
     def second_hunt(*args, **kwargs):
         raise AssertionError("run --svg must draw the hunt the report carries")
@@ -562,6 +721,10 @@ def test_cli_advise_hunt(tmp_path, capsys):
     assert cli_main(["hunt", str(scen), "--advice", advice]) == 0
     out = capsys.readouterr().out
     assert "reached_qprime=True" in out
+    sc = load_scenario(str(scen))
+    hunt = thunt.thunt(sc.terrain, sc.start, advice)
+    assert _printed(out, "total_length") == trajectory_length(hunt.trajectory)
+    assert _printed(out, "total_length") >= _printed(out, "first_sight_length")
 
 
 def test_cli_advise_packed_roundtrip(tmp_path, capsys):
