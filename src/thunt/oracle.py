@@ -168,9 +168,10 @@ def shortest_path(t: Terrain, p: Point, q: Point) -> float:
         raise GeometryError("shortest path endpoints must lie in the terrain")
     nodes, ai, aj, w = _visibility_graph(t, p, q)
     V = len(nodes)
+    # each pair in both directions, so Dijkstra runs on the graph as built
     graph = csr_matrix((np.array(w + w), (np.array(ai + aj), np.array(aj + ai))),
                        shape=(V, V))
-    L = float(dijkstra(graph, directed=False, indices=0)[1])
+    L = float(dijkstra(graph, directed=True, indices=0)[1])
     if not math.isfinite(L):
         raise GeometryError("no path between the points (terrain disconnected?)")
     return L

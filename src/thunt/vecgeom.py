@@ -2,10 +2,13 @@
 
 One segment-vs-boundary kernel, `pairwise_edge_classification`, runs the
 separating-axis test of every candidate segment against every boundary
-edge with an EPS margin.  The visibility graph passes it only the pairs
-its shared-edge and wedge tests leave open.  It trades the scalar
-kernel's boundary-exact semantics for speed, so the visibility graph
-sends the pairs it marks ambiguous to the exact test.
+edge with an EPS margin.  Each of its four side products fills one
+pair x edge array in place, each is compared with its margin once, and
+the collinear cells are read off those comparisons.  The visibility
+graph passes it only the pairs its shared-edge and wedge tests leave
+open.  It trades the scalar kernel's boundary-exact semantics for speed,
+so the visibility graph sends the pairs it marks ambiguous to the exact
+test.
 
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every
@@ -35,6 +38,17 @@ def edge_arrays(t: Terrain) -> tuple[np.ndarray, np.ndarray]:
     return e[:, 0], e[:, 1]
 
 
+def _side(ux, uy, px, py, qx, qy, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`ux * (py - qy) - uy * (px - qx)` written into `out`: the same
+    subtract, multiply, subtract, multiply, subtract as the expression, so
+    the same bits, with the second product in `scratch`."""
+    np.subtract(py, qy, out=out)
+    np.multiply(ux, out, out=out)
+    np.subtract(px, qx, out=scratch)
+    np.multiply(uy, scratch, out=scratch)
+    return np.subtract(out, scratch, out=out)
+
+
 def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
                                  t: Terrain, incident: np.ndarray):
     """Classify candidate segments P[I]->P[J] against all boundary edges.
@@ -45,6 +59,10 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     `incident` is a (V, 2) array of the boundary-edge ids at each point of
     P (-1 for none); the edges at a candidate's own ends are left to the
     caller's wedge test.
+
+    Each side product fills its own pair x edge array in place, and each
+    threshold is compared once: a side is above its margin, below minus
+    its margin, or, when neither, within it (|s| <= margin for finite s).
     """
     ea, eb = edge_arrays(t)
     A = P[I]
@@ -58,17 +76,21 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     le = np.hypot(ex, ey)
     me = EPS * np.maximum(le, 1.0)
 
+    ax, ay, bx, by = A[:, 0:1], A[:, 1:2], B[:, 0:1], B[:, 1:2]
+    e0x, e0y, e1x, e1y = ea[None, :, 0], ea[None, :, 1], eb[None, :, 0], eb[None, :, 1]
+    s0, s1, w0, w1, scratch = (np.empty((len(I), len(ea))) for _ in range(5))
     # side of each edge endpoint w.r.t. the candidate line
-    s0 = D[:, 0:1] * (ea[None, :, 1] - A[:, 1:2]) - D[:, 1:2] * (ea[None, :, 0] - A[:, 0:1])
-    s1 = D[:, 0:1] * (eb[None, :, 1] - A[:, 1:2]) - D[:, 1:2] * (eb[None, :, 0] - A[:, 0:1])
+    _side(D[:, 0:1], D[:, 1:2], e0x, e0y, ax, ay, s0, scratch)
+    _side(D[:, 0:1], D[:, 1:2], e1x, e1y, ax, ay, s1, scratch)
     # side of each candidate endpoint w.r.t. the edge line
-    w0 = ex * (A[:, 1:2] - ea[None, :, 1]) - ey * (A[:, 0:1] - ea[None, :, 0])
-    w1 = ex * (B[:, 1:2] - ea[None, :, 1]) - ey * (B[:, 0:1] - ea[None, :, 0])
+    _side(ex, ey, ax, ay, e0x, e0y, w0, scratch)
+    _side(ex, ey, bx, by, e0x, e0y, w1, scratch)
+    del scratch
 
-    sep = (((s0 > md) & (s1 > md)) | ((s0 < -md) & (s1 < -md))
-           | ((w0 > me) & (w1 > me)) | ((w0 < -me) & (w1 < -me)))
-    proper = ((((s0 > md) & (s1 < -md)) | ((s0 < -md) & (s1 > md)))
-              & (((w0 > me) & (w1 < -me)) | ((w0 < -me) & (w1 > me))))
+    hi0, lo0, hi1, lo1 = s0 > md, s0 < -md, s1 > md, s1 < -md
+    whi0, wlo0, whi1, wlo1 = w0 > me, w0 < -me, w1 > me, w1 < -me
+    sep = (hi0 & hi1) | (lo0 & lo1) | (whi0 & whi1) | (wlo0 & wlo1)
+    proper = ((hi0 & lo1) | (lo0 & hi1)) & ((whi0 & wlo1) | (wlo0 & whi1))
 
     ends = np.concatenate((incident[I], incident[J]), axis=1)
     rows, cols = np.nonzero(ends >= 0)
@@ -78,7 +100,8 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     # resolve collinear-but-distant contacts exactly (rectilinear terrains
     # otherwise flood the scalar fallback): edge on the candidate line but
     # with no interval overlap along it is clear
-    collinear = amb & (np.abs(s0) <= md) & (np.abs(s1) <= md)
+    collinear = amb & ~(hi0 | lo0 | hi1 | lo1)
+    del hi0, lo0, hi1, lo1, whi0, wlo0, whi1, wlo1
     if collinear.any():
         t0 = ((ea[None, :, 0] - A[:, 0:1]) * D[:, 0:1]
               + (ea[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]

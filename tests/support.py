@@ -7,8 +7,10 @@ whether that certificate settles an `is_c_fat` call, the two-path
 ring construction that `Polygon` used before one loop made its passes,
 the two-branch `march` that one loop for both senses replaced, the
 shorter arc between two ring points, the length of a trajectory summed
-piece by piece from its points, and the ring a piece runs along by the
-verifier's rule.
+piece by piece from its points, the ring a piece runs along by the
+verifier's rule, and the segment x edge kernel as one broadcast
+expression per side product, the formulation
+`vecgeom.pairwise_edge_classification` must keep bit for bit.
 
 The lattice oracle uses 8-neighbor connectivity.  Its nodes are the
 lattice points that `vecgeom.points_in_terrain`, the exact test's point
@@ -155,6 +157,49 @@ def grid_path_oracle(t: Terrain, p: Point, q: Point, resolution: float) -> float
     if not math.isfinite(L):
         raise GridResolutionError("lattice disconnects the endpoints (resolution too coarse)")
     return L
+
+
+def reference_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
+                                  t: Terrain, incident: np.ndarray):
+    """`vecgeom.pairwise_edge_classification` with each side product one
+    broadcast expression and each threshold test written where it is read."""
+    ea, eb = vecgeom.edge_arrays(t)
+    A = P[I]
+    B = P[J]
+    D = B - A
+    ld = np.hypot(D[:, 0], D[:, 1])
+    md = (EPS * np.maximum(ld, 1.0))[:, None]
+
+    ex = (eb[:, 0] - ea[:, 0])[None, :]
+    ey = (eb[:, 1] - ea[:, 1])[None, :]
+    le = np.hypot(ex, ey)
+    me = EPS * np.maximum(le, 1.0)
+
+    s0 = D[:, 0:1] * (ea[None, :, 1] - A[:, 1:2]) - D[:, 1:2] * (ea[None, :, 0] - A[:, 0:1])
+    s1 = D[:, 0:1] * (eb[None, :, 1] - A[:, 1:2]) - D[:, 1:2] * (eb[None, :, 0] - A[:, 0:1])
+    w0 = ex * (A[:, 1:2] - ea[None, :, 1]) - ey * (A[:, 0:1] - ea[None, :, 0])
+    w1 = ex * (B[:, 1:2] - ea[None, :, 1]) - ey * (B[:, 0:1] - ea[None, :, 0])
+
+    sep = (((s0 > md) & (s1 > md)) | ((s0 < -md) & (s1 < -md))
+           | ((w0 > me) & (w1 > me)) | ((w0 < -me) & (w1 < -me)))
+    proper = ((((s0 > md) & (s1 < -md)) | ((s0 < -md) & (s1 > md)))
+              & (((w0 > me) & (w1 < -me)) | ((w0 < -me) & (w1 > me))))
+
+    ends = np.concatenate((incident[I], incident[J]), axis=1)
+    rows, cols = np.nonzero(ends >= 0)
+    relevant = np.ones(sep.shape, dtype=bool)
+    relevant[rows, ends[rows, cols]] = False
+    amb = ~sep & ~proper & relevant
+    collinear = amb & (np.abs(s0) <= md) & (np.abs(s1) <= md)
+    if collinear.any():
+        t0 = ((ea[None, :, 0] - A[:, 0:1]) * D[:, 0:1]
+              + (ea[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]
+        t1 = ((eb[None, :, 0] - A[:, 0:1]) * D[:, 0:1]
+              + (eb[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]
+        eps_len = EPS * np.maximum(ld, 1.0)[:, None]
+        far = (np.maximum(t0, t1) < -eps_len) | (np.minimum(t0, t1) > ld[:, None] + eps_len)
+        amb &= ~(collinear & far)
+    return (proper & relevant).any(axis=1), amb.any(axis=1)
 
 
 def all_vertex_path(t: Terrain, p: Point, q: Point) -> float:

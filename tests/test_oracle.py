@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_square_terrain, square
-from support import all_vertex_path, grid_path_oracle
+from support import all_vertex_path, grid_path_oracle, reference_edge_classification
 from thunt import (AdviceTriple, GeometryError, Point, Polygon, Terrain, accessibility,
                    decode, encode, make_advice, segment_in_terrain, select_tile,
                    shortest_path)
@@ -540,6 +541,66 @@ def test_kernel_on_segments_along_an_edge_line_with_no_incident_edges():
     # collinear and apart: clear; collinear and overlapping: ambiguous; crossing: blocked
     assert blocked.tolist() == [False, False, True]
     assert ambiguous.tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda s=seed: suite_terrain(s), id=f"suite_{seed}")
+      for seed in range(0, 200, 10)),
+    pytest.param(lambda: (diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9)), id="lattice_4"),
+    *(pytest.param(lambda i=i: comb_terrain(CombParams(12, i, 0.25)), id=f"comb_{i}")
+      for i in (1, 12, 24))])
+def test_kernel_is_the_broadcast_reference_on_the_graph_calls(monkeypatch, make):
+    t, p, q = make()
+    kernel, calls = vecgeom.pairwise_edge_classification, []
+
+    def both(*args):
+        got = kernel(*args)
+        calls.append((got, reference_edge_classification(*args)))
+        return got
+
+    monkeypatch.setattr(vecgeom, "pairwise_edge_classification", both)
+    _visibility_graph(t, p, q)
+    [(got, ref)] = calls
+    assert [a.tolist() for a in got] == [a.tolist() for a in ref]
+
+
+# The outer square's edges lie on the axes and on x, y = 10, so a point
+# EPS/2, EPS or 2 EPS off one, on a candidate along the same line, lands
+# on the kernel's margins EPS*max(|d|, 1) and EPS*max(|e|, 1) exactly; the
+# obstacle's edges put the same offsets within rounding of them.
+MARGIN_TERRAIN = Terrain(square(0, 0, 10), [square(4, 4, 2)])
+EDGE_PARAMS = [-0.75, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 1.75]
+EDGE_OFFSETS = [0.0, EPS / 2, EPS, 2 * EPS, -EPS / 2, -EPS, -2 * EPS]
+
+
+def _off_edge(k, s, d):
+    a, b = MARGIN_TERRAIN.boundary_edges[k]
+    n = dist(a, b)
+    return a.x + s * (b.x - a.x) + d * (a.y - b.y) / n, a.y + s * (b.y - a.y) + d * (b.x - a.x) / n
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+def test_kernel_is_the_broadcast_reference_at_its_margins(data):
+    edges = len(MARGIN_TERRAIN.boundary_edges)
+    # every candidate with both ends off one edge line: each pair of
+    # parameters along it and each pair of offsets (collinear overlaps,
+    # collinear but apart, and tilted by a margin or two)
+    k = data.draw(st.integers(0, edges - 1))
+    pairs = list(itertools.product([_off_edge(k, s, d) for s in EDGE_PARAMS
+                                    for d in EDGE_OFFSETS], repeat=2))
+    # then candidates whose ends lie off edges of their own
+    end = st.builds(_off_edge, st.integers(0, edges - 1), st.sampled_from(EDGE_PARAMS),
+                    st.sampled_from(EDGE_OFFSETS))
+    pairs += data.draw(st.lists(st.tuples(end, end), max_size=40))
+    P = np.array([pt for pair in pairs for pt in pair], dtype=float)
+    I, J = np.arange(0, len(P), 2), np.arange(1, len(P), 2)
+    # half the ends carry edge ids, as ring vertices do, so some cells are not relevant
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    incident = np.where(rng.random((len(P), 1)) < 0.5, -1, rng.integers(0, edges, (len(P), 2)))
+    got = pairwise_edge_classification(P, I, J, MARGIN_TERRAIN, incident)
+    ref = reference_edge_classification(P, I, J, MARGIN_TERRAIN, incident)
+    assert [a.tolist() for a in got] == [a.tolist() for a in ref]
 
 
 def test_grid_oracle_empty_terrain_distortion():
