@@ -11,9 +11,9 @@ from .codec import AdviceError, AdviceTriple, decode, encode, pack_bits, unpack_
 from .generators import (CombParams, GadgetParams, GenerationError, comb_terrain,
                          gadget, random_fat_polygon, random_regular_terrain,
                          regular_lb_terrain)
-from .geom import (EPS, GeometryError, HitEvent, Location, Point, Polygon, Terrain,
+from .geom import (EPS, GeometryError, HitEvent, Point, Polygon, Terrain,
                    TerrainError, convex_hull, distance_to_boundary, first_hit,
-                   is_c_fat, largest_inscribed_circle, point_in_polygon, point_in_terrain,
+                   is_c_fat, largest_inscribed_circle, point_in_rings, point_in_terrain,
                    sees, segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
 from .harness import (Scenario, ScenarioError, RunReport, bench, bench_scenario,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 # segment_segment_distance is unused, but perfbench counts calls under this name
 from .geom import (EPS, GeometryError, Point, Polygon, Terrain, convex_hull,
-                   cross3, dist, is_c_fat, nested, point_in_terrain,
-                   point_segment_distance, ring_distance, segment_segment_distance)
+                   cross3, dist, distance_to_boundary, is_c_fat, nested,
+                   point_in_terrain, ring_distance, segment_segment_distance)
 
 
 # the largest families that build in seconds; at the default width, the
@@ -89,14 +89,9 @@ def regular_lb_terrain(k: int, lam: float) -> tuple[Terrain, Point, list[Point]]
     tile = 5.0 * lam
     obstacles: list[Polygon] = []
     centers: list[Point] = []
-    rows_cols = 2 * k  # per quadrant axis
-    for r in range(1, rows_cols + 1):
-        if r % 2 == 0:
-            continue
+    for r in range(1, 2 * k, 2):  # 2k tiles per quadrant axis
         cy = A - (r - 0.5) * tile
-        for c in range(1, rows_cols + 1):
-            if c % 2 == 0:
-                continue
+        for c in range(1, 2 * k, 2):
             cx = A / 2.0 + (c - 0.5) * tile
             o = Point(cx, cy)
             obstacles.extend(gadget(GadgetParams(o, lam)))
@@ -291,9 +286,7 @@ def random_regular_terrain(seed: int, n_obstacles: int, c: float = 2.0,
         for _ in range(4000):
             pt = Point(rng.uniform(outer.bbox[0], outer.bbox[2]),
                        rng.uniform(outer.bbox[1], outer.bbox[3]))
-            if not point_in_terrain(pt, terrain) or any(
-                    point_segment_distance(pt, a, b) < min_clear
-                    for a, b in terrain.boundary_edges):
+            if not point_in_terrain(pt, terrain) or distance_to_boundary(pt, terrain) < min_clear:
                 continue
             if away_from is not None and dist(pt, away_from) < min_pq_dist:
                 continue

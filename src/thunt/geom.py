@@ -26,7 +26,6 @@ import bisect
 import heapq
 import itertools
 import math
-from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 EPS = 1e-9
@@ -57,12 +56,6 @@ class TerrainError(GeometryError):
 class Point(NamedTuple):
     x: float
     y: float
-
-
-class Location(Enum):
-    INTERIOR = "interior"
-    ON_BOUNDARY = "on_boundary"
-    EXTERIOR = "exterior"
 
 
 def dist(a: Point, b: Point) -> float:
@@ -355,7 +348,7 @@ class Terrain:
         # A convex outer ring holds every edge whose ends it holds
         bare = Terrain(outer) if self.obstacles and not outer.is_convex else None
         for i, obs in enumerate(self.obstacles):
-            if (any(point_in_polygon(v, outer) is Location.EXTERIOR for v in obs.vertices)
+            if (not all(point_in_rings(v, (outer,)) for v in obs.vertices)
                     or (bare is not None
                         and any(_first_exit(a, b, bare) is not None for a, b in obs.edges))):
                 raise TerrainError(f"obstacle {i} is not inside the outer polygon")
@@ -401,42 +394,39 @@ def ring_distance(a: Polygon, b: Polygon, reach: float) -> float:
 def nested(a: Polygon, b: Polygon) -> bool:
     """Whether either ring holds the other's first vertex: for rings that
     do not touch, whether one polygon lies inside the other."""
-    return (point_in_polygon(a.vertices[0], b) is not Location.EXTERIOR
-            or point_in_polygon(b.vertices[0], a) is not Location.EXTERIOR)
+    return point_in_rings(a.vertices[0], (b,)) or point_in_rings(b.vertices[0], (a,))
 
 
-def point_in_polygon(p: Point, poly: Polygon) -> Location:
-    """Within EPS of an edge is on the boundary, else an even-odd ray cast
-    decides, in one pass over the edges; the half-open rule makes vertex
-    hits unambiguous."""
-    x0, y0, x1, y1 = poly.bbox
-    if p.x < x0 - EPS or p.x > x1 + EPS or p.y < y0 - EPS or p.y > y1 + EPS:
-        return Location.EXTERIOR
-    px, py = p.x, p.y
+def point_in_rings(p: Point, rings: Sequence[Polygon]) -> bool:
+    """Whether p lies within EPS of an edge of the rings, or else inside an
+    odd number of them: the even-odd rule (Shimrat 1962), in one pass over
+    the edges, whose half-open rule makes vertex hits unambiguous.  A ring
+    whose bbox lies more than EPS from p is skipped: no edge of it is that
+    close, and the ray from p crosses it an even number of times.  On one
+    ring this is the closed polygon."""
+    px, py = p
     inside = False
-    for a, b in poly.edges:
-        if (a.y > py) != (b.y > py) and px < a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y):
-            inside = not inside
-        if ((px >= a.x - EPS or px >= b.x - EPS) and (px <= a.x + EPS or px <= b.x + EPS)
-                and (py >= a.y - EPS or py >= b.y - EPS) and (py <= a.y + EPS or py <= b.y + EPS)
-                and point_segment_distance(p, a, b) <= EPS):
-            return Location.ON_BOUNDARY
-    return Location.INTERIOR if inside else Location.EXTERIOR
+    for ring in rings:
+        x0, y0, x1, y1 = ring.bbox
+        if px < x0 - EPS or px > x1 + EPS or py < y0 - EPS or py > y1 + EPS:
+            continue
+        for a, b in ring.edges:
+            if (a.y > py) != (b.y > py) and px < a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y):
+                inside = not inside
+            if ((px >= a.x - EPS or px >= b.x - EPS) and (px <= a.x + EPS or px <= b.x + EPS)
+                    and (py >= a.y - EPS or py >= b.y - EPS)
+                    and (py <= a.y + EPS or py <= b.y + EPS)
+                    and point_segment_distance(p, a, b) <= EPS):
+                return True
+    return inside
 
 
 def point_in_terrain(p: Point, t: Terrain) -> bool:
-    """Within EPS of a boundary edge is in the terrain; else an odd number
-    of rings holding p in their interior.  Parity is enough: the obstacle
-    interiors lie in the outer ring's interior and are pairwise disjoint,
-    so an odd count means inside the outer ring and outside every
+    """`point_in_rings` over the terrain's rings.  Parity is enough: the
+    obstacle interiors lie in the outer ring's interior and are pairwise
+    disjoint, so an odd count means inside the outer ring and outside every
     obstacle."""
-    inside = False
-    for ring in t.rings:
-        loc = point_in_polygon(p, ring)
-        if loc is Location.ON_BOUNDARY:
-            return True
-        inside ^= loc is Location.INTERIOR
-    return inside
+    return point_in_rings(p, t.rings)
 
 
 def _segment_boundary_params(a: Point, b: Point, t: Terrain) -> list[float]:
@@ -536,8 +526,9 @@ def first_hit(frm: Point, toward: Point, t: Terrain) -> Optional[HitEvent]:
     if found is None:
         return None
     ts, i, mid = found
-    ring = next((obs for obs in t.obstacles
-                 if point_in_polygon(mid, obs) is Location.INTERIOR), t.outer)
+    # mid lies outside the terrain, so no edge lies within EPS of it, and
+    # the closed obstacle that holds it holds it in its interior
+    ring = next((obs for obs in t.obstacles if point_in_rings(mid, (obs,))), t.outer)
     j = i + 1
     while j + 1 < len(ts) and not point_in_terrain(
             lerp(frm, toward, 0.5 * (ts[j] + ts[j + 1])), t):

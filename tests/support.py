@@ -32,8 +32,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from thunt import geom, harness, vecgeom
 from thunt.generators import GadgetParams
-from thunt.geom import (EPS, GeometryError, Location, Point, Polygon, Terrain, _first_exit,
-                        cross3, dist, is_c_fat, point_in_polygon, point_segment_distance,
+from thunt.geom import (EPS, GeometryError, Point, Polygon, Terrain, _first_exit,
+                        cross3, dist, is_c_fat, point_in_rings, point_segment_distance,
                         segment_in_terrain)
 
 
@@ -53,7 +53,7 @@ def obstacle_inside(outer: Polygon, obs: Polygon) -> bool:
     outer ring: no vertex of `obs` outside `outer`, and no edge of it
     leaving the bare outer polygon between boundary events."""
     bare = Terrain(outer)
-    return (all(point_in_polygon(v, outer) is not Location.EXTERIOR for v in obs.vertices)
+    return (all(point_in_rings(v, (outer,)) for v in obs.vertices)
             and all(_first_exit(a, b, bare) is None for a, b in obs.edges))
 
 

@@ -15,7 +15,7 @@ from thunt import (GadgetParams, GenerationError, Point, accessibility,
                    validate_regular_terrain)
 from thunt.generators import (CombParams, comb_terrain, random_fat_polygon,
                               random_regular_terrain, regular_lb_terrain)
-from thunt.geom import (EPS, Location, Terrain, Polygon, convex_hull, point_in_polygon,
+from thunt.geom import (EPS, Terrain, Polygon, convex_hull, point_in_rings,
                         ring_distance, segment_segment_distance)
 from thunt.harness import bench_scenario
 from conftest import square
@@ -327,10 +327,10 @@ def test_clearance_and_one_vertex_settle_containment():
             poly = random_fat_polygon(rng, 2.0, 0.35 + 0.55 * rng.random(), center)
             if ring_distance(poly, outer, 0.1 + EPS) < 0.1:
                 continue
-            where = {point_in_polygon(v, outer) for v in poly.vertices}
+            where = {point_in_rings(v, (outer,)) for v in poly.vertices}
             assert len(where) == 1, (seed, where)
             sides |= where
-    assert sides == {Location.INTERIOR, Location.EXTERIOR}
+    assert sides == {True, False}
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf])
@@ -435,8 +435,7 @@ def test_outer_clearance_decides_as_ring_distance(monkeypatch):
         candidates += [(poly, terrain.outer) for poly in sampled]
         sampled.clear()
     assert len(candidates) == 3258
-    inside = [point_in_polygon(poly.vertices[0], outer) is Location.INTERIOR
-              for poly, outer in candidates]
+    inside = [point_in_rings(poly.vertices[0], (outer,)) for poly, outer in candidates]
     assert sum(inside) == 2193
     for (poly, outer), first_inside in zip(candidates, inside):
         assert (id(poly) in passed) == (

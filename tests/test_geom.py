@@ -12,9 +12,9 @@ from conftest import (brute_enclosing_circle, brute_inscribed_circle_in_own_fram
                       empty_square_terrain, random_convex_polygon, square)
 from support import (chord_cut_disc, obstacle_inside, reference_march, reference_ring,
                      shorter_arc, star_settles)
-from thunt import (GeometryError, Location, Point, Polygon,
+from thunt import (GeometryError, Point, Polygon,
                    Terrain, TerrainError, convex_hull, distance_to_boundary, first_hit,
-                   is_c_fat, largest_inscribed_circle, point_in_polygon, point_in_terrain, sees,
+                   is_c_fat, largest_inscribed_circle, point_in_rings, point_in_terrain, sees,
                    segment_in_terrain, smallest_enclosing_circle,
                    validate_regular_terrain)
 from thunt import geom
@@ -185,15 +185,20 @@ def test_a_ring_the_star_certificate_passes_is_simple(ring):
 # --- point classification ---------------------------------------------------
 
 def test_point_in_polygon_center():
-    assert point_in_polygon(Point(0.5, 0.5), UNIT) is Location.INTERIOR
+    assert point_in_rings(Point(0.5, 0.5), (UNIT,))
 
 
 def test_point_in_polygon_vertex():
-    assert point_in_polygon(Point(0, 0), UNIT) is Location.ON_BOUNDARY
+    assert point_in_rings(Point(0, 0), (UNIT,))
 
 
 def test_point_in_polygon_far_outside():
-    assert point_in_polygon(Point(10, 10), UNIT) is Location.EXTERIOR
+    assert not point_in_rings(Point(10, 10), (UNIT,))
+
+
+def test_point_in_polygon_is_the_closed_polygon_within_eps():
+    assert point_in_rings(Point(1 + EPS / 2, 0.5), (UNIT,))
+    assert not point_in_rings(Point(1 + 3 * EPS, 0.5), (UNIT,))
 
 
 def test_point_in_terrain_obstacle_edge_belongs():
@@ -867,8 +872,8 @@ def test_terrain_rejects_obstacle_pairs_by_a_full_scan(pa, pb, scale, shift, abu
     b = _star_ring([(scale * x + dx, scale * y + shift[1] / 2) for x, y in pb])
     touch = min(geom.segment_segment_distance(*ea, *eb)
                 for ea in a.edges for eb in b.edges) <= geom.EPS
-    inside = any(all(point_in_polygon(v, outer) is not Location.EXTERIOR
-                     for v in inner.vertices) for inner, outer in ((a, b), (b, a)))
+    inside = any(all(point_in_rings(v, (outer,)) for v in inner.vertices)
+                 for inner, outer in ((a, b), (b, a)))
     try:
         Terrain(square(-20, -20, 40), [a, b])
         accepted = True

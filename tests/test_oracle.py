@@ -484,6 +484,11 @@ TOUCHING_DIAMOND = Terrain(square(0, 0, 10), [Polygon([(5, 0), (6, 1), (5, 2), (
 
 POINT_TERRAINS = {
     "suite": st.integers(0, 199).map(lambda seed: bench_scenario(seed).terrain),
+    # a suite obstacle as its own terrain: the one-ring question of `nested`,
+    # the obstacle-inside check and `first_hit`
+    "obstacle_alone": (st.integers(0, 199)
+                       .map(lambda seed: bench_scenario(seed).terrain.obstacles)
+                       .filter(bool).flatmap(st.sampled_from).map(Terrain)),
     "comb": st.integers(1, 24).map(lambda i: comb_terrain(CombParams(12, i, 0.25))[0]),
     "lattice_4": st.just(diamond_lattice(4)),
     "shared_edge": st.just(SHARED_EDGE),
