@@ -7,47 +7,40 @@ decides both ends of every contact with an obstacle: the boundary event
 where the segment leaves the terrain and the one where it comes back.
 The agent runs a doubling (cow-path) search along the perimeter from the
 first until it walks onto the second, then continues.  It imports nothing
-from the oracle and returns only its trajectory, the points it walked, and
-the tile center it aimed for; it is never given the treasure and keeps no
-lengths and no labels: the verifier measures what was walked.  The search
-is the same on any terrain: the paper's guarantees hold on regular ones,
-which a strict `harness.Scenario` enforces when it is built.
+from the oracle and returns only its trajectory, the list of points it
+walked through after its start (a point equal to the one before it is
+left out), and the tile center it aimed for; it is never given the
+treasure and keeps no lengths and no labels: the verifier measures what
+was walked.  The search is the same on any terrain: the paper's
+guarantees hold on regular ones, which a strict `harness.Scenario`
+enforces when it is built.
 
-`_first_sight_length` measures, for the verifier, where along a
-trajectory the treasure first becomes visible.
+`_first_sight_length` measures, for the verifier, where along the
+polyline from the start through the trajectory the treasure first
+becomes visible.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .codec import AdviceError, decode, tile_center
 from .geom import (ARC_TOL, EPS, ON_RING_TOL, SIGHT_RADIUS, GeometryError, Point, Polygon,
-                   Terrain, dist, first_hit, lerp, march, point_in_terrain,
-                   polyline_length, sees)
-
-
-@dataclass
-class Trajectory:
-    """The agent's path, each piece the tuple of its points, from which the
-    verifier measures every length.  `append` drops a piece of length
-    1e-15 or less."""
-    pieces: list[tuple[Point, ...]] = field(default_factory=list)
-
-    def append(self, points: list[Point]) -> None:
-        if polyline_length(points) > 1e-15:
-            self.pieces.append(tuple(points))
-
-    @property
-    def end(self) -> Optional[Point]:
-        return self.pieces[-1][-1] if self.pieces else None
+                   Terrain, dist, first_hit, lerp, march, point_in_terrain, sees)
 
 
 @dataclass
 class HuntOutcome:
-    trajectory: Trajectory
+    trajectory: list[Point]  # the points walked through after the start
     q_prime: Point
+
+
+def _walk(trajectory: list[Point], points: Iterable[Point]) -> None:
+    """Append the points, each unless it equals the one before it."""
+    for pt in points:
+        if not trajectory or pt != trajectory[-1]:
+            trajectory.append(pt)
 
 
 def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
@@ -97,14 +90,14 @@ def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
     return dir1, -dir1
 
 
-def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: Trajectory) -> Point:
+def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: list[Point]) -> Point:
     """Doubling perimeter search from the hit point r for r_prime, the
     point of the ring where the free move's segment comes back out.
 
     Walks legs of length 1, 2, 4, ... alternating dir1/dir2 (returning to r
-    after each failed leg), appending every walked piece to the trajectory,
-    and stops on the first leg that reaches r_prime.  Both points must lie
-    on the ring.  Returns r_prime.
+    after each failed leg), appending the points of every leg to the
+    trajectory, and stops on the first leg that reaches r_prime.  Both
+    points must lie on the ring.  Returns r_prime.
     """
     P = ring.perimeter
     _, arc_r = ring.locate(r)
@@ -119,11 +112,10 @@ def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: Trajectory) ->
         if target <= leg + ARC_TOL:
             pts = march(ring, arc_r, target, sense)
             pts[-1] = r_prime  # exact landing, no arc rounding
-            trajectory.append(pts)
+            _walk(trajectory, pts)
             return r_prime
         out = march(ring, arc_r, leg, sense)
-        trajectory.append(out)
-        trajectory.append(list(reversed(out)))
+        _walk(trajectory, out + out[::-1])
         leg *= 2
         sense = dir2 if sense == dir1 else dir1
 
@@ -145,7 +137,7 @@ def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
     if not point_in_terrain(q_prime, t):
         raise AdviceError("advice points outside the terrain (corrupt advice?)")
 
-    traj = Trajectory()
+    walk = [p]
     pos = p
     # Each pass lands on a later boundary event of the segment pos q'
     # (first_hit's re-entry ends a run of outside intervals, so it lies
@@ -159,23 +151,22 @@ def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
             raise GeometryError("hunt failed to make progress (non-regular terrain?)")
         hit = first_hit(pos, q_prime, t)
         if hit is None:
-            traj.append([pos, q_prime])
-            pos = q_prime
+            _walk(walk, [q_prime])
             break
-        if hit.travel > EPS:
-            traj.append([pos, hit.point])
-        pos = cow_path(hit.ring, hit.point, hit.reentry, traj)
-    return HuntOutcome(traj, q_prime)
+        _walk(walk, [hit.point])
+        pos = cow_path(hit.ring, hit.point, hit.reentry, walk)
+    return HuntOutcome(walk[1:], q_prime)
 
 
-def _first_sight_length(traj: Trajectory, start: Point, q: Point,
+def _first_sight_length(trajectory: list[Point], start: Point, q: Point,
                         t: Terrain) -> Optional[float]:
-    """Arc length at which the treasure first becomes visible, exactly.
+    """Arc length along the polyline [start, *trajectory] at which the
+    treasure first becomes visible, exactly.
 
-    Along a trajectory segment, whether x sees q can change only where
-    |xq| crosses SIGHT_RADIUS or where the line through x and q passes a
-    boundary vertex within that radius of q.  The visible set is closed, so
-    the first sight on a segment is the first of these events that is
+    Along a step, whether x sees q can change only where |xq| crosses
+    SIGHT_RADIUS or where the line through x and q passes a boundary vertex
+    within that radius of q.  The visible set is closed, so the first
+    sight on a step is the first of these events that is
     visible itself or whose following interval is visible at its midpoint.
     Visible is `geom.sees`, which answers False for the points of a free
     move that lie outside the terrain.
@@ -184,33 +175,32 @@ def _first_sight_length(traj: Trajectory, start: Point, q: Point,
         return 0.0
     near = [u for u, _ in t.boundary_edges if dist(u, q) <= SIGHT_RADIUS]
     arc = 0.0
-    for piece in traj.pieces:
-        for a, b in zip(piece, piece[1:]):
-            seg = dist(a, b)
-            dx, dy = b.x - a.x, b.y - a.y
-            ax, ay = a.x - q.x, a.y - q.y
-            # the part of ab inside the sight disc: |a - q + s (b - a)| <= SIGHT_RADIUS,
-            # solved about the foot s0 of the perpendicular from q: no cancellation
-            A = dx * dx + dy * dy
-            s0 = -(ax * dx + ay * dy) / A if A > 0.0 else 0.0
-            hx, hy = ax + s0 * dx, ay + s0 * dy
-            gap = SIGHT_RADIUS * SIGHT_RADIUS - (hx * hx + hy * hy)
-            if A > 0.0 and gap >= 0.0:
-                w = math.sqrt(gap / A)
-                lo, hi = max(0.0, s0 - w), min(1.0, s0 + w)
-                events = [lo, hi] if lo <= hi else []
-                for v in near:
-                    vx, vy = v.x - q.x, v.y - q.y
-                    den = vx * dy - vy * dx
-                    if den != 0.0:  # x never crosses a line qv parallel to ab
-                        s = (vy * ax - vx * ay) / den
-                        if lo < s < hi:
-                            events.append(s)
-                events.sort()
-                for i, s in enumerate(events):
-                    if sees(lerp(a, b, s), q, t) or (
-                            i + 1 < len(events)
-                            and sees(lerp(a, b, 0.5 * (s + events[i + 1])), q, t)):
-                        return arc + s * seg
-            arc += seg
+    for a, b in zip([start, *trajectory], trajectory):
+        seg = dist(a, b)
+        dx, dy = b.x - a.x, b.y - a.y
+        ax, ay = a.x - q.x, a.y - q.y
+        # the part of ab inside the sight disc: |a - q + s (b - a)| <= SIGHT_RADIUS,
+        # solved about the foot s0 of the perpendicular from q: no cancellation
+        A = dx * dx + dy * dy
+        s0 = -(ax * dx + ay * dy) / A if A > 0.0 else 0.0
+        hx, hy = ax + s0 * dx, ay + s0 * dy
+        gap = SIGHT_RADIUS * SIGHT_RADIUS - (hx * hx + hy * hy)
+        if A > 0.0 and gap >= 0.0:
+            w = math.sqrt(gap / A)
+            lo, hi = max(0.0, s0 - w), min(1.0, s0 + w)
+            events = [lo, hi] if lo <= hi else []
+            for v in near:
+                vx, vy = v.x - q.x, v.y - q.y
+                den = vx * dy - vy * dx
+                if den != 0.0:  # x never crosses a line qv parallel to ab
+                    s = (vy * ax - vx * ay) / den
+                    if lo < s < hi:
+                        events.append(s)
+            events.sort()
+            for i, s in enumerate(events):
+                if sees(lerp(a, b, s), q, t) or (
+                        i + 1 < len(events)
+                        and sees(lerp(a, b, 0.5 * (s + events[i + 1])), q, t)):
+                    return arc + s * seg
+        arc += seg
     return None

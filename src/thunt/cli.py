@@ -70,10 +70,10 @@ def _cmd_hunt(args) -> int:
     outcome = thunt(sc.terrain, sc.start, advice)
     first_sight = agent._first_sight_length(outcome.trajectory, sc.start, sc.treasure,
                                             sc.terrain)
+    walk = [sc.start, *outcome.trajectory]
     print(f"advice_bits={len(advice)}")
-    end = outcome.trajectory.end or sc.start
-    print(f"reached_qprime={dist(end, outcome.q_prime) <= EPS}")
-    print(f"total_length={sum(map(polyline_length, outcome.trajectory.pieces))!r}")
+    print(f"reached_qprime={dist(walk[-1], outcome.q_prime) <= EPS}")
+    print(f"total_length={polyline_length(walk)!r}")
     print(f"first_sight_length={first_sight!r}")
     if args.svg:
         spec = oracle.accessibility(sc.terrain, sc.treasure)
@@ -90,7 +90,7 @@ def _cmd_run(args) -> int:
     print(f"advice_bits={report.advice_bits}")
     print(f"lambda={report.lam!r} rho={report.rho!r}")
     print(f"L={report.L!r}")
-    print(f"total_length={sum(map(polyline_length, report.outcome.trajectory.pieces))!r}")
+    print(f"total_length={polyline_length([sc.start, *report.outcome.trajectory])!r}")
     print(f"first_sight_length={report.first_sight_length!r}")
     print(f"ratio={report.ratio!r}")
     print(f"max_cowpath_ratio={report.max_cowpath_ratio!r}")

@@ -504,7 +504,6 @@ def sees(p: Point, q: Point, t: Terrain) -> bool:
 class HitEvent(NamedTuple):
     point: Point
     ring: Polygon  # the ring crossed: an obstacle entered, or t.outer left
-    travel: float
     reentry: Point
 
 
@@ -533,8 +532,7 @@ def first_hit(frm: Point, toward: Point, t: Terrain) -> Optional[HitEvent]:
     while j + 1 < len(ts) and not point_in_terrain(
             lerp(frm, toward, 0.5 * (ts[j] + ts[j + 1])), t):
         j += 1
-    return HitEvent(lerp(frm, toward, ts[i]), ring, ts[i] * dist(frm, toward),
-                    lerp(frm, toward, ts[j]))
+    return HitEvent(lerp(frm, toward, ts[i]), ring, lerp(frm, toward, ts[j]))
 
 
 def march(ring: Polygon, start_arc: float, length: float, direction: int) -> list[Point]:

@@ -2,21 +2,20 @@
 
 A run computes the advice from full knowledge, replays the hunt from the
 advice alone, and checks the trajectory, taking nothing else from the
-agent: the trajectory is its points, and every length is measured from
-them (`geom.polyline_length`).  It must lead from the start to the center
-of the tile the oracle selected, each piece starting within
-`geom.ON_RING_TOL` (the one tolerance for the same point after chained
-arithmetic) of the end of the one before, and that center must see the
-treasure (`geom.sees`, so a center outside the terrain sees nothing).  A
-piece runs along a ring when each of its points is located on it once
-within `geom.ON_RING_TOL` and each step spans the shorter arc between its
-ends; a cow-path search is a maximal run of pieces along one ring, and
-must walk (the sum of its pieces' lengths) within the doubling-search
-bound of its dmin (the shorter arc between the arcs located for the run's
-ends), up to `geom.ARC_TOL`.  Any other piece is a free move, and each of
-its steps must lie in the terrain.  The treasure must come into sight
-within RATIO_GATE times max(L, 1); the advice must fit its size budget.
-A point off every ring is a failure, not an exception.
+agent: the agent's walk is the polyline from the start through the points
+of its trajectory, and every length is measured from those points.  Its
+last point must be the center of the tile the oracle selected, and that
+center must see the treasure (`geom.sees`, so a center outside the
+terrain sees nothing).  A step between two different points runs along a
+ring when both ends are located on it within `geom.ON_RING_TOL` and it
+spans the shorter arc between them; a cow-path search is a maximal run of
+steps along one ring, and must walk (its steps' lengths summed in order)
+within the doubling-search bound of its dmin (the shorter arc between the
+arcs located for the run's ends), up to `geom.ARC_TOL`.  Any other step
+is a free move and must lie in the terrain; a jump is such a step.  The
+treasure must come into sight within RATIO_GATE times max(L, 1); the
+advice must fit its size budget.  A point off every ring is a failure,
+not an exception.
 
 Regularity has one owner: a strict `Scenario` (the default) checks that
 its terrain is regular when it is built, so a strict scenario file with an
@@ -32,9 +31,9 @@ from typing import Optional, Sequence
 
 from . import agent, oracle
 from .agent import HuntOutcome, thunt
-from .geom import (ARC_TOL, EPS, ON_RING_TOL, GeometryError, Point, Polygon, Terrain,
-                   TerrainError, dist, distance_to_boundary, point_in_terrain,
-                   polyline_length, sees, segment_in_terrain, validate_regular_terrain)
+from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain, TerrainError,
+                   dist, distance_to_boundary, point_in_terrain, sees,
+                   segment_in_terrain, validate_regular_terrain)
 from .generators import random_regular_terrain
 
 CSV_HEADER = "seed,lambda,L,advice_bits,first_sight_length,ratio,max_cowpath_ratio"
@@ -117,12 +116,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     L = oracle.shortest_path(t, p, q)
     outcome = thunt(t, p, advice)
 
-    # arrival is checked on the trajectory itself: a path from p to q'
-    pieces = outcome.trajectory.pieces
-    ends = [p] + [piece[-1] for piece in pieces]
-    if any(dist(end, piece[0]) > ON_RING_TOL for end, piece in zip(ends, pieces)):
-        failures.append("trajectory is not continuous from the start point")
-    if dist(ends[-1], q_prime) > EPS:
+    walk = [p, *outcome.trajectory]
+    if dist(walk[-1], q_prime) > EPS:
         failures.append("agent did not reach the target tile center")
     if not sees(q_prime, q, t):  # a center outside the terrain sees nothing
         failures.append("target tile center does not see the treasure")
@@ -139,23 +134,21 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     if len(advice) > budget:
         failures.append(f"advice length {len(advice)} exceeds budget {budget}")
 
-    # a piece that runs along a ring belongs to that ring's search; any
-    # other piece is a free move, checked step by step
+    # a step that runs along a ring belongs to that ring's search; any
+    # other step is a free move
     runs: list[list] = []  # per search: [ring, first arc, last arc, walked]
-    ring = None
-    for piece in pieces:
-        prev = ring
-        ring, arcs = next(((r, arcs) for r in t.rings
-                           if (arcs := _arcs_along(piece, r)) is not None), (None, None))
+    prev = None
+    for a, b, ring, first, last in _steps(walk, t.rings):
         if ring is None:
-            if not all(segment_in_terrain(a, b, t) for a, b in zip(piece, piece[1:])):
+            if not segment_in_terrain(a, b, t):
                 failures.append("free move leaves the terrain")
                 break
         elif ring is prev:
-            runs[-1][2] = arcs[-1]
-            runs[-1][3] += polyline_length(piece)
+            runs[-1][2] = last
+            runs[-1][3] += dist(a, b)
         else:
-            runs.append([ring, arcs[0], arcs[-1], polyline_length(piece)])
+            runs.append([ring, first, last, dist(a, b)])
+        prev = ring
 
     searches = []
     max_cp = 0.0
@@ -186,25 +179,33 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     )
 
 
-def _arcs_along(points: Sequence[Point], ring: Polygon) -> Optional[list[float]]:
-    """The arc positions of a polyline's points if it runs along the ring,
-    else None.  It runs along the ring when every point lies on it, within
-    ON_RING_TOL (`Polygon.locate`), and each step spans the shorter arc
-    between its ends, not a chord.  Each point is looked for next to its
-    predecessor's edge first."""
-    P = ring.perimeter
-    arcs, i = [], None
-    try:
-        for pt in points:
-            i, arc = ring.locate(pt, near=i)
-            arcs.append(arc)
-    except GeometryError:
-        return None
-    for a, b, sa, sb in zip(points, points[1:], arcs, arcs[1:]):
-        gap = (sb - sa) % P
-        if abs(min(gap, P - gap) - dist(a, b)) > ARC_TOL:
-            return None
-    return arcs
+def _steps(points: Sequence[Point], rings: Sequence[Polygon]):
+    """Each step of the polyline between two different points, as (a, b,
+    ring, arc of a, arc of b) when it runs along a ring, else (a, b, None,
+    None, None).  It runs along the ring when both ends lie on it, within
+    ON_RING_TOL (`Polygon.locate`), and it spans the shorter arc between
+    them, not a chord.  Along a run of steps on one ring, each point is
+    located once, next to its predecessor's edge first."""
+    ring = at = None  # the ring the step before ran along, and its end's (edge, arc)
+    for a, b in zip(points, points[1:]):
+        if a == b:
+            continue
+        # the ring of the step before first: there the step's first point
+        # is not located again
+        for r in ([ring] if ring else []) + [r for r in rings if r is not ring]:
+            try:
+                i, sa = at if r is ring else r.locate(a)
+                j, sb = r.locate(b, near=i)
+            except GeometryError:
+                continue
+            gap = (sb - sa) % r.perimeter
+            if abs(min(gap, r.perimeter - gap) - dist(a, b)) <= ARC_TOL:
+                ring, at = r, (j, sb)
+                yield a, b, r, sa, sb
+                break
+        else:
+            ring = None
+            yield a, b, None, None, None
 
 
 def bench_scenario(seed: int, n_obstacles: Optional[int] = None, c: float = 2.0,

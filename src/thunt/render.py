@@ -1,15 +1,16 @@
 """Deterministic SVG rendering of scenarios and trajectories.
 
-A piece is drawn in the walk colour when it runs along a ring by the
-verifier's rule (`harness._arcs_along`), and in the free colour otherwise."""
+The trajectory is drawn as one path per maximal run of steps of one
+colour: the walk colour for a step that runs along a ring by the
+verifier's rule (`harness._steps`), the free colour otherwise."""
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Optional
 
-from .agent import Trajectory
 from .geom import Point
-from .harness import Scenario, _arcs_along
+from .harness import Scenario, _steps
 
 _COLORS = {
     "outer_fill": "#f7f6f1",
@@ -38,12 +39,13 @@ def _path(points, close: bool = False) -> str:
     return " ".join(parts)
 
 
-def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
+def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
                q_prime: Optional[Point] = None, lam: Optional[float] = None,
                tiling_side: Optional[float] = None) -> str:
-    """SVG document for a scenario, optionally with the agent trajectory,
-    the treasure visibility disc, the target tile center, and the tiles
-    around that disc of the grid anchored at the start.  Identical inputs yield identical bytes."""
+    """SVG document for a scenario, optionally with the agent trajectory
+    (the points walked through after the start), the treasure visibility
+    disc, the target tile center, and the tiles around that disc of the
+    grid anchored at the start.  Identical inputs yield identical bytes."""
     t = scenario.terrain
     x0, y0, x1, y1 = t.outer.bbox
     margin = 0.05 * max(x1 - x0, y1 - y0, 1.0)
@@ -87,10 +89,11 @@ def render_svg(scenario: Scenario, trajectory: Optional[Trajectory] = None,
                    f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)}"/>')
 
     if trajectory is not None:
-        for piece in trajectory.pieces:
-            along = any(_arcs_along(piece, r) is not None for r in t.rings)
-            out.append(f'<path d="{_path(piece)}" fill="none" '
-                       f'stroke="{_COLORS["walk" if along else "free"]}" '
+        steps = _steps([scenario.start, *trajectory], t.rings)
+        for free, run in groupby(steps, key=lambda step: step[2] is None):
+            run = list(run)
+            out.append(f'<path d="{_path([run[0][0], *(step[1] for step in run)])}" '
+                       f'fill="none" stroke="{_COLORS["free" if free else "walk"]}" '
                        f'stroke-width="{_fmt(1.5 * stroke)}" stroke-linecap="round"/>')
 
     out.append(f'<circle cx="{_fmt(scenario.start.x)}" cy="{_fmt(scenario.start.y)}" '

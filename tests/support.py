@@ -6,8 +6,8 @@ that the star certificate does not settle, and a probe that tells
 whether that certificate settles an `is_c_fat` call, the two-path
 ring construction that `Polygon` used before one loop made its passes,
 the two-branch `march` that one loop for both senses replaced, the
-shorter arc between two ring points, the length of a trajectory summed
-piece by piece from its points, the ring a piece runs along by the
+shorter arc between two ring points, the length of the polyline from a
+start through a trajectory's points, the ring a step runs along by the
 verifier's rule, and the segment x edge kernel as one broadcast
 expression per side product, the formulation
 `vecgeom.pairwise_edge_classification` must keep bit for bit.
@@ -354,11 +354,13 @@ def shorter_arc(ring: Polygon, a: Point, b: Point) -> float:
     return min(d, ring.perimeter - d)
 
 
-def trajectory_length(traj) -> float:
-    """The sum of the pieces' lengths, each measured from its points."""
-    return sum(map(geom.polyline_length, traj.pieces))
+def trajectory_length(start: Point, trajectory) -> float:
+    """The length of the polyline from start through the trajectory's
+    points, its steps summed in order."""
+    return geom.polyline_length([start, *trajectory])
 
 
-def ring_along(piece, t: Terrain):
-    """The ring the verifier counts the piece as walked along, else None."""
-    return next((r for r in t.rings if harness._arcs_along(piece, r) is not None), None)
+def ring_along(a: Point, b: Point, t: Terrain):
+    """The ring the verifier counts the step ab as walked along, else None."""
+    [(_, _, ring, _, _)] = harness._steps([a, b], t.rings)
+    return ring

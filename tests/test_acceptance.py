@@ -12,10 +12,11 @@ import time
 
 import pytest
 
-from support import gadget_hull, grid_path_oracle, shorter_arc, trajectory_length
+from support import gadget_hull, grid_path_oracle, shorter_arc
 from thunt import (Point, Polygon, Scenario, Terrain, decode, encode, render_svg, sees,
                    shortest_path)
-from thunt.agent import Trajectory, cow_path
+from thunt.agent import cow_path
+from thunt.geom import polyline_length
 from thunt.codec import AdviceTriple
 from thunt.generators import (CombParams, GadgetParams, comb_terrain, gadget,
                               random_fat_polygon, random_regular_terrain,
@@ -115,9 +116,9 @@ def test_acceptance_5_cowpath_bound():
         c = rng.choice([1.5, 2.0, 3.0])
         poly = random_fat_polygon(rng, c, radius=0.4 + 3.0 * rng.random())
         r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
-        traj = Trajectory()
+        traj = []
         assert cow_path(poly, r, r_prime, traj) == r_prime
-        dmin, walked = shorter_arc(poly, r, r_prime), trajectory_length(traj)
+        dmin, walked = shorter_arc(poly, r, r_prime), polyline_length(traj)
         assert walked <= cowpath_bound(dmin) + 1e-9, (walked, dmin)
         worst = max(worst, walked / cowpath_bound(dmin))
         checked += 1

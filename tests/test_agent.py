@@ -10,8 +10,8 @@ from support import ring_along, shorter_arc, trajectory_length
 from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Scenario, Terrain,
                    accessibility, choose_directions, cow_path, encode, make_advice,
                    run_scenario, sees, segment_in_terrain, thunt)
-from thunt import agent, geom, harness
-from thunt.agent import Trajectory, _first_sight_length
+from thunt import agent, geom
+from thunt.agent import _first_sight_length
 from thunt.generators import random_fat_polygon
 
 UNIT = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -21,13 +21,17 @@ def cowpath_bound(dmin):
     return max(9.0 * dmin, dmin + 2.0)
 
 
+def steps(p, trajectory):
+    """The steps of the polyline from p through the trajectory's points."""
+    walk = [p, *trajectory]
+    return list(zip(walk, walk[1:]))
+
+
 def assert_arrives(out, p):
-    """The trajectory is a continuous path from p that ends at q'."""
-    end = p
-    for piece in out.trajectory.pieces:
-        assert math.dist(end, piece[0]) <= 1e-6
-        end = piece[-1]
-    assert math.dist(end, out.q_prime) <= EPS
+    """The polyline from p through the trajectory ends at q', and no point
+    of it equals the one before it."""
+    assert math.dist([p, *out.trajectory][-1], out.q_prime) <= EPS
+    assert all(a != b for a, b in steps(p, out.trajectory))
 
 
 # --- direction rule -----------------------------------------------------------
@@ -67,24 +71,27 @@ def test_dir1_tie_breaks_clockwise_from_north():
 # --- cow path ------------------------------------------------------------------
 
 def test_cow_path_square_hand_simulation():
-    traj = Trajectory()
+    traj = []
     rp = cow_path(UNIT, Point(0, 0.5), Point(1, 0.5), traj)
-    dmin, walked = shorter_arc(UNIT, Point(0, 0.5), rp), trajectory_length(traj)
+    dmin, walked = shorter_arc(UNIT, Point(0, 0.5), rp), geom.polyline_length(traj)
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
     assert abs(dmin - 2.0) < 1e-9
     assert abs(walked - 4.0) < 1e-9
-    assert [round(geom.polyline_length(p), 9) for p in traj.pieces] == [1.0, 1.0, 2.0]
-    assert all(harness._arcs_along(p, UNIT) is not None for p in traj.pieces)
+    # the leg of 1 north and back, then the leg of 2 south that finds r'
+    assert [(round(pt.x, 9), round(pt.y, 9)) for pt in traj] == [
+        (0, 0.5), (0, 1), (0.5, 1), (0, 1), (0, 0.5), (0, 0), (1, 0), (1, 0.5)]
+    assert {ring_along(a, b, Terrain(square(-1, -1, 3), [UNIT]))
+            for a, b in zip(traj, traj[1:])} == {UNIT}
 
 
 def test_cow_path_found_in_first_leg():
     # r on the left side, r' 0.5 up-and-around in dir1 (north)
     r = Point(0, 0.7)
     rp_expect = Point(0.2, 1.0)  # 0.3 up + 0.2 east along the top
-    traj = Trajectory()
+    traj = []
     rp = cow_path(UNIT, r, rp_expect, traj)
     assert math.dist(rp, rp_expect) < 1e-9
-    assert abs(trajectory_length(traj) - 0.5) < 1e-9
+    assert abs(geom.polyline_length(traj) - 0.5) < 1e-9
 
 
 @given(st.integers(0, 10 ** 6))
@@ -94,9 +101,9 @@ def test_cow_path_respects_doubling_bound(seed):
     c = rng.choice([1.5, 2.0, 3.0])
     poly = random_fat_polygon(rng, c, radius=0.5 + 2.5 * rng.random())
     r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
-    traj = Trajectory()
+    traj = []
     assert cow_path(poly, r, r_prime, traj) == r_prime
-    dmin, walked = shorter_arc(poly, r, r_prime), trajectory_length(traj)
+    dmin, walked = shorter_arc(poly, r, r_prime), geom.polyline_length(traj)
     assert walked <= cowpath_bound(dmin) + 1e-9
 
 
@@ -107,9 +114,10 @@ def test_hunt_straight_line():
     out = thunt(t, Point(0, 0), encode(2, 2, 1))
     assert_arrives(out, Point(0, 0))
     assert math.dist(out.q_prime, (0.75, 0.25)) < 1e-12
-    assert abs(trajectory_length(out.trajectory) - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
-    assert len(out.trajectory.pieces) == 1
-    assert ring_along(out.trajectory.pieces[0], t) is None
+    assert abs(trajectory_length(Point(0, 0), out.trajectory)
+               - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
+    assert out.trajectory == [out.q_prime]
+    assert ring_along(Point(0, 0), out.q_prime, t) is None
 
 
 def test_hunt_around_one_obstacle():
@@ -118,14 +126,12 @@ def test_hunt_around_one_obstacle():
     report = run_scenario(Scenario(t, p, q))
     out = report.outcome
     assert_arrives(out, p)
-    assert math.dist(out.trajectory.pieces[-1][-1], out.q_prime) < 1e-9
     assert sees(out.q_prime, q, t)
-    assert {ring_along(piece, t) for piece in out.trajectory.pieces} == {None, t.obstacles[0]}
+    assert {ring_along(a, b, t) for a, b in steps(p, out.trajectory)} == {None, t.obstacles[0]}
     assert len(report.searches) == 1
-    # every sub-segment of every piece must stay in the terrain
-    for piece in out.trajectory.pieces:
-        for a, b in zip(piece, piece[1:]):
-            assert segment_in_terrain(a, b, t)
+    # every step must stay in the terrain
+    for a, b in steps(p, out.trajectory):
+        assert segment_in_terrain(a, b, t)
 
 
 def test_hunt_first_sight_zero_when_visible_at_start():
@@ -142,7 +148,7 @@ def test_hunt_first_sight_bracketed():
     out = thunt(t, Point(0, 0), advice)
     first_sight = _first_sight_length(out.trajectory, Point(0, 0), q, t)
     assert first_sight is not None
-    assert 0 < first_sight <= trajectory_length(out.trajectory)
+    assert 0 < first_sight <= trajectory_length(Point(0, 0), out.trajectory)
     # straight walk toward a tile center near q: visibility starts around
     # distance |pq| - 1 = 4
     assert abs(first_sight - 4.0) < 0.2
@@ -203,8 +209,8 @@ def test_hunt_deterministic():
     advice, _ = make_advice(t, p, accessibility(t, q))
     a = thunt(t, p, advice)
     b = thunt(t, p, advice)
-    assert a.trajectory.pieces == b.trajectory.pieces
-    assert trajectory_length(a.trajectory) == trajectory_length(b.trajectory)
+    assert a.trajectory == b.trajectory
+    assert trajectory_length(p, a.trajectory) == trajectory_length(p, b.trajectory)
     assert (_first_sight_length(a.trajectory, p, q, t)
             == _first_sight_length(b.trajectory, p, q, t))
 
@@ -214,13 +220,13 @@ def test_cow_path_enters_at_vertex():
     # the re-entry are vertices, and the search walks from one to the other
     diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
     hit = agent.first_hit(Point(-1, 0), Point(9, 0), Terrain(square(-2, -3, 12), [diamond]))
-    traj = Trajectory()
+    traj = []
     rp = cow_path(diamond, hit.point, hit.reentry, traj)
     assert math.dist(rp, (5.0, 0.0)) < 1e-9
     assert abs(shorter_arc(diamond, Point(3, 0), rp) - 2 * math.sqrt(2)) < 1e-9
     # (5, 0) lies 2*sqrt(2) away either way: the legs of 1 (north-east, dir1)
     # and 2 (south-east) fail and come back, the leg of 4 reaches it
-    assert abs(trajectory_length(traj) - (6 + 2 * math.sqrt(2))) < 1e-9
+    assert abs(geom.polyline_length(traj) - (6 + 2 * math.sqrt(2))) < 1e-9
 
 
 def test_hunt_through_diamond_obstacle():
@@ -245,8 +251,7 @@ def test_hunt_rides_along_obstacle_edge():
     out = report.outcome
     assert_arrives(out, p)
     assert report.searches == []
-    assert len(out.trajectory.pieces) == 1
-    assert abs(trajectory_length(out.trajectory) - math.dist(p, out.q_prime)) < 1e-9
+    assert out.trajectory == [out.q_prime]
 
 
 def test_hunt_first_sight_through_narrow_slit():
@@ -260,7 +265,7 @@ def test_hunt_first_sight_through_narrow_slit():
     p, q = Point(-0.8, 0.9), Point(0.0, 0.0)
     out = thunt(t, p, encode(100, 160, 1))
     assert_arrives(out, p)
-    assert len(out.trajectory.pieces) == 1
+    assert out.trajectory == [out.q_prime]
     e = out.q_prime
     # p + u (e - p) on the line y = -200 x through q and the slit corner
     u = -(p.y + 200 * p.x) / ((e.y - p.y) + 200 * (e.x - p.x))

@@ -454,5 +454,5 @@ def test_empty_random_terrain_straight_hunt():
     from thunt import Scenario, run_scenario
     t, p, q = random_regular_terrain(3, 0)
     report = run_scenario(Scenario(t, p, q))
-    assert len(report.outcome.trajectory.pieces) == 1
+    assert report.outcome.trajectory == [report.outcome.q_prime]
     assert report.searches == []

@@ -316,7 +316,7 @@ def test_first_hit_enters_obstacle():
     assert hit is not None
     assert hit.ring is t.obstacles[0]
     assert abs(hit.point.x - 4.0) < 1e-9 and abs(hit.point.y - 5.0) < 1e-9
-    assert abs(hit.travel - 3.0) < 1e-9
+    assert abs(math.dist(Point(1, 5), hit.point) - 3.0) < 1e-9
 
 
 def test_first_hit_grazing_vertex_is_not_a_hit():
@@ -326,7 +326,7 @@ def test_first_hit_grazing_vertex_is_not_a_hit():
     # whereas the diagonal through the same corner into the square is a hit
     hit = first_hit(Point(3, 3), Point(5, 5), t)
     assert hit is not None
-    assert abs(hit.travel - math.sqrt(2)) < 1e-9
+    assert abs(math.dist(Point(3, 3), hit.point) - math.sqrt(2)) < 1e-9
 
 
 def test_first_hit_exits_outer():
@@ -334,7 +334,7 @@ def test_first_hit_exits_outer():
     hit = first_hit(Point(5, 5), Point(15, 5), t)
     assert hit is not None
     assert hit.ring is t.outer
-    assert abs(hit.travel - 5.0) < 1e-9
+    assert abs(math.dist(Point(5, 5), hit.point) - 5.0) < 1e-9
 
 
 def test_first_hit_riding_outer_wall():
@@ -399,7 +399,7 @@ def test_first_hit_consistent_with_containment(seed):
         assert hit is None
     else:
         assert hit is not None
-        assert 0.0 <= hit.travel <= math.dist(a, b) + 1e-9
+        assert 0.0 <= math.dist(a, hit.point) <= math.dist(a, b) + 1e-9
         assert point_in_terrain(hit.point, t)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenar
 import thunt
 from thunt import agent, cli, geom, harness, oracle, render
 from thunt.codec import AdviceTriple, encode, tile_center, tile_index
-from thunt.agent import Trajectory
 from thunt.cli import main as cli_main
 from thunt.generators import CombParams, comb_terrain
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
@@ -49,6 +49,16 @@ def test_scenario_roundtrip(tmp_path):
     path2 = tmp_path / "scen2.json"
     save_scenario(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "scenario file must contain a JSON object"),
+    ({**scenario_to_dict(simple_scenario()), "format": "thunt-trajectory"},
+     "field 'format' must be 'thunt-scenario'"),
+], ids=["non-object", "another-format"])
+def test_scenario_from_dict_rejects_a_non_object_and_another_format(data, message):
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(data)
 
 
 def test_load_rejects_obstacle_outside_outer(tmp_path):
@@ -96,11 +106,12 @@ def test_load_reports_json_line(tmp_path):
 # --- run + verify -----------------------------------------------------------------
 
 def test_run_scenario_passes_and_reports():
-    report = run_scenario(simple_scenario())
+    sc = simple_scenario()
+    report = run_scenario(sc)
     assert report.passed, report.failures
     assert report.advice_bits == len(report.advice)
     assert report.advice_bits <= advice_bits_budget(report.L, report.lam)
-    assert report.first_sight_length <= trajectory_length(report.outcome.trajectory)
+    assert report.first_sight_length <= trajectory_length(sc.start, report.outcome.trajectory)
     assert report.ratio >= 0
     assert report.L >= 8.0  # crow-flight distance
 
@@ -128,16 +139,13 @@ def test_a_strict_scenario_rejects_an_irregular_terrain_when_built():
 
 
 def test_run_scenario_checks_arrival_on_the_trajectory(monkeypatch):
-    # an agent that stops one piece short of q' is caught by the verifier,
+    # an agent that stops one point short of q' is caught by the verifier,
     # whatever the agent reports about itself
     hunt = harness.thunt
 
     def stops_short(*args, **kwargs):
         out = hunt(*args, **kwargs)
-        short = Trajectory()
-        for piece in out.trajectory.pieces[:-1]:
-            short.append(list(piece))
-        return dataclasses.replace(out, trajectory=short)
+        return dataclasses.replace(out, trajectory=out.trajectory[:-1])
 
     monkeypatch.setattr(harness, "thunt", stops_short)
     report = run_scenario(simple_scenario())
@@ -179,7 +187,7 @@ def test_follows_locates_each_point_next_to_its_predecessor(monkeypatch):
     # a walk over half of a 1200-gon: only the first point scans the whole
     # ring, every later one is found on or next to its predecessor's edge
     ring = chord_cut_disc(1200)
-    piece = geom.march(ring, 0.0, ring.perimeter / 2, 1)
+    walk = geom.march(ring, 0.0, ring.perimeter / 2, 1)
     calls = 0
     distance = geom.point_segment_distance
 
@@ -189,42 +197,41 @@ def test_follows_locates_each_point_next_to_its_predecessor(monkeypatch):
         return distance(*args)
 
     monkeypatch.setattr(geom, "point_segment_distance", counted)
-    arcs = harness._arcs_along(piece, ring)
-    assert calls <= ring.n + 3 * len(piece)
-    assert arcs[0] == 0.0 and abs(arcs[-1] - ring.perimeter / 2) < 1e-9
-    assert harness._arcs_along([piece[0], piece[-1]], ring) is None  # a chord
+    steps = list(harness._steps(walk, (ring,)))
+    assert calls <= ring.n + 3 * len(walk)
+    assert all(r is ring for _, _, r, _, _ in steps)
+    assert steps[0][3] == 0.0 and abs(steps[-1][4] - ring.perimeter / 2) < 1e-9
+    assert [r for _, _, r, _, _ in harness._steps([walk[0], walk[-1]], (ring,))] == [None]
 
 
-@pytest.mark.parametrize("offset, passes", [(5e-7, False), (5e-8, True), (-5e-7, False)])
+@pytest.mark.parametrize("offset, passes",
+                         [(5e-7, True), (5e-8, True), (-5e-7, False), (-5e-8, False)])
 def test_run_scenario_reports_a_walk_end_off_its_ring(monkeypatch, offset, passes):
-    # the last point of the search's last piece is pushed off its edge along
-    # the outward normal (inward for a negative offset).  Within ON_RING_TOL
-    # the run passes.  Beyond it the piece runs along no ring, so it is a
-    # free move: pushed out of the obstacle it stays in the terrain, and the
-    # next piece does not start where it ends; pushed in, it leaves the
-    # terrain.  Neither raises
+    # the last point of a search, r', is pushed off its edge along the
+    # outward normal (inward for a negative offset), and the hunt goes on
+    # from r'.  Pushed out within ON_RING_TOL, the search still ends there.
+    # Pushed out beyond it, the steps onto the point and on from it are free
+    # moves in the terrain, and the search ends one point earlier: the run
+    # passes.  Pushed in by more than EPS, the free move on from the point
+    # starts inside the obstacle and leaves the terrain.  None raises
     search = agent.cow_path
 
     def pushed(ring, r, r_prime, trajectory):
         out = search(ring, r, r_prime, trajectory)
-        pts = list(trajectory.pieces[-1])
-        i, _ = ring.locate(pts[-1])
+        i, _ = ring.locate(trajectory[-1])
         u, v = ring.vertices[i], ring.vertices[(i + 1) % ring.n]
         L = math.dist(u, v)
         # the stored ring is counterclockwise: (dy, -dx) of an edge points out
-        pts[-1] = Point(pts[-1].x + offset * (v.y - u.y) / L,
-                        pts[-1].y - offset * (v.x - u.x) / L)
-        trajectory.pieces[-1] = tuple(pts)
+        trajectory[-1] = Point(trajectory[-1].x + offset * (v.y - u.y) / L,
+                               trajectory[-1].y - offset * (v.x - u.x) / L)
         return out
 
     monkeypatch.setattr(agent, "cow_path", pushed)
     report = run_scenario(bench_scenario(8))
     if passes:
         assert report.passed, report.failures
-    elif offset > 0:
-        assert "trajectory is not continuous from the start point" in report.failures
     else:
-        assert "free move leaves the terrain" in report.failures
+        assert report.failures == ["free move leaves the terrain"]
 
 
 def test_run_scenario_selects_the_tile_once(monkeypatch):
@@ -259,19 +266,13 @@ def test_run_scenario_checks_arrival_at_the_oracles_tile(monkeypatch):
 
 def test_run_scenario_gates_the_cost_ratio(monkeypatch):
     # before setting off, the agent paces the wall x = 1 out of sight range
-    # of the treasure; every piece stays in the terrain and it still arrives
+    # of the treasure; every step stays in the terrain and it still arrives
     hunt = harness.thunt
 
     def detours(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
-        walk = Trajectory()
-        walk.append([p, Point(1, 9.5)])
-        for k in range(250):
-            walk.append([walk.end, Point(1, 0.5 if k % 2 == 0 else 9.5)])
-        walk.append([walk.end, p])
-        for piece in out.trajectory.pieces:
-            walk.append(list(piece))
-        return dataclasses.replace(out, trajectory=walk)
+        paces = [Point(1, 9.5), *(Point(1, 0.5 if k % 2 == 0 else 9.5) for k in range(250))]
+        return dataclasses.replace(out, trajectory=[*paces, p, *out.trajectory])
 
     monkeypatch.setattr(harness, "thunt", detours)
     report = run_scenario(simple_scenario())
@@ -288,12 +289,7 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
 
     def trespasses(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
-        walk = Trajectory()
-        walk.append([p, inside])
-        walk.append([inside, p])
-        for piece in out.trajectory.pieces:
-            walk.append(list(piece))
-        return dataclasses.replace(out, trajectory=walk)
+        return dataclasses.replace(out, trajectory=[inside, p, *out.trajectory])
 
     monkeypatch.setattr(harness, "thunt", trespasses)
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
@@ -304,8 +300,9 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
 # --- a tampering agent -------------------------------------------------------------
 # The agent below hands the verifier a rewrite of the points of its real
 # trajectory.  Each class of rewrite has one expected result on every suite
-# seed with a cow-path search: a regrouping of the same points changes no
-# verdict and no number, and every other rewrite fails with its own failure.
+# seed with a cow-path search: points inserted on a step change no verdict
+# and no number beyond rounding, and every other rewrite fails with its own
+# failure.
 
 _CSV = Path(__file__).resolve().parent.parent / "artifacts" / "acceptance_bench.csv"
 COWPATH_SEEDS = [int(row.split(",")[0]) for row in _CSV.read_text().splitlines()[1:]
@@ -313,36 +310,37 @@ COWPATH_SEEDS = [int(row.split(",")[0]) for row in _CSV.read_text().splitlines()
 
 
 def _run_rewritten(sc, rewrite):
-    """Run the scenario with an agent that hands in rewrite(pieces) in
-    place of the pieces of its real trajectory."""
+    """Run the scenario with an agent that hands in rewrite(trajectory) in
+    place of its real trajectory."""
     hunt = harness.thunt
 
     def tampered(t, p, advice):
         out = hunt(t, p, advice)
-        return dataclasses.replace(out, trajectory=Trajectory(rewrite(out.trajectory.pieces)))
+        return dataclasses.replace(out, trajectory=rewrite(out.trajectory))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "thunt", tampered)
         return run_scenario(sc)
 
 
-def _steps(pieces):
-    """Every step of the pieces as a piece of its own."""
-    return [(a, b) for piece in pieces for a, b in zip(piece, piece[1:])]
-
-
 def _laps(ring, at, n, sense=1):
-    """n laps of the ring from the point at, out and back, as two pieces."""
+    """The points of n laps of the ring from the point at, out and back."""
     _, arc = ring.locate(at)
-    out = tuple(geom.march(ring, arc, n * ring.perimeter, sense))
-    return [out, out[::-1]]
+    out = geom.march(ring, arc, n * ring.perimeter, sense)
+    return out + out[::-1]
 
 
-def _search_starts(pieces, t):
-    """The index of the first piece of each cow-path search, in order."""
-    rings = [ring_along(piece, t) for piece in pieces]
-    return [i for i, ring in enumerate(rings)
-            if ring is not None and (i == 0 or rings[i - 1] is not ring)]
+def _searches(walk, t):
+    """(ring, index of the first point, index of the last point) of each
+    cow-path search of the polyline walk: a maximal run of steps along one
+    ring."""
+    steps = [(i, ring_along(a, b, t)) for i, (a, b) in enumerate(zip(walk, walk[1:]))]
+    searches = []
+    for ring, run in itertools.groupby(steps, key=lambda step: step[1]):
+        run = list(run)
+        if ring is not None:
+            searches.append((ring, run[0][0], run[-1][0] + 1))
+    return searches
 
 
 def test_run_scenario_checks_every_step_of_a_free_move():
@@ -351,60 +349,59 @@ def test_run_scenario_checks_every_step_of_a_free_move():
     # last stays clear of the obstacle
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
     report = _run_rewritten(Scenario(t, Point(2, 2), Point(8, 2.3)),
-                            lambda pieces: [(pieces[0][0], Point(5, 5), *pieces[0][1:])])
+                            lambda trajectory: [Point(5, 5), *trajectory])
     assert geom.segment_in_terrain(Point(2, 2), report.outcome.q_prime, t)
-    assert report.outcome.trajectory.pieces == [(Point(2, 2), Point(5, 5), report.outcome.q_prime)]
+    assert report.outcome.trajectory == [Point(5, 5), report.outcome.q_prime]
     assert report.failures == ["free move leaves the terrain"]
 
 
 @pytest.mark.parametrize("cut", ["two-pieces", "steps"])
 def test_laps_at_the_hit_point_fail_the_bound_however_they_are_cut(cut):
-    # the real bench_scenario(9) hunt is a free move, a search of one piece
-    # and a free move.  At the hit point the agent laps the obstacle three
-    # times out and three times back before its search: as two pieces (an
-    # agent that reported the length of each piece passed with these two
-    # called 0.0 long, searches == [(0.6106, 0.6106)]), or as a piece per
-    # step.  Either way the laps and the search are one search, which walks
-    # 6 perimeters more than its bound allows
+    # the real bench_scenario(9) hunt is a free move, a search and a free
+    # move.  At the hit point the agent laps the obstacle three times out
+    # and three times back before its search (an agent that reported the
+    # lengths it walked passed with the laps called 0.0 long, searches ==
+    # [(0.6106, 0.6106)]).  The laps are handed in as the points of the
+    # march out and back, or with every step cut at its midpoint.  Either
+    # way the laps and the search are one search, which walks 6 perimeters
+    # more than its bound allows
     sc = bench_scenario(9)
 
-    def laps(pieces):
-        free, search, rest = pieces
-        pieces = [free, *_laps(ring_along(search, sc.terrain), search[0], 3), search, rest]
-        return _steps(pieces) if cut == "steps" else pieces
+    def laps(trajectory):
+        walk = [sc.start, *trajectory]
+        [(ring, i, _)] = _searches(walk, sc.terrain)
+        lapped = [walk[i], *_laps(ring, walk[i], 3)]
+        if cut == "steps":
+            lapped = [m for a, b in zip(lapped, lapped[1:]) for m in (geom.lerp(a, b, 0.5), b)]
+        else:
+            lapped = lapped[1:]
+        return trajectory[:i] + lapped + trajectory[i:]
 
     report = _run_rewritten(sc, laps)
     assert report.failures == ["perimeter search walked 13.588006 over bound 5.495058"]
 
 
 @given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
-def test_regrouping_the_points_changes_no_verdict_and_no_number(suite_report, seed, data):
-    # a piece is cut at an inner point, two pieces in a row along one ring
-    # are joined, or every step becomes a piece: the same points are walked
-    # in the same order
+def test_inserting_points_on_a_step_changes_no_verdict_and_no_number(suite_report, seed, data):
+    # one to three points are inserted on a step, free or along a ring: the
+    # agent walks the same curve through more points
     base, sc = suite_report(seed), bench_scenario(seed)
-    pieces = base.outcome.trajectory.pieces
-    rings = [ring_along(piece, sc.terrain) for piece in pieces]
-    regroups = ([("cut", i, j) for i, piece in enumerate(pieces) for j in range(1, len(piece) - 1)]
-                + [("join", i, None) for i in range(len(pieces) - 1)
-                   if rings[i] is not None and rings[i] is rings[i + 1]]
-                + [("steps", None, None)])
-    how, i, j = data.draw(st.sampled_from(regroups))
-    if how == "cut":
-        regrouped = pieces[:i] + [pieces[i][:j + 1], pieces[i][j:]] + pieces[i + 1:]
-    elif how == "join":
-        regrouped = pieces[:i] + [pieces[i] + pieces[i + 1][1:]] + pieces[i + 2:]
-    else:
-        regrouped = _steps(pieces)
-    report = _run_rewritten(sc, lambda _: regrouped)
+    trajectory = base.outcome.trajectory
+    k = data.draw(st.integers(0, len(trajectory) - 1))
+    a, b = [sc.start, *trajectory][k], trajectory[k]
+    cuts = sorted(data.draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3)))
+    inserted = trajectory[:k] + [geom.lerp(a, b, s) for s in cuts] + trajectory[k:]
+    report = _run_rewritten(sc, lambda _: inserted)
+    close = functools.partial(pytest.approx, rel=1e-12, abs=0)
     assert report.failures == base.failures == []
-    assert (report.advice, report.L, report.first_sight_length, report.ratio) == (
-        base.advice, base.L, base.first_sight_length, base.ratio)
+    assert (report.advice, report.L) == (base.advice, base.L)
+    assert report.first_sight_length == close(base.first_sight_length)
+    assert report.ratio == close(base.ratio)
     assert len(report.searches) == len(base.searches)
     for (dmin, walked), (base_dmin, base_walked) in zip(report.searches, base.searches):
-        assert dmin == base_dmin
-        assert walked == pytest.approx(base_walked, rel=1e-12, abs=0)
-    assert report.max_cowpath_ratio == pytest.approx(base.max_cowpath_ratio, rel=1e-12, abs=0)
+        assert dmin == close(base_dmin)
+        assert walked == close(base_walked)
+    assert report.max_cowpath_ratio == close(base.max_cowpath_ratio)
 
 
 @given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
@@ -412,44 +409,65 @@ def test_a_detour_through_an_obstacle_fails_as_a_free_move(suite_report, seed, d
     # where a free move starts, the agent steps to a point inside an
     # obstacle and back, or bends the free move through that point
     sc = bench_scenario(seed)
-    pieces = suite_report(seed).outcome.trajectory.pieces
-    free = [k for k, piece in enumerate(pieces) if ring_along(piece, sc.terrain) is None]
+    trajectory = suite_report(seed).outcome.trajectory
+    walk = [sc.start, *trajectory]
+    free = [k for k, (a, b) in enumerate(zip(walk, walk[1:]))
+            if ring_along(a, b, sc.terrain) is None]
     assume(free)
     k = data.draw(st.sampled_from(free))
     obstacle = data.draw(st.sampled_from(sc.terrain.obstacles))
     vs = obstacle.vertices
     mean = Point(sum(v.x for v in vs) / len(vs), sum(v.y for v in vs) / len(vs))
     inside = geom.lerp(mean, data.draw(st.sampled_from(vs)), data.draw(st.floats(0, 0.9)))
-    x, *rest = pieces[k]
-    if data.draw(st.booleans()):
-        detour = [(x, inside), (inside, x), pieces[k]]
-    else:
-        detour = [(x, inside, *rest)]
-    report = _run_rewritten(sc, lambda _: pieces[:k] + detour + pieces[k + 1:])
+    detour = [inside, walk[k]] if data.draw(st.booleans()) else [inside]
+    report = _run_rewritten(sc, lambda _: trajectory[:k] + detour + trajectory[k:])
     assert report.failures == ["free move leaves the terrain"]
 
 
 @given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
-def test_dropping_an_inner_piece_breaks_the_trajectory(suite_report, seed, data):
-    # a piece whose ends lie within ON_RING_TOL of each other leaves no gap
-    sc = bench_scenario(seed)
-    pieces = suite_report(seed).outcome.trajectory.pieces
-    inner = [k for k in range(1, len(pieces) - 1)
-             if geom.dist(pieces[k][0], pieces[k][-1]) > geom.ON_RING_TOL]
-    assume(inner)
-    k = data.draw(st.sampled_from(inner))
-    report = _run_rewritten(sc, lambda _: pieces[:k] + pieces[k + 1:])
-    assert report.failures[0] == "trajectory is not continuous from the start point"
+def test_dropping_a_search_jumps_out_of_the_terrain(suite_report, seed, data):
+    # the agent leaves out the points between the first and the last of
+    # one of its searches: it jumps from the hit point to the re-entry,
+    # along the part of its free move's segment that lies outside the
+    # terrain.  A jump is a step, and this one is a free move that fails
+    base, sc = suite_report(seed), bench_scenario(seed)
+    trajectory = base.outcome.trajectory
+    _, i, j = data.draw(st.sampled_from(_searches([sc.start, *trajectory], sc.terrain)))
+    report = _run_rewritten(sc, lambda _: trajectory[:i] + trajectory[j - 1:])
+    assert report.failures == ["free move leaves the terrain"]
+
+
+@pytest.mark.parametrize("jump", [0.01, 5e-7])
+def test_a_jump_in_free_space_is_a_counted_step(tmp_path, monkeypatch, capsys, jump):
+    # before setting off, the agent walks 1 north, jumps east, walks 1
+    # south and jumps back west to the start.  A jump is a step like any
+    # other: in free space it passes, and its length is walked and counted
+    path = tmp_path / "s.json"
+    save_scenario(simple_scenario(), str(path))
+    assert cli_main(["run", str(path)]) == 0
+    base = _printed(capsys.readouterr().out, "total_length")
+    hunt = harness.thunt
+
+    def jumps(t, p, advice):
+        out = hunt(t, p, advice)
+        detour = [Point(p.x, p.y + 1), Point(p.x + jump, p.y + 1), Point(p.x + jump, p.y), p]
+        return dataclasses.replace(out, trajectory=detour + out.trajectory)
+
+    monkeypatch.setattr(harness, "thunt", jumps)
+    assert cli_main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("PASS\n")
+    assert _printed(out, "total_length") == pytest.approx(base + 2 + 2 * jump, rel=0, abs=1e-12)
 
 
 @given(seed=st.sampled_from(COWPATH_SEEDS), data=st.data())
 def test_stopping_short_of_the_tile_center_fails_arrival(suite_report, seed, data):
-    # the agent hands in the first k pieces of its trajectory
+    # the agent hands in the first k points of its trajectory
     base, sc = suite_report(seed), bench_scenario(seed)
-    pieces = base.outcome.trajectory.pieces
-    k = data.draw(st.integers(0, len(pieces) - 1))
-    assume(geom.dist(pieces[k - 1][-1] if k else sc.start, base.outcome.q_prime) > geom.EPS)
-    report = _run_rewritten(sc, lambda _: pieces[:k])
+    trajectory = base.outcome.trajectory
+    k = data.draw(st.integers(0, len(trajectory) - 1))
+    assume(geom.dist([sc.start, *trajectory][k], base.outcome.q_prime) > geom.EPS)
+    report = _run_rewritten(sc, lambda _: trajectory[:k])
     assert report.failures[0] == "agent did not reach the target tile center"
 
 
@@ -458,61 +476,21 @@ def test_laps_around_the_hit_ring_fail_the_cow_path_bound(suite_report, seed, da
     # before one of its searches the agent laps the hit ring n times out
     # and n times back, n enough to walk past the search's bound
     base, sc = suite_report(seed), bench_scenario(seed)
-    pieces = base.outcome.trajectory.pieces
-    starts = _search_starts(pieces, sc.terrain)
-    s = data.draw(st.integers(0, len(starts) - 1))
-    i, (dmin, walked) = starts[s], base.searches[s]
-    ring = ring_along(pieces[i], sc.terrain)
+    trajectory = base.outcome.trajectory
+    walk = [sc.start, *trajectory]
+    searches = _searches(walk, sc.terrain)
+    s = data.draw(st.integers(0, len(searches) - 1))
+    (ring, i, _), (dmin, walked) = searches[s], base.searches[s]
     # a search may walk its whole bound: seed 120's does
     fewest = max(1, math.floor((harness.cowpath_bound(dmin) - walked) / (2 * ring.perimeter)) + 1)
     n = data.draw(st.integers(fewest, fewest + 2))
-    laps = _laps(ring, pieces[i][0], n, data.draw(st.sampled_from([1, -1])))
-    if data.draw(st.booleans()):
-        laps = _steps(laps)
-    report = _run_rewritten(sc, lambda _: pieces[:i] + laps + pieces[i:])
+    laps = _laps(ring, walk[i], n, data.draw(st.sampled_from([1, -1])))
+    report = _run_rewritten(sc, lambda _: trajectory[:i] + laps + trajectory[i:])
     lapped_dmin, lapped = report.searches[s]
     assert lapped_dmin == pytest.approx(dmin, rel=1e-12, abs=0)
     assert lapped == pytest.approx(walked + 2 * n * ring.perimeter, rel=1e-12, abs=0)
     assert report.failures == [f"perimeter search walked {lapped:.6f} over bound "
                                f"{harness.cowpath_bound(lapped_dmin):.6f}"]
-
-
-def test_run_scenario_fails_a_gap_between_pieces(monkeypatch):
-    # before setting off, the agent walks north, jumps 0.01 east and walks
-    # back; every piece stays in the terrain and it still arrives
-    hunt = harness.thunt
-
-    def jumps(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
-        a, b = Point(1, 6), Point(1.01, 6)
-        walk = Trajectory([(p, a), (b, p)])
-        for piece in out.trajectory.pieces:
-            walk.append(list(piece))
-        return dataclasses.replace(out, trajectory=walk)
-
-    monkeypatch.setattr(harness, "thunt", jumps)
-    report = run_scenario(simple_scenario())
-    assert report.failures == ["trajectory is not continuous from the start point"]
-
-
-def test_run_scenario_fails_a_gap_of_5e_7_between_pieces(monkeypatch):
-    # the first free move sets off 5e-7 east of the start: a join gap above
-    # ON_RING_TOL, the tolerance for the same point after chained
-    # arithmetic, breaks the trajectory (the suite's joins meet within 1e-15)
-    hunt = harness.thunt
-
-    def slips(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
-        _, *rest = out.trajectory.pieces[0]
-        walk = Trajectory()
-        walk.append([Point(p.x + 5e-7, p.y), *rest])
-        for piece in out.trajectory.pieces[1:]:
-            walk.append(list(piece))
-        return dataclasses.replace(out, trajectory=walk)
-
-    monkeypatch.setattr(harness, "thunt", slips)
-    report = run_scenario(simple_scenario())
-    assert report.failures == ["trajectory is not continuous from the start point"]
 
 
 def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
@@ -545,7 +523,7 @@ def test_run_scenario_fails_a_tile_center_outside_the_terrain(monkeypatch):
 
     def walks_in(t, p, advice, **kwargs):
         out = hunt(t, p, advice, **kwargs)
-        out.trajectory.append([out.trajectory.end, inside])
+        out.trajectory.append(inside)
         return dataclasses.replace(out, q_prime=inside)
 
     monkeypatch.setattr(oracle, "make_advice", into_the_obstacle)
@@ -618,15 +596,18 @@ def test_render_deterministic():
 
 
 def test_render_colours_a_piece_by_the_verifiers_rule():
-    # the hunt of simple_scenario runs into the obstacle and walks around it
+    # the hunt of simple_scenario runs into the obstacle and walks around
+    # it; each path drawn is a maximal run of steps of one colour
     sc = simple_scenario()
     out = run_scenario(sc).outcome
     svg = render_svg(sc, out.trajectory)
-    for colour in (render._COLORS["walk"], render._COLORS["free"]):
-        assert re.search(rf'<path d="[^"]*" fill="none" stroke="{colour}"', svg)
-    strokes = re.findall(r'<path d="[^"]*" fill="none" stroke="([^"]*)"', svg)
-    assert strokes == [render._COLORS["free" if ring_along(piece, sc.terrain) is None
-                                      else "walk"] for piece in out.trajectory.pieces]
+    walk = [sc.start, *out.trajectory]
+    colours = [render._COLORS["free" if ring_along(a, b, sc.terrain) is None else "walk"]
+               for a, b in zip(walk, walk[1:])]
+    paths = re.findall(r'<path d="([^"]*)" fill="none" stroke="([^"]*)"', svg)
+    assert [stroke for _, stroke in paths] == [c for c, _ in itertools.groupby(colours)]
+    assert {stroke for _, stroke in paths} == {render._COLORS["walk"], render._COLORS["free"]}
+    assert sum(d.count("L ") for d, _ in paths) == len(walk) - 1
 
 
 def test_render_empty_terrain_minimal_structure():
@@ -660,8 +641,9 @@ def test_cli_generate_run_roundtrip(tmp_path, monkeypatch, capsys):
     assert cli_main(["run", str(scen)]) == 0
     # the printed length is the one measured from the points of the hunt
     out = capsys.readouterr().out
-    report = run_scenario(load_scenario(str(scen)))
-    assert _printed(out, "total_length") == trajectory_length(report.outcome.trajectory)
+    sc = load_scenario(str(scen))
+    report = run_scenario(sc)
+    assert _printed(out, "total_length") == trajectory_length(sc.start, report.outcome.trajectory)
     assert _printed(out, "total_length") >= _printed(out, "first_sight_length")
 
     def second_hunt(*args, **kwargs):
@@ -723,7 +705,7 @@ def test_cli_advise_hunt(tmp_path, capsys):
     assert "reached_qprime=True" in out
     sc = load_scenario(str(scen))
     hunt = thunt.thunt(sc.terrain, sc.start, advice)
-    assert _printed(out, "total_length") == trajectory_length(hunt.trajectory)
+    assert _printed(out, "total_length") == trajectory_length(sc.start, hunt.trajectory)
     assert _printed(out, "total_length") >= _printed(out, "first_sight_length")
 
 
@@ -900,7 +882,7 @@ def test_cli_hunt_checks_fatness_in_a_strict_file(tmp_path, capsys):
     # a strict file of it is still rejected
     t, p, q = Terrain(square(0, 0, 20), [Polygon_rect()]), Point(1, 1), Point(18, 18)
     advice, _ = oracle.make_advice(t, p, oracle.accessibility(t, q))
-    assert agent.thunt(t, p, advice).trajectory.pieces
+    assert agent.thunt(t, p, advice).trajectory
     path = _strict_file(tmp_path, t, p, q)
     assert cli_main(["hunt", path, "--advice", advice]) == 2
     assert "terrain is not regular: obstacle 0 is not 2.0-fat" in capsys.readouterr().err
@@ -911,6 +893,59 @@ def test_cli_lb_generate(tmp_path):
     assert cli_main(["generate", "lb", "--k", "1", "--lam", "1.0", "-o", str(scen)]) == 0
     sc = load_scenario(str(scen))
     assert len(sc.terrain.obstacles) == 8
+
+
+@pytest.mark.parametrize("candidate", ["-1", "1"])
+def test_cli_lb_generate_rejects_a_candidate_out_of_range(tmp_path, capsys, candidate):
+    # k = 1 has the one candidate 0
+    scen = tmp_path / "lb.json"
+    assert cli_main(["generate", "lb", "--k", "1", "--lam", "1.0", "--candidate", candidate,
+                     "-o", str(scen)]) == 2
+    assert capsys.readouterr().err == "error: candidate index must lie in [0, 0]\n"
+    assert not scen.exists()
+
+
+def test_cli_hunt_writes_the_svg_of_its_hunt(tmp_path, capsys):
+    scen, svg = tmp_path / "s.json", tmp_path / "hunt.svg"
+    save_scenario(simple_scenario(), str(scen))
+    sc = load_scenario(str(scen))
+    spec = oracle.accessibility(sc.terrain, sc.treasure)
+    advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
+    assert cli_main(["hunt", str(scen), "--advice", advice, "--svg", str(svg)]) == 0
+    out = thunt.thunt(sc.terrain, sc.start, advice)
+    assert svg.read_text() == render_svg(sc, out.trajectory, q_prime=out.q_prime, lam=spec.lam)
+
+
+def test_cli_run_prints_each_failure_and_exits_1(tmp_path, monkeypatch, capsys):
+    # the agent steps into the obstacle and back before it sets off, and
+    # stops one point short of q', before the treasure comes into sight
+    path = tmp_path / "s.json"
+    save_scenario(simple_scenario(), str(path))
+    hunt = harness.thunt
+
+    def trespasses_and_stops_short(t, p, advice):
+        out = hunt(t, p, advice)
+        return dataclasses.replace(out, trajectory=[Point(5, 5), p, *out.trajectory[:-1]])
+
+    monkeypatch.setattr(harness, "thunt", trespasses_and_stops_short)
+    assert cli_main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "PASS" not in out
+    assert out.splitlines()[-3:] == ["FAIL: agent did not reach the target tile center",
+                                     "FAIL: treasure never became visible along the trajectory",
+                                     "FAIL: free move leaves the terrain"]
+
+
+def test_cli_bench_writes_the_csv_file_and_the_cow_path_summary(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    assert cli_main(["bench", "--seeds", "2", "--start-seed", "8", "-o", str(path)]) == 0
+    out, err = capsys.readouterr()
+    reports = bench(range(8, 10))
+    assert out == f"wrote {path}\n"
+    assert path.read_text() == reports_to_csv(reports)
+    cp = [walked / harness.cowpath_bound(dmin) for r in reports for dmin, walked in r.searches]
+    assert len(cp) == 3
+    assert f"cow-path util  : max {max(cp):.6f} of the doubling bound (3 searches)\n" in err
 
 
 def test_concurrent_runs_are_consistent():
