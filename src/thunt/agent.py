@@ -9,10 +9,10 @@ The agent runs a doubling (cow-path) search along the perimeter from the
 first until it walks onto the second, then continues.  It imports nothing
 from the oracle and returns only its trajectory, the list of points it
 walked through after its start (a point equal to the one before it is
-left out), and the tile center it aimed for; it is never given the
-treasure and keeps no lengths and no labels: the verifier measures what
-was walked.  The search is the same on any terrain: the paper's
-guarantees hold on regular ones, which a strict `harness.Scenario`
+left out); it is never given the treasure and keeps no lengths and no
+labels: the verifier measures what was walked, and a reader takes the
+tile center from the advice.  The search is the same on any terrain: the
+paper's guarantees hold on regular ones, which a strict `harness.Scenario`
 enforces when it is built.
 
 `_first_sight_length` measures, for the verifier, where along the
@@ -22,18 +22,11 @@ becomes visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .codec import AdviceError, decode, tile_center
 from .geom import (ARC_TOL, EPS, ON_RING_TOL, SIGHT_RADIUS, GeometryError, Point, Polygon,
                    Terrain, dist, first_hit, lerp, march, point_in_terrain, sees)
-
-
-@dataclass
-class HuntOutcome:
-    trajectory: list[Point]  # the points walked through after the start
-    q_prime: Point
 
 
 def _walk(trajectory: list[Point], points: Iterable[Point]) -> None:
@@ -43,8 +36,9 @@ def _walk(trajectory: list[Point], points: Iterable[Point]) -> None:
             trajectory.append(pt)
 
 
-def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
-    """Traversal senses (dir1, dir2) for a perimeter search starting at r.
+def choose_directions(ring: Polygon, r: Point) -> int:
+    """First traversal sense dir1 of a perimeter search starting at r; the
+    search alternates it with -dir1.
 
     At a vertex, dir1 follows the adjacent side whose outgoing direction
     makes the smaller angle with North (ties go to the smaller clockwise
@@ -79,7 +73,7 @@ def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
             dir1 = s1 if c1 > c2 else s2
         else:
             dir1 = s1 if b1 <= b2 else s2
-        return dir1, -dir1
+        return dir1
 
     a, b = vs[i], vs[(i + 1) % n]
     ex, ey = b.x - a.x, b.y - a.y
@@ -87,41 +81,41 @@ def choose_directions(ring: Polygon, r: Point) -> tuple[int, int]:
         dir1 = 1 if ex < 0 else -1
     else:
         dir1 = 1 if ey > 0 else -1
-    return dir1, -dir1
+    return dir1
 
 
-def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: list[Point]) -> Point:
+def cow_path(ring: Polygon, r: Point, r_prime: Point, trajectory: list[Point]) -> None:
     """Doubling perimeter search from the hit point r for r_prime, the
     point of the ring where the free move's segment comes back out.
 
-    Walks legs of length 1, 2, 4, ... alternating dir1/dir2 (returning to r
-    after each failed leg), appending the points of every leg to the
+    Walks legs of length 1, 2, 4, ... alternating dir1 and -dir1 (returning
+    to r after each failed leg), appending the points of every leg to the
     trajectory, and stops on the first leg that reaches r_prime.  Both
-    points must lie on the ring.  Returns r_prime.
+    points must lie on the ring.
     """
     P = ring.perimeter
     _, arc_r = ring.locate(r)
     _, arc_rp = ring.locate(r_prime)
-    dir1, dir2 = choose_directions(ring, r)
+    dir1 = sense = choose_directions(ring, r)
     d_fwd = (arc_rp - arc_r) * dir1 % P  # distance to r' going dir1
 
     leg = 1.0
-    sense = dir1
     while True:
         target = d_fwd if sense == dir1 else P - d_fwd
         if target <= leg + ARC_TOL:
             pts = march(ring, arc_r, target, sense)
             pts[-1] = r_prime  # exact landing, no arc rounding
             _walk(trajectory, pts)
-            return r_prime
+            return
         out = march(ring, arc_r, leg, sense)
         _walk(trajectory, out + out[::-1])
         leg *= 2
-        sense = dir2 if sense == dir1 else dir1
+        sense = -sense
 
 
-def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
-    """Execute the hunt from p using only the advice string.
+def thunt(t: Terrain, p: Point, advice: str) -> list[Point]:
+    """Execute the hunt from p using only the advice string, and return
+    the points walked through after p.
 
     The search is the same on any terrain; its cost guarantees hold on a
     regular one, which a strict `harness.Scenario` enforces.  On another
@@ -154,8 +148,9 @@ def thunt(t: Terrain, p: Point, advice: str) -> HuntOutcome:
             _walk(walk, [q_prime])
             break
         _walk(walk, [hit.point])
-        pos = cow_path(hit.ring, hit.point, hit.reentry, walk)
-    return HuntOutcome(walk[1:], q_prime)
+        cow_path(hit.ring, hit.point, hit.reentry, walk)
+        pos = hit.reentry
+    return walk[1:]
 
 
 def _first_sight_length(trajectory: list[Point], start: Point, q: Point,

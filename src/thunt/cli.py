@@ -67,19 +67,17 @@ def _read_advice(args) -> str:
 def _cmd_hunt(args) -> int:
     sc = load_scenario(args.scenario)
     advice = _read_advice(args)
-    outcome = thunt(sc.terrain, sc.start, advice)
-    first_sight = agent._first_sight_length(outcome.trajectory, sc.start, sc.treasure,
-                                            sc.terrain)
-    walk = [sc.start, *outcome.trajectory]
+    trajectory = thunt(sc.terrain, sc.start, advice)
+    first_sight = agent._first_sight_length(trajectory, sc.start, sc.treasure, sc.terrain)
+    walk = [sc.start, *trajectory]
+    q_prime = codec.tile_center(sc.start, codec.decode(advice))
     print(f"advice_bits={len(advice)}")
-    print(f"reached_qprime={dist(walk[-1], outcome.q_prime) <= EPS}")
+    print(f"reached_qprime={dist(walk[-1], q_prime) <= EPS}")
     print(f"total_length={polyline_length(walk)!r}")
     print(f"first_sight_length={first_sight!r}")
     if args.svg:
-        spec = oracle.accessibility(sc.terrain, sc.treasure)
-        doc = render_svg(sc, outcome.trajectory, q_prime=outcome.q_prime, lam=spec.lam)
         with open(args.svg, "w") as fh:
-            fh.write(doc)
+            fh.write(render_svg(sc, trajectory, advice))
     return 0
 
 
@@ -90,7 +88,7 @@ def _cmd_run(args) -> int:
     print(f"advice_bits={report.advice_bits}")
     print(f"lambda={report.lam!r} rho={report.rho!r}")
     print(f"L={report.L!r}")
-    print(f"total_length={polyline_length([sc.start, *report.outcome.trajectory])!r}")
+    print(f"total_length={polyline_length([sc.start, *report.trajectory])!r}")
     print(f"first_sight_length={report.first_sight_length!r}")
     print(f"ratio={report.ratio!r}")
     print(f"max_cowpath_ratio={report.max_cowpath_ratio!r}")
@@ -98,10 +96,8 @@ def _cmd_run(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(reports_to_csv([report]))
     if args.svg:
-        doc = render_svg(sc, report.outcome.trajectory, q_prime=report.outcome.q_prime,
-                         lam=report.lam)
         with open(args.svg, "w") as fh:
-            fh.write(doc)
+            fh.write(render_svg(sc, report.trajectory, report.advice))
     if report.passed:
         print("PASS")
         return 0
@@ -112,19 +108,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_render(args) -> int:
     sc = load_scenario(args.scenario)
-    trajectory = q_prime = lam = tiling_side = None
+    trajectory = advice = None
     if args.trajectory or args.tiling:
         spec = oracle.accessibility(sc.terrain, sc.treasure)
         advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
-        lam = spec.lam
-        if args.tiling:
-            tiling_side = 1.0 / codec.decode(advice).a1
         if args.trajectory:
-            outcome = thunt(sc.terrain, sc.start, advice)
-            trajectory, q_prime = outcome.trajectory, outcome.q_prime
-    doc = render_svg(sc, trajectory, q_prime=q_prime, lam=lam, tiling_side=tiling_side)
+            trajectory = thunt(sc.terrain, sc.start, advice)
     with open(args.out, "w") as fh:
-        fh.write(doc)
+        fh.write(render_svg(sc, trajectory, advice, args.tiling))
     print(f"wrote {args.out}")
     return 0
 

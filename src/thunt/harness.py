@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import agent, oracle
-from .agent import HuntOutcome, thunt
+from .agent import thunt
 from .geom import (ARC_TOL, EPS, GeometryError, Point, Polygon, Terrain, TerrainError,
                    dist, distance_to_boundary, point_in_terrain, sees,
                    segment_in_terrain, validate_regular_terrain)
@@ -73,15 +73,13 @@ class Scenario:
 
 @dataclass
 class RunReport:
+    """What a run measured; advice bits and ratios are derived from it."""
     advice: str
-    advice_bits: int
     lam: float
     rho: float
     L: float
-    outcome: HuntOutcome
+    trajectory: list[Point]  # the points the agent walked through after the start
     first_sight_length: float
-    ratio: float
-    max_cowpath_ratio: float = 0.0
     searches: list[tuple[float, float]] = field(default_factory=list)  # (dmin, walked)
     failures: list[str] = field(default_factory=list)
     seed: Optional[int] = None
@@ -89,6 +87,19 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @property
+    def advice_bits(self) -> int:
+        return len(self.advice)
+
+    @property
+    def ratio(self) -> float:
+        return self.first_sight_length / max(self.L, 1.0)
+
+    @property
+    def max_cowpath_ratio(self) -> float:
+        return max((walked / dmin for dmin, walked in self.searches if dmin > EPS),
+                   default=0.0)
 
     def csv_row(self) -> str:
         seed = "" if self.seed is None else str(self.seed)
@@ -109,26 +120,26 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
     """Advise, hunt, and verify one scenario."""
     t = scenario.terrain
     p, q = scenario.start, scenario.treasure
-    failures: list[str] = []
 
     spec = oracle.accessibility(t, q)
     advice, q_prime = oracle.make_advice(t, p, spec)
     L = oracle.shortest_path(t, p, q)
-    outcome = thunt(t, p, advice)
+    trajectory = thunt(t, p, advice)
+    # called through the module, so that a wrapper installed there sees it
+    first_sight = agent._first_sight_length(trajectory, p, q, t)
+    report = RunReport(advice, spec.lam, spec.rho, L, trajectory,
+                       math.inf if first_sight is None else first_sight, seed=seed)
+    failures = report.failures
 
-    walk = [p, *outcome.trajectory]
+    walk = [p, *trajectory]
     if dist(walk[-1], q_prime) > EPS:
         failures.append("agent did not reach the target tile center")
     if not sees(q_prime, q, t):  # a center outside the terrain sees nothing
         failures.append("target tile center does not see the treasure")
-    # called through the module, so that a wrapper installed there sees it
-    first_sight = agent._first_sight_length(outcome.trajectory, p, q, t)
     if first_sight is None:
         failures.append("treasure never became visible along the trajectory")
-        first_sight = math.inf
-    ratio = first_sight / max(L, 1.0)
-    if math.isfinite(ratio) and ratio > RATIO_GATE:
-        failures.append(f"cost ratio {ratio:.3f} exceeds the gate {RATIO_GATE:g}")
+    if math.isfinite(report.ratio) and report.ratio > RATIO_GATE:
+        failures.append(f"cost ratio {report.ratio:.3f} exceeds the gate {RATIO_GATE:g}")
 
     budget = advice_bits_budget(L, spec.lam)
     if len(advice) > budget:
@@ -150,33 +161,15 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> RunReport:
             runs.append([ring, first, last, dist(a, b)])
         prev = ring
 
-    searches = []
-    max_cp = 0.0
     for r, first, last, walked in runs:
         d = (last - first) % r.perimeter
         dmin = min(d, r.perimeter - d)
-        searches.append((dmin, walked))
+        report.searches.append((dmin, walked))
         if walked > cowpath_bound(dmin) + ARC_TOL:
             failures.append(
                 f"perimeter search walked {walked:.6f} over bound "
                 f"{cowpath_bound(dmin):.6f}")
-        if dmin > EPS:
-            max_cp = max(max_cp, walked / dmin)
-
-    return RunReport(
-        advice=advice,
-        advice_bits=len(advice),
-        lam=spec.lam,
-        rho=spec.rho,
-        L=L,
-        outcome=outcome,
-        first_sight_length=first_sight,
-        ratio=ratio,
-        max_cowpath_ratio=max_cp,
-        searches=searches,
-        failures=failures,
-        seed=seed,
-    )
+    return report
 
 
 def _steps(points: Sequence[Point], rings: Sequence[Polygon]):

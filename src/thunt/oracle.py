@@ -20,7 +20,6 @@ pairs, the first case that applies deciding:
 * marked blocked by `vecgeom.pairwise_edge_classification`, which sees
   only the pairs the two cases above leave open: rejected;
 * marked ambiguous by the kernel: the exact test decides;
-* running along an edge at one of its ends: the exact test decides;
 * otherwise the segment meets the boundary only at its ends: admitted.
 
 The exact test is `geom.segment_in_terrain`, run on all the pairs it
@@ -143,7 +142,6 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
                       | (np.abs(cb) <= EPS * np.hypot(ix, iy) * ld))
     free = (ca > 0) | (cb > 0)  # every kept vertex is reflex: left of either wedge side
     out = (vertex & ~along & ~free).reshape(2, -1).any(axis=0)
-    along = along.reshape(2, -1).any(axis=0)
 
     edge = ((E[I, 1] == E[J, 0]) | (E[I, 0] == E[J, 1])) & (E[I, 0] >= 0)
     # the kernel sees only the pairs that neither a shared edge nor a wedge decides
@@ -151,8 +149,9 @@ def _visibility_graph(t: Terrain, p: Point, q: Point):
     blocked, ambiguous = np.zeros_like(rest), np.zeros_like(rest)
     blocked[rest], ambiguous[rest] = vecgeom.pairwise_edge_classification(
         P, I[rest], J[rest], t, E)
-    admit = edge | (rest & ~(blocked | along | ambiguous))
-    exact = rest & ~blocked & (ambiguous | along)
+    # a pair along an edge at its end meets the next edge (ambiguous) or leaves into free space
+    admit = edge | (rest & ~(blocked | ambiguous))
+    exact = rest & ~blocked & ambiguous
     admit[exact] = vecgeom.segments_in_terrain(P[I[exact]], P[J[exact]], t)
     ai, aj = I[admit].tolist(), J[admit].tolist()
     return nodes, ai, aj, [dist(nodes[i], nodes[j]) for i, j in zip(ai, aj)]

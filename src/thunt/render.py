@@ -9,8 +9,10 @@ import math
 from itertools import groupby
 from typing import Optional
 
+from .codec import decode, tile_center
 from .geom import Point
 from .harness import Scenario, _steps
+from .oracle import accessibility
 
 _COLORS = {
     "outer_fill": "#f7f6f1",
@@ -40,12 +42,13 @@ def _path(points, close: bool = False) -> str:
 
 
 def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
-               q_prime: Optional[Point] = None, lam: Optional[float] = None,
-               tiling_side: Optional[float] = None) -> str:
+               advice: Optional[str] = None, tiling: bool = False) -> str:
     """SVG document for a scenario, optionally with the agent trajectory
-    (the points walked through after the start), the treasure visibility
-    disc, the target tile center, and the tiles around that disc of the
-    grid anchored at the start.  Identical inputs yield identical bytes."""
+    (the points walked through after the start).  Given the advice, it also
+    draws the treasure visibility disc of radius lam (`oracle.accessibility`),
+    the center of the advice's tile when a trajectory is drawn, and with
+    `tiling` the tiles of side 1/a1 around the disc, of the grid anchored
+    at the start.  Identical inputs yield identical bytes."""
     t = scenario.terrain
     x0, y0, x1, y1 = t.outer.bbox
     margin = 0.05 * max(x1 - x0, y1 - y0, 1.0)
@@ -64,10 +67,11 @@ def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
         f'stroke="{_COLORS["outer_stroke"]}" stroke-width="{_fmt(stroke)}"/>',
     ]
 
-    if tiling_side:
+    triple = None if advice is None else decode(advice)
+    if tiling and triple is not None:
         # the tiles that meet the box of the treasure disc, where the oracle
         # picks its tile: the advice's side s = 1/ceil(2/lam) has lam < 3s
-        s, g, q = tiling_side, scenario.start, scenario.treasure
+        s, g, q = 1.0 / triple.a1, scenario.start, scenario.treasure
         kx, ky = math.floor((q.x - g.x) / s), math.floor((q.y - g.y) / s)
         xs = [g.x + (kx + i) * s for i in range(-3, 5)]
         ys = [g.y + (ky + i) * s for i in range(-3, 5)]
@@ -83,7 +87,8 @@ def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
                    f'fill="{_COLORS["obstacle_fill"]}" stroke="{_COLORS["obstacle_stroke"]}" '
                    f'stroke-width="{_fmt(stroke / 2)}"/>')
 
-    if lam:
+    if triple is not None:
+        lam = accessibility(t, scenario.treasure).lam
         out.append(f'<circle cx="{_fmt(scenario.treasure.x)}" cy="{_fmt(scenario.treasure.y)}" '
                    f'r="{_fmt(lam)}" fill="none" stroke="{_COLORS["treasure"]}" '
                    f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)}"/>')
@@ -100,8 +105,8 @@ def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
                f'r="{_fmt(dot)}" fill="{_COLORS["start"]}"/>')
     out.append(f'<circle cx="{_fmt(scenario.treasure.x)}" cy="{_fmt(scenario.treasure.y)}" '
                f'r="{_fmt(dot)}" fill="{_COLORS["treasure"]}"/>')
-    if q_prime is not None:
-        d = 1.6 * dot
+    if triple is not None and trajectory is not None:
+        q_prime, d = tile_center(scenario.start, triple), 1.6 * dot
         out.append(f'<g stroke="{_COLORS["q_prime"]}" stroke-width="{_fmt(stroke)}">'
                    f'<line x1="{_fmt(q_prime.x - d)}" y1="{_fmt(q_prime.y - d)}" '
                    f'x2="{_fmt(q_prime.x + d)}" y2="{_fmt(q_prime.y + d)}"/>'

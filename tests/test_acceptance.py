@@ -117,7 +117,8 @@ def test_acceptance_5_cowpath_bound():
         poly = random_fat_polygon(rng, c, radius=0.4 + 3.0 * rng.random())
         r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
         traj = []
-        assert cow_path(poly, r, r_prime, traj) == r_prime
+        cow_path(poly, r, r_prime, traj)
+        assert traj[-1] == r_prime
         dmin, walked = shorter_arc(poly, r, r_prime), polyline_length(traj)
         assert walked <= cowpath_bound(dmin) + 1e-9, (walked, dmin)
         worst = max(worst, walked / cowpath_bound(dmin))
@@ -253,8 +254,8 @@ def test_acceptance_10_determinism(tmp_path):
     from thunt import thunt as run_hunt
     out1 = run_hunt(t, p, rep1.advice)
     out2 = run_hunt(t, p, rep2.advice)
-    svg1 = render_svg(sc, out1.trajectory, q_prime=out1.q_prime, lam=rep1.lam)
-    svg2 = render_svg(sc, out2.trajectory, q_prime=out2.q_prime, lam=rep2.lam)
+    svg1 = render_svg(sc, out1, rep1.advice)
+    svg2 = render_svg(sc, out2, rep2.advice)
     assert svg1.encode() == svg2.encode()
     _report(10, "determinism", "byte-identical CSV rows and SVG across repeats")
 

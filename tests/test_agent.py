@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from conftest import empty_square_terrain, square
 from support import ring_along, shorter_arc, trajectory_length
 from thunt import (EPS, AdviceError, GeometryError, Point, Polygon, Scenario, Terrain,
-                   accessibility, choose_directions, cow_path, encode, make_advice,
+                   accessibility, choose_directions, cow_path, decode, encode, make_advice,
                    run_scenario, sees, segment_in_terrain, thunt)
 from thunt import agent, geom
 from thunt.agent import _first_sight_length
+from thunt.codec import tile_center
 from thunt.generators import random_fat_polygon
 
 UNIT = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -27,11 +28,11 @@ def steps(p, trajectory):
     return list(zip(walk, walk[1:]))
 
 
-def assert_arrives(out, p):
-    """The polyline from p through the trajectory ends at q', and no point
-    of it equals the one before it."""
-    assert math.dist([p, *out.trajectory][-1], out.q_prime) <= EPS
-    assert all(a != b for a, b in steps(p, out.trajectory))
+def assert_arrives(trajectory, p, advice):
+    """The polyline from p through the trajectory ends at the center of the
+    advice's tile, and no point of it equals the one before it."""
+    assert math.dist([p, *trajectory][-1], tile_center(p, decode(advice))) <= EPS
+    assert all(a != b for a, b in steps(p, trajectory))
 
 
 # --- direction rule -----------------------------------------------------------
@@ -39,40 +40,35 @@ def assert_arrives(out, p):
 def test_dir1_on_vertical_side_heads_north():
     # left side of the CCW square runs downward, so "toward the northern
     # endpoint" is the reverse sense
-    d1, d2 = choose_directions(UNIT, Point(0, 0.5))
-    assert (d1, d2) == (-1, 1)
+    assert choose_directions(UNIT, Point(0, 0.5)) == -1
     # right side runs upward: forward sense
-    d1, _ = choose_directions(UNIT, Point(1, 0.5))
-    assert d1 == 1
+    assert choose_directions(UNIT, Point(1, 0.5)) == 1
 
 
 def test_dir1_on_horizontal_side_heads_west():
-    d1, _ = choose_directions(UNIT, Point(0.5, 0))  # bottom edge, CCW = east
-    assert d1 == -1
-    d1, _ = choose_directions(UNIT, Point(0.5, 1))  # top edge, CCW = west
-    assert d1 == 1
+    assert choose_directions(UNIT, Point(0.5, 0)) == -1  # bottom edge, CCW = east
+    assert choose_directions(UNIT, Point(0.5, 1)) == 1  # top edge, CCW = west
 
 
 def test_dir1_at_corner_prefers_vertical_side():
     # corner (1,0): adjacent sides head north (angle 0) and west (angle pi/2)
-    d1, _ = choose_directions(UNIT, Point(1, 0))
-    assert d1 == 1  # CCW = up the right side
+    assert choose_directions(UNIT, Point(1, 0)) == 1  # CCW = up the right side
 
 
 def test_dir1_tie_breaks_clockwise_from_north():
     # diamond vertex with both sides at 45 degrees from north
     diamond = Polygon([(1, 0), (2, 1), (1, 2), (0, 1)])
-    d1, _ = choose_directions(diamond, Point(1, 0))
     # NE side (toward (2,1), bearing 45) beats NW side (bearing 315)?
     # smaller clockwise bearing from north wins: 45 < 315
-    assert d1 == 1
+    assert choose_directions(diamond, Point(1, 0)) == 1
 
 
 # --- cow path ------------------------------------------------------------------
 
 def test_cow_path_square_hand_simulation():
     traj = []
-    rp = cow_path(UNIT, Point(0, 0.5), Point(1, 0.5), traj)
+    cow_path(UNIT, Point(0, 0.5), Point(1, 0.5), traj)
+    rp = traj[-1]
     dmin, walked = shorter_arc(UNIT, Point(0, 0.5), rp), geom.polyline_length(traj)
     assert math.dist(rp, (1.0, 0.5)) < 1e-9
     assert abs(dmin - 2.0) < 1e-9
@@ -89,8 +85,8 @@ def test_cow_path_found_in_first_leg():
     r = Point(0, 0.7)
     rp_expect = Point(0.2, 1.0)  # 0.3 up + 0.2 east along the top
     traj = []
-    rp = cow_path(UNIT, r, rp_expect, traj)
-    assert math.dist(rp, rp_expect) < 1e-9
+    cow_path(UNIT, r, rp_expect, traj)
+    assert math.dist(traj[-1], rp_expect) < 1e-9
     assert abs(geom.polyline_length(traj) - 0.5) < 1e-9
 
 
@@ -102,7 +98,8 @@ def test_cow_path_respects_doubling_bound(seed):
     poly = random_fat_polygon(rng, c, radius=0.5 + 2.5 * rng.random())
     r, r_prime = (poly.point_at_arc(rng.random() * poly.perimeter) for _ in range(2))
     traj = []
-    assert cow_path(poly, r, r_prime, traj) == r_prime
+    cow_path(poly, r, r_prime, traj)
+    assert traj[-1] == r_prime
     dmin, walked = shorter_arc(poly, r, r_prime), geom.polyline_length(traj)
     assert walked <= cowpath_bound(dmin) + 1e-9
 
@@ -111,44 +108,46 @@ def test_cow_path_respects_doubling_bound(seed):
 
 def test_hunt_straight_line():
     t = empty_square_terrain(10, -5)
-    out = thunt(t, Point(0, 0), encode(2, 2, 1))
-    assert_arrives(out, Point(0, 0))
-    assert math.dist(out.q_prime, (0.75, 0.25)) < 1e-12
-    assert abs(trajectory_length(Point(0, 0), out.trajectory)
+    advice = encode(2, 2, 1)
+    trajectory = thunt(t, Point(0, 0), advice)
+    assert_arrives(trajectory, Point(0, 0), advice)
+    q_prime = tile_center(Point(0, 0), decode(advice))
+    assert math.dist(q_prime, (0.75, 0.25)) < 1e-12
+    assert abs(trajectory_length(Point(0, 0), trajectory)
                - math.sqrt(0.75 ** 2 + 0.25 ** 2)) < 1e-12
-    assert out.trajectory == [out.q_prime]
-    assert ring_along(Point(0, 0), out.q_prime, t) is None
+    assert trajectory == [q_prime]
+    assert ring_along(Point(0, 0), q_prime, t) is None
 
 
 def test_hunt_around_one_obstacle():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2)])
     p, q = Point(0, 0.7), Point(6, 0.75)
     report = run_scenario(Scenario(t, p, q))
-    out = report.outcome
-    assert_arrives(out, p)
-    assert sees(out.q_prime, q, t)
-    assert {ring_along(a, b, t) for a, b in steps(p, out.trajectory)} == {None, t.obstacles[0]}
+    assert_arrives(report.trajectory, p, report.advice)
+    assert sees(tile_center(p, decode(report.advice)), q, t)
+    assert ({ring_along(a, b, t) for a, b in steps(p, report.trajectory)}
+            == {None, t.obstacles[0]})
     assert len(report.searches) == 1
     # every step must stay in the terrain
-    for a, b in steps(p, out.trajectory):
+    for a, b in steps(p, report.trajectory):
         assert segment_in_terrain(a, b, t)
 
 
 def test_hunt_first_sight_zero_when_visible_at_start():
     t = empty_square_terrain(10, -5)
     q = Point(0.3, 0.4)
-    out = thunt(t, Point(0, 0), encode(2, 2, 1))
-    assert _first_sight_length(out.trajectory, Point(0, 0), q, t) == 0.0
+    trajectory = thunt(t, Point(0, 0), encode(2, 2, 1))
+    assert _first_sight_length(trajectory, Point(0, 0), q, t) == 0.0
 
 
 def test_hunt_first_sight_bracketed():
     t = empty_square_terrain(20, -10)
     q = Point(4.0, 3.0)  # distance 5 from start
     advice, _ = make_advice(t, Point(0, 0), accessibility(t, q))
-    out = thunt(t, Point(0, 0), advice)
-    first_sight = _first_sight_length(out.trajectory, Point(0, 0), q, t)
+    trajectory = thunt(t, Point(0, 0), advice)
+    first_sight = _first_sight_length(trajectory, Point(0, 0), q, t)
     assert first_sight is not None
-    assert 0 < first_sight <= trajectory_length(Point(0, 0), out.trajectory)
+    assert 0 < first_sight <= trajectory_length(Point(0, 0), trajectory)
     # straight walk toward a tile center near q: visibility starts around
     # distance |pq| - 1 = 4
     assert abs(first_sight - 4.0) < 0.2
@@ -209,10 +208,9 @@ def test_hunt_deterministic():
     advice, _ = make_advice(t, p, accessibility(t, q))
     a = thunt(t, p, advice)
     b = thunt(t, p, advice)
-    assert a.trajectory == b.trajectory
-    assert trajectory_length(p, a.trajectory) == trajectory_length(p, b.trajectory)
-    assert (_first_sight_length(a.trajectory, p, q, t)
-            == _first_sight_length(b.trajectory, p, q, t))
+    assert a == b
+    assert trajectory_length(p, a) == trajectory_length(p, b)
+    assert _first_sight_length(a, p, q, t) == _first_sight_length(b, p, q, t)
 
 
 def test_cow_path_enters_at_vertex():
@@ -221,7 +219,8 @@ def test_cow_path_enters_at_vertex():
     diamond = Polygon([(3, 0), (4, 1), (5, 0), (4, -1)])
     hit = agent.first_hit(Point(-1, 0), Point(9, 0), Terrain(square(-2, -3, 12), [diamond]))
     traj = []
-    rp = cow_path(diamond, hit.point, hit.reentry, traj)
+    cow_path(diamond, hit.point, hit.reentry, traj)
+    rp = traj[-1]
     assert math.dist(rp, (5.0, 0.0)) < 1e-9
     assert abs(shorter_arc(diamond, Point(3, 0), rp) - 2 * math.sqrt(2)) < 1e-9
     # (5, 0) lies 2*sqrt(2) away either way: the legs of 1 (north-east, dir1)
@@ -235,10 +234,9 @@ def test_hunt_through_diamond_obstacle():
     p = Point(0, 0.25)
     q = Point(8, 0.25)
     report = run_scenario(Scenario(t, p, q))
-    out = report.outcome
-    assert_arrives(out, p)
+    assert_arrives(report.trajectory, p, report.advice)
     assert len(report.searches) == 1
-    assert sees(out.q_prime, q, t)
+    assert sees(tile_center(p, decode(report.advice)), q, t)
 
 
 def test_hunt_rides_along_obstacle_edge():
@@ -248,10 +246,9 @@ def test_hunt_rides_along_obstacle_edge():
     p = Point(0, 0.25)
     q = Point(8, 0.25)
     report = run_scenario(Scenario(t, p, q))
-    out = report.outcome
-    assert_arrives(out, p)
+    assert_arrives(report.trajectory, p, report.advice)
     assert report.searches == []
-    assert out.trajectory == [out.q_prime]
+    assert report.trajectory == [tile_center(p, decode(report.advice))]
 
 
 def test_hunt_first_sight_through_narrow_slit():
@@ -263,14 +260,15 @@ def test_hunt_first_sight_through_narrow_slit():
             Polygon([(0.002, 0.3), (4, 0.3), (4, 0.4), (0.002, 0.4)])]
     t = Terrain(square(-5, -5, 10), wall)
     p, q = Point(-0.8, 0.9), Point(0.0, 0.0)
-    out = thunt(t, p, encode(100, 160, 1))
-    assert_arrives(out, p)
-    assert out.trajectory == [out.q_prime]
-    e = out.q_prime
+    advice = encode(100, 160, 1)
+    trajectory = thunt(t, p, advice)
+    assert_arrives(trajectory, p, advice)
+    e = tile_center(p, decode(advice))
+    assert trajectory == [e]
     # p + u (e - p) on the line y = -200 x through q and the slit corner
     u = -(p.y + 200 * p.x) / ((e.y - p.y) + 200 * (e.x - p.x))
     expected = u * math.dist(p, e)
     assert abs(expected - 0.79549) < 1e-4
-    first_sight = _first_sight_length(out.trajectory, p, q, t)
+    first_sight = _first_sight_length(trajectory, p, q, t)
     assert first_sight is not None
     assert abs(first_sight - expected) < 1e-9

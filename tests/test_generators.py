@@ -451,8 +451,9 @@ def test_random_regular_terrain_deterministic():
 
 
 def test_empty_random_terrain_straight_hunt():
-    from thunt import Scenario, run_scenario
+    from thunt import Scenario, decode, run_scenario
+    from thunt.codec import tile_center
     t, p, q = random_regular_terrain(3, 0)
     report = run_scenario(Scenario(t, p, q))
-    assert report.outcome.trajectory == [report.outcome.q_prime]
+    assert report.trajectory == [tile_center(p, decode(report.advice))]
     assert report.searches == []

@@ -21,7 +21,7 @@ from thunt import (Point, Polygon, Scenario, ScenarioError, Terrain, load_scenar
                    render_svg, reports_to_csv, run_scenario, save_scenario)
 import thunt
 from thunt import agent, cli, geom, harness, oracle, render
-from thunt.codec import AdviceTriple, encode, tile_center, tile_index
+from thunt.codec import AdviceTriple, decode, encode, tile_center, tile_index
 from thunt.cli import main as cli_main
 from thunt.generators import CombParams, comb_terrain
 from thunt.harness import (advice_bits_budget, bench, bench_scenario,
@@ -111,7 +111,7 @@ def test_run_scenario_passes_and_reports():
     assert report.passed, report.failures
     assert report.advice_bits == len(report.advice)
     assert report.advice_bits <= advice_bits_budget(report.L, report.lam)
-    assert report.first_sight_length <= trajectory_length(sc.start, report.outcome.trajectory)
+    assert report.first_sight_length <= trajectory_length(sc.start, report.trajectory)
     assert report.ratio >= 0
     assert report.L >= 8.0  # crow-flight distance
 
@@ -144,8 +144,7 @@ def test_run_scenario_checks_arrival_on_the_trajectory(monkeypatch):
     hunt = harness.thunt
 
     def stops_short(*args, **kwargs):
-        out = hunt(*args, **kwargs)
-        return dataclasses.replace(out, trajectory=out.trajectory[:-1])
+        return hunt(*args, **kwargs)[:-1]
 
     monkeypatch.setattr(harness, "thunt", stops_short)
     report = run_scenario(simple_scenario())
@@ -249,8 +248,8 @@ def test_run_scenario_selects_the_tile_once(monkeypatch):
 
 
 def test_run_scenario_checks_arrival_at_the_oracles_tile(monkeypatch):
-    # the agent decodes the neighbouring column, walks to that tile center
-    # and reports it as q'; that center sees the treasure too
+    # the agent decodes the neighbouring column and walks to that tile
+    # center, which sees the treasure too
     decode = agent.decode
 
     def shifted(advice):
@@ -259,7 +258,7 @@ def test_run_scenario_checks_arrival_at_the_oracles_tile(monkeypatch):
 
     monkeypatch.setattr(agent, "decode", shifted)
     report = run_scenario(simple_scenario())
-    assert harness.sees(report.outcome.q_prime, simple_scenario().treasure,
+    assert harness.sees(report.trajectory[-1], simple_scenario().treasure,
                         simple_scenario().terrain)
     assert "agent did not reach the target tile center" in report.failures
 
@@ -270,9 +269,8 @@ def test_run_scenario_gates_the_cost_ratio(monkeypatch):
     hunt = harness.thunt
 
     def detours(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
         paces = [Point(1, 9.5), *(Point(1, 0.5 if k % 2 == 0 else 9.5) for k in range(250))]
-        return dataclasses.replace(out, trajectory=[*paces, p, *out.trajectory])
+        return [*paces, p, *hunt(t, p, advice, **kwargs)]
 
     monkeypatch.setattr(harness, "thunt", detours)
     report = run_scenario(simple_scenario())
@@ -288,8 +286,7 @@ def test_run_scenario_fails_a_free_move_through_an_obstacle(monkeypatch):
     inside = Point(5, 5.8)
 
     def trespasses(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
-        return dataclasses.replace(out, trajectory=[inside, p, *out.trajectory])
+        return [inside, p, *hunt(t, p, advice, **kwargs)]
 
     monkeypatch.setattr(harness, "thunt", trespasses)
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
@@ -315,8 +312,7 @@ def _run_rewritten(sc, rewrite):
     hunt = harness.thunt
 
     def tampered(t, p, advice):
-        out = hunt(t, p, advice)
-        return dataclasses.replace(out, trajectory=rewrite(out.trajectory))
+        return rewrite(hunt(t, p, advice))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "thunt", tampered)
@@ -350,8 +346,9 @@ def test_run_scenario_checks_every_step_of_a_free_move():
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
     report = _run_rewritten(Scenario(t, Point(2, 2), Point(8, 2.3)),
                             lambda trajectory: [Point(5, 5), *trajectory])
-    assert geom.segment_in_terrain(Point(2, 2), report.outcome.q_prime, t)
-    assert report.outcome.trajectory == [Point(5, 5), report.outcome.q_prime]
+    q_prime = tile_center(Point(2, 2), decode(report.advice))
+    assert geom.segment_in_terrain(Point(2, 2), q_prime, t)
+    assert report.trajectory == [Point(5, 5), q_prime]
     assert report.failures == ["free move leaves the terrain"]
 
 
@@ -386,7 +383,7 @@ def test_inserting_points_on_a_step_changes_no_verdict_and_no_number(suite_repor
     # one to three points are inserted on a step, free or along a ring: the
     # agent walks the same curve through more points
     base, sc = suite_report(seed), bench_scenario(seed)
-    trajectory = base.outcome.trajectory
+    trajectory = base.trajectory
     k = data.draw(st.integers(0, len(trajectory) - 1))
     a, b = [sc.start, *trajectory][k], trajectory[k]
     cuts = sorted(data.draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3)))
@@ -409,7 +406,7 @@ def test_a_detour_through_an_obstacle_fails_as_a_free_move(suite_report, seed, d
     # where a free move starts, the agent steps to a point inside an
     # obstacle and back, or bends the free move through that point
     sc = bench_scenario(seed)
-    trajectory = suite_report(seed).outcome.trajectory
+    trajectory = suite_report(seed).trajectory
     walk = [sc.start, *trajectory]
     free = [k for k, (a, b) in enumerate(zip(walk, walk[1:]))
             if ring_along(a, b, sc.terrain) is None]
@@ -431,7 +428,7 @@ def test_dropping_a_search_jumps_out_of_the_terrain(suite_report, seed, data):
     # along the part of its free move's segment that lies outside the
     # terrain.  A jump is a step, and this one is a free move that fails
     base, sc = suite_report(seed), bench_scenario(seed)
-    trajectory = base.outcome.trajectory
+    trajectory = base.trajectory
     _, i, j = data.draw(st.sampled_from(_searches([sc.start, *trajectory], sc.terrain)))
     report = _run_rewritten(sc, lambda _: trajectory[:i] + trajectory[j - 1:])
     assert report.failures == ["free move leaves the terrain"]
@@ -449,9 +446,8 @@ def test_a_jump_in_free_space_is_a_counted_step(tmp_path, monkeypatch, capsys, j
     hunt = harness.thunt
 
     def jumps(t, p, advice):
-        out = hunt(t, p, advice)
         detour = [Point(p.x, p.y + 1), Point(p.x + jump, p.y + 1), Point(p.x + jump, p.y), p]
-        return dataclasses.replace(out, trajectory=detour + out.trajectory)
+        return detour + hunt(t, p, advice)
 
     monkeypatch.setattr(harness, "thunt", jumps)
     assert cli_main(["run", str(path)]) == 0
@@ -464,9 +460,10 @@ def test_a_jump_in_free_space_is_a_counted_step(tmp_path, monkeypatch, capsys, j
 def test_stopping_short_of_the_tile_center_fails_arrival(suite_report, seed, data):
     # the agent hands in the first k points of its trajectory
     base, sc = suite_report(seed), bench_scenario(seed)
-    trajectory = base.outcome.trajectory
+    trajectory = base.trajectory
     k = data.draw(st.integers(0, len(trajectory) - 1))
-    assume(geom.dist([sc.start, *trajectory][k], base.outcome.q_prime) > geom.EPS)
+    q_prime = tile_center(sc.start, decode(base.advice))
+    assume(geom.dist([sc.start, *trajectory][k], q_prime) > geom.EPS)
     report = _run_rewritten(sc, lambda _: trajectory[:k])
     assert report.failures[0] == "agent did not reach the target tile center"
 
@@ -476,7 +473,7 @@ def test_laps_around_the_hit_ring_fail_the_cow_path_bound(suite_report, seed, da
     # before one of its searches the agent laps the hit ring n times out
     # and n times back, n enough to walk past the search's bound
     base, sc = suite_report(seed), bench_scenario(seed)
-    trajectory = base.outcome.trajectory
+    trajectory = base.trajectory
     walk = [sc.start, *trajectory]
     searches = _searches(walk, sc.terrain)
     s = data.draw(st.integers(0, len(searches) - 1))
@@ -507,7 +504,7 @@ def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
     monkeypatch.setattr(oracle, "select_tile", overshoots)
     p, q = Point(2, 2), Point(6, 6)
     report = run_scenario(Scenario(Terrain(square(0, 0, 12)), p, q))
-    assert geom.dist(report.outcome.q_prime, q) > 1
+    assert geom.dist(tile_center(p, decode(report.advice)), q) > 1
     assert report.failures == ["target tile center does not see the treasure"]
 
 
@@ -522,9 +519,7 @@ def test_run_scenario_fails_a_tile_center_outside_the_terrain(monkeypatch):
         return advice, inside
 
     def walks_in(t, p, advice, **kwargs):
-        out = hunt(t, p, advice, **kwargs)
-        out.trajectory.append(inside)
-        return dataclasses.replace(out, q_prime=inside)
+        return [*hunt(t, p, advice, **kwargs), inside]
 
     monkeypatch.setattr(oracle, "make_advice", into_the_obstacle)
     monkeypatch.setattr(harness, "thunt", walks_in)
@@ -585,11 +580,9 @@ def test_render_deterministic():
     sc = simple_scenario()
     report = run_scenario(sc)
     from thunt import thunt as run_hunt
-    out = run_hunt(sc.terrain, sc.start, report.advice)
-    svg1 = render_svg(sc, out.trajectory, q_prime=out.q_prime, lam=report.lam,
-                      tiling_side=0.5)
-    svg2 = render_svg(sc, out.trajectory, q_prime=out.q_prime, lam=report.lam,
-                      tiling_side=0.5)
+    trajectory = run_hunt(sc.terrain, sc.start, report.advice)
+    svg1 = render_svg(sc, trajectory, report.advice, tiling=True)
+    svg2 = render_svg(sc, trajectory, report.advice, tiling=True)
     assert svg1 == svg2
     assert svg1.startswith("<svg")
     assert svg1.count("<path") >= 3  # outer + obstacle + trajectory
@@ -599,9 +592,9 @@ def test_render_colours_a_piece_by_the_verifiers_rule():
     # the hunt of simple_scenario runs into the obstacle and walks around
     # it; each path drawn is a maximal run of steps of one colour
     sc = simple_scenario()
-    out = run_scenario(sc).outcome
-    svg = render_svg(sc, out.trajectory)
-    walk = [sc.start, *out.trajectory]
+    trajectory = run_scenario(sc).trajectory
+    svg = render_svg(sc, trajectory)
+    walk = [sc.start, *trajectory]
     colours = [render._COLORS["free" if ring_along(a, b, sc.terrain) is None else "walk"]
                for a, b in zip(walk, walk[1:])]
     paths = re.findall(r'<path d="([^"]*)" fill="none" stroke="([^"]*)"', svg)
@@ -615,8 +608,7 @@ def test_render_empty_terrain_minimal_structure():
     sc = Scenario(t, Point(2, 2), Point(10, 10))
     report = run_scenario(sc)
     from thunt import thunt as run_hunt
-    out = run_hunt(t, sc.start, report.advice)
-    svg = render_svg(sc, out.trajectory)
+    svg = render_svg(sc, run_hunt(t, sc.start, report.advice))
     assert svg.count("<path") == 2  # outer ring + the single straight move
 
 
@@ -643,7 +635,7 @@ def test_cli_generate_run_roundtrip(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     sc = load_scenario(str(scen))
     report = run_scenario(sc)
-    assert _printed(out, "total_length") == trajectory_length(sc.start, report.outcome.trajectory)
+    assert _printed(out, "total_length") == trajectory_length(sc.start, report.trajectory)
     assert _printed(out, "total_length") >= _printed(out, "first_sight_length")
 
     def second_hunt(*args, **kwargs):
@@ -705,7 +697,7 @@ def test_cli_advise_hunt(tmp_path, capsys):
     assert "reached_qprime=True" in out
     sc = load_scenario(str(scen))
     hunt = thunt.thunt(sc.terrain, sc.start, advice)
-    assert _printed(out, "total_length") == trajectory_length(sc.start, hunt.trajectory)
+    assert _printed(out, "total_length") == trajectory_length(sc.start, hunt)
     assert _printed(out, "total_length") >= _printed(out, "first_sight_length")
 
 
@@ -882,7 +874,7 @@ def test_cli_hunt_checks_fatness_in_a_strict_file(tmp_path, capsys):
     # a strict file of it is still rejected
     t, p, q = Terrain(square(0, 0, 20), [Polygon_rect()]), Point(1, 1), Point(18, 18)
     advice, _ = oracle.make_advice(t, p, oracle.accessibility(t, q))
-    assert agent.thunt(t, p, advice).trajectory
+    assert agent.thunt(t, p, advice)
     path = _strict_file(tmp_path, t, p, q)
     assert cli_main(["hunt", path, "--advice", advice]) == 2
     assert "terrain is not regular: obstacle 0 is not 2.0-fat" in capsys.readouterr().err
@@ -912,8 +904,59 @@ def test_cli_hunt_writes_the_svg_of_its_hunt(tmp_path, capsys):
     spec = oracle.accessibility(sc.terrain, sc.treasure)
     advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
     assert cli_main(["hunt", str(scen), "--advice", advice, "--svg", str(svg)]) == 0
-    out = thunt.thunt(sc.terrain, sc.start, advice)
-    assert svg.read_text() == render_svg(sc, out.trajectory, q_prime=out.q_prime, lam=spec.lam)
+    trajectory = thunt.thunt(sc.terrain, sc.start, advice)
+    assert svg.read_text() == render_svg(sc, trajectory, advice)
+
+
+def _drawn(svg):
+    """The centre of the q' cross, the radius of the treasure disc, whether
+    the grid is drawn and the colours of the trajectory's paths."""
+    cross = re.search(rf'<g stroke="{render._COLORS["q_prime"]}"[^>]*>'
+                      r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)"/>', svg)
+    disc = re.search(rf'r="(\S+)" fill="none" stroke="{render._COLORS["treasure"]}"', svg)
+    x1, y1, x2, y2 = map(float, cross.groups()) if cross else (math.nan,) * 4
+    return (None if cross is None else Point((x1 + x2) / 2, (y1 + y2) / 2),
+            None if disc is None else float(disc.group(1)),
+            f'<g stroke="{render._COLORS["grid"]}"' in svg,
+            set(re.findall(r'<path d="[^"]*" fill="none" stroke="([^"]*)"', svg)))
+
+
+def test_cli_draws_the_tile_center_and_the_disc_it_derives_from_the_advice(tmp_path):
+    scen = tmp_path / "s.json"
+    save_scenario(simple_scenario(), str(scen))
+    sc = load_scenario(str(scen))
+    spec = oracle.accessibility(sc.terrain, sc.treasure)
+    advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
+    center = tile_center(sc.start, decode(advice))
+    both = {render._COLORS["walk"], render._COLORS["free"]}
+    commands = {"hunt": ["hunt", str(scen), "--advice", advice, "--svg"],
+                "run": ["run", str(scen), "--svg"],
+                "render": ["render", str(scen), "--trajectory", "-o"]}
+    for name, command in commands.items():
+        svg = tmp_path / f"{name}.svg"
+        assert cli_main([*command, str(svg)]) == 0
+        cross, radius, grid, paths = _drawn(svg.read_text())
+        assert math.dist(cross, center) <= 1e-12, name
+        assert (radius, grid, paths) == (spec.lam, False, both), name
+    svg = tmp_path / "tiling.svg"
+    assert cli_main(["render", str(scen), "--tiling", "-o", str(svg)]) == 0
+    assert _drawn(svg.read_text()) == (None, spec.lam, True, set())
+
+
+def test_cli_hunt_reports_a_walk_that_stops_short_of_the_tile(tmp_path, monkeypatch, capsys):
+    # the end of the walk is measured against the center of the tile the
+    # advice names, and the cross is drawn there, not where the walk ends
+    scen, svg = tmp_path / "s.json", tmp_path / "hunt.svg"
+    save_scenario(simple_scenario(), str(scen))
+    sc = load_scenario(str(scen))
+    advice, _ = oracle.make_advice(sc.terrain, sc.start,
+                                   oracle.accessibility(sc.terrain, sc.treasure))
+    hunt = cli.thunt
+    monkeypatch.setattr(cli, "thunt", lambda t, p, a: hunt(t, p, a)[:-1])
+    assert cli_main(["hunt", str(scen), "--advice", advice, "--svg", str(svg)]) == 0
+    assert "reached_qprime=False" in capsys.readouterr().out.splitlines()
+    cross, _, _, _ = _drawn(svg.read_text())
+    assert math.dist(cross, tile_center(sc.start, decode(advice))) <= 1e-12
 
 
 def test_cli_run_prints_each_failure_and_exits_1(tmp_path, monkeypatch, capsys):
@@ -924,8 +967,7 @@ def test_cli_run_prints_each_failure_and_exits_1(tmp_path, monkeypatch, capsys):
     hunt = harness.thunt
 
     def trespasses_and_stops_short(t, p, advice):
-        out = hunt(t, p, advice)
-        return dataclasses.replace(out, trajectory=[Point(5, 5), p, *out.trajectory[:-1]])
+        return [Point(5, 5), p, *hunt(t, p, advice)[:-1]]
 
     monkeypatch.setattr(harness, "thunt", trespasses_and_stops_short)
     assert cli_main(["run", str(path)]) == 1
