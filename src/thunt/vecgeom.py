@@ -2,26 +2,27 @@
 
 One segment-vs-boundary kernel, `pairwise_edge_classification`, runs the
 separating-axis test of every candidate segment against every boundary
-edge with an EPS margin.  Each of its four side products fills one
-pair x edge array in place, each is compared with its margin once, and
-the collinear cells are read off those comparisons.  The visibility
-graph passes it only the pairs its shared-edge and wedge tests leave
-open.  It trades the scalar kernel's boundary-exact semantics for speed,
-so the visibility graph sends the pairs it marks ambiguous to the exact
-test.
+edge with an EPS margin.  The visibility graph passes it only the pairs
+its shared-edge and wedge tests leave open, and sends the pairs it marks
+ambiguous to the exact test.  Each side product fills one pair x edge
+array in place, and each margin is compared once.  A call of at least
+CHUNK_CELLS cells splits its rows into one contiguous block per CPU the
+process may run on, on a thread pool (numpy releases the GIL in its ufunc
+loops).  Rows are independent, so the answer does not depend on the split.
+The caller allocates each pair x edge array at full size and each block
+fills its own rows: arrays allocated per block would stay resident once
+freed, under glibc's dynamic mmap threshold (tens of MB on the lattice).
 
 The exact test, `segments_in_terrain`, is `geom.segment_in_terrain` over
 arrays: the same formulas and thresholds, so the same answer for every
-segment.  Its point test, `points_in_terrain`, is `geom.point_in_terrain`
-over arrays, one pass over the boundary edges for both the boundary test
-and the parity.  Its boundary events keep the scalar dedup rule (an event
-more than `geom.EVENT_GAP` above the event just before it), one comparison
-over all the sorted events.  Batches hold at most CHUNK_CELLS segment x
-edge cells.
+segment, in batches of at most CHUNK_CELLS segment x edge cells.  Its
+point test, `points_in_terrain`, is `geom.point_in_terrain` over arrays.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .geom import EPS, EVENT_GAP, PARALLEL_SIN, Terrain
 # Segment x boundary-edge cells per batch of the exact test: bounds its
 # arrays whatever the input size.
 CHUNK_CELLS = 1 << 20
+# CPUs this process may run on: one block of kernel rows each
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(_CPUS)
 
 
 def edge_arrays(t: Terrain) -> tuple[np.ndarray, np.ndarray]:
@@ -49,6 +53,17 @@ def _side(ux, uy, px, py, qx, qy, out: np.ndarray, scratch: np.ndarray) -> np.nd
     return np.subtract(out, scratch, out=out)
 
 
+def _by_rows(fill, k: int, cells: int) -> None:
+    """`fill(rows)` on one contiguous block of range(k) per CPU on the pool, or on
+    all of it here below CHUNK_CELLS cells; returns, or raises, once all have ended."""
+    if cells < CHUNK_CELLS or _CPUS == 1:
+        return fill(slice(0, k))
+    futures = [_POOL.submit(fill, slice(k * i // _CPUS, k * (i + 1) // _CPUS))
+               for i in range(_CPUS)]
+    for f in wait(futures).done:
+        f.result()
+
+
 def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
                                  t: Terrain, incident: np.ndarray):
     """Classify candidate segments P[I]->P[J] against all boundary edges.
@@ -60,60 +75,75 @@ def pairwise_edge_classification(P: np.ndarray, I: np.ndarray, J: np.ndarray,
     P (-1 for none); the edges at a candidate's own ends are left to the
     caller's wedge test.
 
-    Each side product fills its own pair x edge array in place, and each
-    threshold is compared once: a side is above its margin, below minus
-    its margin, or, when neither, within it (|s| <= margin for finite s).
+    Each block of rows fills its slice of every pair x edge array in place and
+    compares each threshold once: above its margin, below minus it, or within.
     """
     ea, eb = edge_arrays(t)
-    A = P[I]
-    B = P[J]
+    A, B = P[I], P[J]
     D = B - A
     ld = np.hypot(D[:, 0], D[:, 1])
     md = (EPS * np.maximum(ld, 1.0))[:, None]
-
-    ex = (eb[:, 0] - ea[:, 0])[None, :]
-    ey = (eb[:, 1] - ea[:, 1])[None, :]
-    le = np.hypot(ex, ey)
-    me = EPS * np.maximum(le, 1.0)
-
-    ax, ay, bx, by = A[:, 0:1], A[:, 1:2], B[:, 0:1], B[:, 1:2]
+    k, m = len(I), len(ea)
+    ex, ey = (eb - ea).T[:, None]
+    me = EPS * np.maximum(np.hypot(ex, ey), 1.0)
     e0x, e0y, e1x, e1y = ea[None, :, 0], ea[None, :, 1], eb[None, :, 0], eb[None, :, 1]
-    s0, s1, w0, w1, scratch = (np.empty((len(I), len(ea))) for _ in range(5))
-    # side of each edge endpoint w.r.t. the candidate line
-    _side(D[:, 0:1], D[:, 1:2], e0x, e0y, ax, ay, s0, scratch)
-    _side(D[:, 0:1], D[:, 1:2], e1x, e1y, ax, ay, s1, scratch)
-    # side of each candidate endpoint w.r.t. the edge line
-    _side(ex, ey, ax, ay, e0x, e0y, w0, scratch)
-    _side(ex, ey, bx, by, e0x, e0y, w1, scratch)
-    del scratch
-
-    hi0, lo0, hi1, lo1 = s0 > md, s0 < -md, s1 > md, s1 < -md
-    whi0, wlo0, whi1, wlo1 = w0 > me, w0 < -me, w1 > me, w1 < -me
-    sep = (hi0 & hi1) | (lo0 & lo1) | (whi0 & whi1) | (wlo0 & wlo1)
-    proper = ((hi0 & lo1) | (lo0 & hi1)) & ((whi0 & wlo1) | (wlo0 & whi1))
-
+    # one block per dtype: a small call reuses heap pages instead of faulting in new ones
+    floats = np.empty((5, k, m))
+    flags = np.empty((12, k, m), dtype=bool)
     ends = np.concatenate((incident[I], incident[J]), axis=1)
     rows, cols = np.nonzero(ends >= 0)
-    relevant = np.ones(sep.shape, dtype=bool)
+    relevant = np.ones((k, m), dtype=bool)
     relevant[rows, ends[rows, cols]] = False
-    amb = ~sep & ~proper & relevant
+    blocked = np.empty(k, dtype=bool)
+
+    def classify(r):
+        s0, s1, w0, w1, scratch = floats[:, r]
+        hi0, lo0, hi1, lo1, whi0, wlo0, whi1, wlo1, sep, proper, amb, collinear = flags[:, r]
+        ax, ay, bx, by = A[r, 0:1], A[r, 1:2], B[r, 0:1], B[r, 1:2]
+        # side of each edge endpoint w.r.t. the candidate line
+        _side(D[r, 0:1], D[r, 1:2], e0x, e0y, ax, ay, s0, scratch)
+        _side(D[r, 0:1], D[r, 1:2], e1x, e1y, ax, ay, s1, scratch)
+        # side of each candidate endpoint w.r.t. the edge line
+        _side(ex, ey, ax, ay, e0x, e0y, w0, scratch)
+        _side(ex, ey, bx, by, e0x, e0y, w1, scratch)
+        for s, margin, hi, lo in ((s0, md[r], hi0, lo0), (s1, md[r], hi1, lo1),
+                                  (w0, me, whi0, wlo0), (w1, me, whi1, wlo1)):
+            np.greater(s, margin, out=hi)
+            np.less(s, -margin, out=lo)
+        # a flag array not yet computed, or no longer read, serves as scratch
+        np.bitwise_and(hi0, hi1, out=sep)
+        for a, b in ((lo0, lo1), (whi0, whi1), (wlo0, wlo1)):
+            sep |= np.bitwise_and(a, b, out=amb)
+        np.bitwise_and(hi0, lo1, out=proper)
+        proper |= np.bitwise_and(lo0, hi1, out=amb)
+        np.bitwise_and(whi0, wlo1, out=collinear)
+        collinear |= np.bitwise_and(wlo0, whi1, out=amb)
+        proper &= collinear
+        np.invert(np.bitwise_or(sep, proper, out=amb), out=amb)
+        amb &= relevant[r]
+        np.any(np.bitwise_and(proper, relevant[r], out=sep), axis=1, out=blocked[r])
+        np.bitwise_or(hi0, lo0, out=collinear)
+        collinear |= np.bitwise_or(hi1, lo1, out=sep)
+        np.bitwise_and(amb, np.invert(collinear, out=collinear), out=collinear)
+
+    _by_rows(classify, k, k * m)
     # resolve collinear-but-distant contacts exactly (rectilinear terrains
     # otherwise flood the scalar fallback): edge on the candidate line but
     # with no interval overlap along it is clear
-    collinear = amb & ~(hi0 | lo0 | hi1 | lo1)
-    del hi0, lo0, hi1, lo1, whi0, wlo0, whi1, wlo1
-    if collinear.any():
-        t0 = ((ea[None, :, 0] - A[:, 0:1]) * D[:, 0:1]
-              + (ea[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]
-        t1 = ((eb[None, :, 0] - A[:, 0:1]) * D[:, 0:1]
-              + (eb[None, :, 1] - A[:, 1:2]) * D[:, 1:2]) / np.maximum(ld, EPS)[:, None]
-        eps_len = EPS * np.maximum(ld, 1.0)[:, None]
-        far = (np.maximum(t0, t1) < -eps_len) | (np.minimum(t0, t1) > ld[:, None] + eps_len)
-        amb &= ~(collinear & far)
-
-    blocked = (proper & relevant).any(axis=1)
-    ambiguous = amb.any(axis=1)
-    return blocked, ambiguous
+    if flags[11].any():  # a collinear cell
+        t01 = np.empty((2, k, m))
+        def clear_far(r):  # far and beyond take the planes of hi0 and lo0
+            (t0, t1), scratch = t01[:, r], floats[4, r]
+            (far, beyond), (amb, collinear) = flags[:2, r], flags[10:, r]
+            for tt, px, py in ((t0, e0x, e0y), (t1, e1x, e1y)):
+                np.multiply(np.subtract(px, A[r, 0:1], out=tt), D[r, 0:1], out=tt)
+                np.multiply(np.subtract(py, A[r, 1:2], out=scratch), D[r, 1:2], out=scratch)
+                np.divide(np.add(tt, scratch, out=tt), np.maximum(ld[r], EPS)[:, None], out=tt)
+            np.less(np.maximum(t0, t1, out=scratch), -md[r], out=far)
+            far |= np.greater(np.minimum(t0, t1, out=scratch), ld[r, None] + md[r], out=beyond)
+            amb &= np.invert(np.bitwise_and(collinear, far, out=far), out=far)
+        _by_rows(clear_far, k, k * m)
+    return blocked, flags[10].any(axis=1)
 
 
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

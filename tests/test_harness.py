@@ -490,6 +490,51 @@ def test_laps_around_the_hit_ring_fail_the_cow_path_bound(suite_report, seed, da
                                f"{harness.cowpath_bound(lapped_dmin):.6f}"]
 
 
+# Each gate at its edge: a walk just inside passes, one just outside fails
+# with its failure.  The bounds are written out here rather than read from
+# `harness`, so that a loosened gate does not move its own test.
+
+@pytest.mark.parametrize("L, lam, bits", [
+    (0.0, 1.0, 28), (1.0, 1.0, 28), (1.0 + 1e-9, 1.0, 34), (9.0, 0.5, 46), (100.0, 0.01, 100)])
+def test_advice_bits_budget_at_known_values(L, lam, bits):
+    # 10 + 6 * ceil(log2(3 L / lam + 5)); at L = lam = 1 the log is 3 exactly
+    assert advice_bits_budget(L, lam) == bits
+
+
+@pytest.mark.parametrize("sense", [1, -1])
+@pytest.mark.parametrize("over, passes", [(-2 * geom.ARC_TOL, True), (2 * geom.ARC_TOL, False)])
+def test_a_search_passes_up_to_its_bound_and_fails_just_beyond(sense, over, passes):
+    # seed 129's one search finds r' on its first leg, with dmin < 0.25,
+    # where the bound max(9 dmin, dmin + 2) is dmin + 2, up to ARC_TOL.
+    # At the hit point the agent walks out along the ring and back, so that
+    # the search walks that bound plus `over`
+    sc = bench_scenario(129)
+    base = run_scenario(sc)
+    [(dmin, walked)] = base.searches
+    assert dmin < 0.25 and base.failures == []
+    walk = [sc.start, *base.trajectory]
+    [(ring, i, _)] = _searches(walk, sc.terrain)
+    _, arc = ring.locate(walk[i])
+    out = geom.march(ring, arc, (dmin + 2.0 + over - walked) / 2, sense)
+    report = _run_rewritten(sc, lambda trajectory: (trajectory[:i] + out[1:] + out[::-1]
+                                                    + trajectory[i:]))
+    [(new_dmin, new_walked)] = report.searches
+    assert new_dmin == pytest.approx(dmin, rel=1e-12, abs=0)
+    assert new_walked == pytest.approx(dmin + 2.0 + over, rel=0, abs=1e-13)
+    assert report.failures == ([] if passes else [
+        f"perimeter search walked {new_walked:.6f} over bound {dmin + 2.0:.6f}"])
+
+
+@pytest.mark.parametrize("off, passes", [(geom.EPS / 2, True), (2 * geom.EPS, False)])
+def test_a_last_point_off_the_tile_center_fails_arrival_beyond_eps(off, passes):
+    # the agent's last point is moved `off` east of q'
+    sc = simple_scenario()
+    q_prime = tile_center(sc.start, decode(run_scenario(sc).advice))
+    report = _run_rewritten(sc, lambda trajectory: [*trajectory[:-1],
+                                                    Point(q_prime.x + off, q_prime.y)])
+    assert report.failures == ([] if passes else ["agent did not reach the target tile center"])
+
+
 def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
     # the oracle names the tile three columns and three rows past its own,
     # 1.77 beyond the treasure on the agent's line, out of sight range; the

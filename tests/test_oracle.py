@@ -1,7 +1,13 @@
+import contextlib
 import itertools
 import math
 import random
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -548,13 +554,37 @@ def test_kernel_on_segments_along_an_edge_line_with_no_incident_edges():
     assert ambiguous.tolist() == [False, True, False]
 
 
-@pytest.mark.parametrize("make", [
+GRAPH_CALLS = [
     *(pytest.param(lambda s=seed: suite_terrain(s), id=f"suite_{seed}")
       for seed in range(0, 200, 10)),
     pytest.param(lambda: (diamond_lattice(4), Point(0.1, 0.1), Point(3.9, 3.9)), id="lattice_4"),
     *(pytest.param(lambda i=i: comb_terrain(CombParams(12, i, 0.25)), id=f"comb_{i}")
-      for i in (1, 12, 24))])
-def test_kernel_is_the_broadcast_reference_on_the_graph_calls(monkeypatch, make):
+      for i in (1, 12, 24))]
+
+
+@contextlib.contextmanager
+def rows_split(blocks):
+    """Every kernel call splits its rows into `blocks` blocks, whatever its
+    size and the CPU count, each on a worker of its own, with thread
+    switches forced often; yields (rows, future) of each block submitted."""
+    submitted, interval = [], sys.getswitchinterval()
+    with ThreadPoolExecutor(blocks) as pool:
+        def submit(fill, rows):
+            submitted.append((rows, pool.submit(fill, rows)))
+            return submitted[-1][1]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.multiple(vecgeom, CHUNK_CELLS=1, _CPUS=blocks,
+                                     _POOL=SimpleNamespace(submit=submit)):
+                yield submitted
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _graph_call_is_the_reference(make) -> int:
+    """The kernel's answer on the visibility graph's one call is the
+    broadcast reference's; returns the call's pair count."""
     t, p, q = make()
     kernel, calls = vecgeom.pairwise_edge_classification, []
 
@@ -563,10 +593,28 @@ def test_kernel_is_the_broadcast_reference_on_the_graph_calls(monkeypatch, make)
         calls.append((got, reference_edge_classification(*args)))
         return got
 
-    monkeypatch.setattr(vecgeom, "pairwise_edge_classification", both)
-    _visibility_graph(t, p, q)
+    with mock.patch.object(vecgeom, "pairwise_edge_classification", both):
+        _visibility_graph(t, p, q)
     [(got, ref)] = calls
     assert [a.tolist() for a in got] == [a.tolist() for a in ref]
+    return len(got[0])
+
+
+@pytest.mark.parametrize("make", GRAPH_CALLS)
+def test_kernel_is_the_broadcast_reference_on_the_graph_calls(make):
+    _graph_call_is_the_reference(make)
+
+
+@pytest.mark.parametrize("make", GRAPH_CALLS)
+def test_kernel_split_into_row_blocks_is_the_broadcast_reference_on_the_graph_calls(make):
+    # three blocks, of unequal sizes unless three divides the pair count,
+    # alike in each of the kernel's passes over the rows (two when a cell
+    # is collinear)
+    with rows_split(3) as submitted:
+        k = _graph_call_is_the_reference(make)
+    sizes = [rows.stop - rows.start for rows, _ in submitted]
+    assert len(sizes) in (3, 6) and sizes == sizes[:3] * (len(sizes) // 3)
+    assert sum(sizes[:3]) == k and max(sizes) - min(sizes) <= 1
 
 
 # The outer square's edges lie on the axes and on x, y = 10, so a point
@@ -584,9 +632,10 @@ def _off_edge(k, s, d):
     return a.x + s * (b.x - a.x) + d * (a.y - b.y) / n, a.y + s * (b.y - a.y) + d * (b.x - a.x) / n
 
 
-@given(data=st.data())
-@settings(max_examples=40)
-def test_kernel_is_the_broadcast_reference_at_its_margins(data):
+def _margin_calls_are_the_reference(data) -> int:
+    """The kernel's answer on candidates along and across the margin
+    terrain's edge lines is the broadcast reference's; returns the pair
+    count."""
     edges = len(MARGIN_TERRAIN.boundary_edges)
     # every candidate with both ends off one edge line: each pair of
     # parameters along it and each pair of offsets (collinear overlaps,
@@ -606,6 +655,48 @@ def test_kernel_is_the_broadcast_reference_at_its_margins(data):
     got = pairwise_edge_classification(P, I, J, MARGIN_TERRAIN, incident)
     ref = reference_edge_classification(P, I, J, MARGIN_TERRAIN, incident)
     assert [a.tolist() for a in got] == [a.tolist() for a in ref]
+    return len(I)
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+def test_kernel_is_the_broadcast_reference_at_its_margins(data):
+    _margin_calls_are_the_reference(data)
+
+
+@given(data=st.data())
+@settings(max_examples=40)
+def test_kernel_split_into_row_blocks_is_the_broadcast_reference_at_its_margins(data):
+    blocks = data.draw(st.integers(2, 5))
+    with rows_split(blocks) as submitted:
+        k = _margin_calls_are_the_reference(data)
+    sizes = [rows.stop - rows.start for rows, _ in submitted]
+    assert len(sizes) in (blocks, 2 * blocks) and sizes == sizes[:blocks] * (len(sizes) // blocks)
+    assert sum(sizes[:blocks]) == k and max(sizes) - min(sizes) <= 1
+
+
+def test_a_block_that_fails_raises_once_every_block_has_ended():
+    # of two blocks, the second raises MemoryError in its first side
+    # product while the first is held up in each of its own: the caller
+    # sees the error only once the first block has ended, so that no block
+    # still writes into the arrays
+    side = vecgeom._side
+
+    def first_slow_second_fails(*args):
+        out = args[6]  # a block's rows of one plane of the kernel's float arrays
+        if (out.ctypes.data - out.base.ctypes.data) % out.base[0].nbytes:  # not from row 0
+            raise MemoryError("second block")
+        time.sleep(0.05)
+        return side(*args)
+
+    P = np.array([_off_edge(k, s, EPS) for k in range(8) for s in EDGE_PARAMS], dtype=float)
+    I, J = np.triu_indices(len(P), k=1)
+    with rows_split(2) as submitted, \
+            mock.patch.object(vecgeom, "_side", first_slow_second_fails):
+        with pytest.raises(MemoryError, match="second block"):
+            pairwise_edge_classification(P, I, J, MARGIN_TERRAIN, np.full((len(P), 2), -1))
+        assert [future.done() for _, future in submitted] == [True, True]
+        assert submitted[0][1].exception() is None
 
 
 def test_grid_oracle_empty_terrain_distortion():
