@@ -8,9 +8,8 @@ the verification suites.
 """
 from .agent import choose_directions, cow_path, thunt
 from .codec import AdviceError, AdviceTriple, decode, encode, pack_bits, unpack_bits
-from .generators import (CombParams, GadgetParams, GenerationError, comb_terrain,
-                         gadget, random_fat_polygon, random_regular_terrain,
-                         regular_lb_terrain)
+from .generators import (CombParams, GenerationError, comb_terrain, gadget,
+                         random_fat_polygon, random_regular_terrain, regular_lb_terrain)
 from .geom import (EPS, GeometryError, HitEvent, Point, Polygon, Terrain,
                    TerrainError, convex_hull, distance_to_boundary, first_hit,
                    is_c_fat, largest_inscribed_circle, point_in_rings, point_in_terrain,
@@ -18,7 +17,7 @@ from .geom import (EPS, GeometryError, HitEvent, Point, Polygon, Terrain,
                    validate_regular_terrain)
 from .harness import (Scenario, ScenarioError, RunReport, bench, bench_scenario,
                       load_scenario, reports_to_csv, run_scenario, save_scenario)
-from .oracle import TreasureSpec, accessibility, make_advice, select_tile, shortest_path
+from .oracle import accessibility, make_advice, select_tile, shortest_path
 from .render import render_svg
 
 __version__ = "0.1.0"

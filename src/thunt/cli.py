@@ -13,7 +13,7 @@ from . import agent, codec, oracle
 from .agent import thunt
 from .generators import (CombParams, GenerationError, comb_terrain,
                          random_regular_terrain, regular_lb_terrain)
-from .geom import EPS, GeometryError, dist, polyline_length
+from .geom import EPS, GeometryError, dist, distance_to_boundary, polyline_length
 from .harness import (Scenario, ScenarioError, advice_bits_budget, bench,
                       cowpath_bound, load_scenario, reports_to_csv, run_scenario,
                       save_scenario)
@@ -31,9 +31,7 @@ def _cmd_generate(args) -> int:
     else:  # lb
         terrain, p, centers = regular_lb_terrain(args.k, args.lam)
         if not (0 <= args.candidate < len(centers)):
-            print(f"error: candidate index must lie in [0, {len(centers) - 1}]",
-                  file=sys.stderr)
-            return 2
+            raise GenerationError(f"candidate index must lie in [0, {len(centers) - 1}]")
         sc = Scenario(terrain, p, centers[args.candidate])
     save_scenario(sc, args.out)
     print(f"wrote {args.out}")
@@ -42,8 +40,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_advise(args) -> int:
     sc = load_scenario(args.scenario)
-    spec = oracle.accessibility(sc.terrain, sc.treasure)
-    advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
+    lam = oracle.accessibility(sc.terrain, sc.treasure)
+    advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure, lam)
     if args.out:
         mode = "wb" if args.packed else "w"
         data = codec.pack_bits(advice) if args.packed else advice + "\n"
@@ -86,7 +84,7 @@ def _cmd_run(args) -> int:
     report = run_scenario(sc, seed=args.seed)
     print(f"advice={report.advice}")
     print(f"advice_bits={report.advice_bits}")
-    print(f"lambda={report.lam!r} rho={report.rho!r}")
+    print(f"lambda={report.lam!r} rho={distance_to_boundary(sc.treasure, sc.terrain)!r}")
     print(f"L={report.L!r}")
     print(f"total_length={polyline_length([sc.start, *report.trajectory])!r}")
     print(f"first_sight_length={report.first_sight_length!r}")
@@ -110,8 +108,8 @@ def _cmd_render(args) -> int:
     sc = load_scenario(args.scenario)
     trajectory = advice = None
     if args.trajectory or args.tiling:
-        spec = oracle.accessibility(sc.terrain, sc.treasure)
-        advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
+        lam = oracle.accessibility(sc.terrain, sc.treasure)
+        advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure, lam)
         if args.trajectory:
             trajectory = thunt(sc.terrain, sc.start, advice)
     with open(args.out, "w") as fh:

@@ -29,35 +29,18 @@ class GenerationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GadgetParams:
-    """Eight axis-aligned squares that blind a point from outside a 5*lam box."""
-    o: Point
-    lam: float
-
-    def __post_init__(self):
-        if not (0 < self.lam <= 1):
-            raise GenerationError("lam must lie in (0, 1]")
-
-    @property
-    def square_side(self) -> float:  # x
-        return 1.5 * self.lam
-
-    @property
-    def lateral_gap(self) -> float:  # y
-        return 0.25 * self.lam
-
-
 def _square(cx: float, cy: float, side: float) -> Polygon:
     h = side / 2.0
     return Polygon([(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)])
 
 
-def gadget(params: GadgetParams) -> list[Polygon]:
-    """The eight squares, in order N, E, S, W, NW, NE, SE, SW."""
-    o, lam = params.o, params.lam
-    x = params.square_side
-    y = params.lateral_gap
+def gadget(o: Point, lam: float) -> list[Polygon]:
+    """Eight axis-aligned squares of side x, y apart side by side, that blind
+    o from outside a 5*lam box; in order N, E, S, W, NW, NE, SE, SW."""
+    if not (0 < lam <= 1):
+        raise GenerationError("lam must lie in (0, 1]")
+    x = 1.5 * lam
+    y = 0.25 * lam
     axial = lam + x / 2.0
     n = (o.x, o.y + axial)
     e = (o.x + axial, o.y)
@@ -94,7 +77,7 @@ def regular_lb_terrain(k: int, lam: float) -> tuple[Terrain, Point, list[Point]]
         for c in range(1, 2 * k, 2):
             cx = A / 2.0 + (c - 0.5) * tile
             o = Point(cx, cy)
-            obstacles.extend(gadget(GadgetParams(o, lam)))
+            obstacles.extend(gadget(o, lam))
             centers.append(o)
     return Terrain(outer, obstacles), Point(0.0, 0.0), centers
 

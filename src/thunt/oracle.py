@@ -27,38 +27,32 @@ decides at once as `vecgeom.segments_in_terrain` (same formulas, same
 answers).
 
 The tile rule itself, from grid cells to the advice triple and back to a
-tile center, is `codec`'s; the verifier checks the agent's arrival at the
-center `make_advice` returns with the advice.
+tile center, is `codec`'s; the verifier, like the agent, reads the center
+from the advice alone (`codec.tile_center`).
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from . import vecgeom
-from .codec import AdviceTriple, encode, tile_center, tile_index
+from .codec import AdviceTriple, encode, tile_index
 from .geom import (EPS, GeometryError, Point, Terrain, cross3, dist, distance_to_boundary,
                    point_in_terrain, segment_in_terrain)
 
 
-class TreasureSpec(NamedTuple):
-    q: Point
-    rho: float
-    lam: float
-
-
-def accessibility(t: Terrain, q: Point) -> TreasureSpec:
-    """Largest boundary clearance rho and visibility radius lam = min(1, rho)."""
+def accessibility(t: Terrain, q: Point) -> float:
+    """Visibility radius lam = min(1, rho) of the treasure, where rho is
+    its largest boundary clearance."""
     if not point_in_terrain(q, t):
         raise GeometryError("treasure must lie inside the terrain")
     rho = distance_to_boundary(q, t)
     if rho <= EPS:
         raise GeometryError("treasure must be an interior point of the terrain")
-    return TreasureSpec(q, rho, min(1.0, rho))
+    return min(1.0, rho)
 
 
 # Relative shrink applied to the tile-containment disc.  lam may be
@@ -68,16 +62,13 @@ def accessibility(t: Terrain, q: Point) -> TreasureSpec:
 DISC_SHRINK = 1e-6
 
 
-def select_tile(p: Point, spec: TreasureSpec) -> tuple[AdviceTriple, Point]:
+def select_tile(p: Point, q: Point, lam: float) -> AdviceTriple:
     """Pick the target tile: grid density a1 = ceil(2/lam), then the tile
-    fully inside the treasure disc with the smallest row index, breaking
-    ties by the smallest column index.  Returns the advice triple and the
-    tile's center."""
-    lam = spec.lam
+    fully inside the disc of radius lam about q with the smallest row
+    index, breaking ties by the smallest column index."""
     a1 = max(1, math.ceil(2.0 / lam - 1e-9))
     side = 1.0 / a1
     r_hat = lam * (1.0 - DISC_SHRINK)
-    q = spec.q
 
     kx_lo = math.floor((q.x - r_hat - p.x) / side) - 1
     kx_hi = math.ceil((q.x + r_hat - p.x) / side) + 1
@@ -93,19 +84,16 @@ def select_tile(p: Point, spec: TreasureSpec) -> tuple[AdviceTriple, Point]:
             x0 = p.x + kx * side
             dx = max(abs(x0 - q.x), abs(x0 + side - q.x))
             if dx * dx + dy * dy <= r2:
-                triple = AdviceTriple(a1, tile_index(kx), tile_index(ky))
-                return triple, tile_center(p, triple)
+                return AdviceTriple(a1, tile_index(kx), tile_index(ky))
     raise GeometryError("no tile fits in the treasure disc (should be impossible)")
 
 
-def make_advice(t: Terrain, p: Point, spec: TreasureSpec) -> tuple[str, Point]:
-    """Advice string steering an agent at p to a point that sees the
-    treasure of `spec` (from `accessibility`), and that point: the center
-    the advice names."""
+def make_advice(t: Terrain, p: Point, q: Point, lam: float) -> str:
+    """Advice string steering an agent at p to the center of a tile that
+    sees the treasure q of visibility radius lam (from `accessibility`)."""
     if not point_in_terrain(p, t):
         raise GeometryError("start point must lie in the terrain")
-    triple, center = select_tile(p, spec)
-    return encode(*triple), center
+    return encode(*select_tile(p, q, lam))
 
 
 def _visibility_graph(t: Terrain, p: Point, q: Point):

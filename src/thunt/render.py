@@ -45,10 +45,10 @@ def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
                advice: Optional[str] = None, tiling: bool = False) -> str:
     """SVG document for a scenario, optionally with the agent trajectory
     (the points walked through after the start).  Given the advice, it also
-    draws the treasure visibility disc of radius lam (`oracle.accessibility`),
-    the center of the advice's tile when a trajectory is drawn, and with
-    `tiling` the tiles of side 1/a1 around the disc, of the grid anchored
-    at the start.  Identical inputs yield identical bytes."""
+    draws the treasure visibility disc of radius lam = `oracle.accessibility`,
+    the center of the tile the advice names when a trajectory is drawn, and
+    with `tiling` the tiles of side 1/a1 around the disc, of the grid
+    anchored at the start.  Identical inputs yield identical bytes."""
     t = scenario.terrain
     x0, y0, x1, y1 = t.outer.bbox
     margin = 0.05 * max(x1 - x0, y1 - y0, 1.0)
@@ -88,7 +88,7 @@ def render_svg(scenario: Scenario, trajectory: Optional[list[Point]] = None,
                    f'stroke-width="{_fmt(stroke / 2)}"/>')
 
     if triple is not None:
-        lam = accessibility(t, scenario.treasure).lam
+        lam = accessibility(t, scenario.treasure)
         out.append(f'<circle cx="{_fmt(scenario.treasure.x)}" cy="{_fmt(scenario.treasure.y)}" '
                    f'r="{_fmt(lam)}" fill="none" stroke="{_COLORS["treasure"]}" '
                    f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)}"/>')

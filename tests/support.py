@@ -31,7 +31,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from thunt import geom, harness, vecgeom
-from thunt.generators import GadgetParams
 from thunt.geom import (EPS, GeometryError, Point, Polygon, Terrain, _first_exit,
                         cross3, dist, is_c_fat, point_in_rings, point_segment_distance,
                         segment_in_terrain)
@@ -41,10 +40,9 @@ class GridResolutionError(RuntimeError):
     pass
 
 
-def gadget_hull(params: GadgetParams) -> Polygon:
+def gadget_hull(o: Point, lam: float) -> Polygon:
     """The bounding square of the gadget (side 5*lam centered at o)."""
-    h = 5.0 * params.lam / 2.0
-    o = params.o
+    h = 5.0 * lam / 2.0
     return Polygon([(o.x - h, o.y - h), (o.x + h, o.y - h), (o.x + h, o.y + h), (o.x - h, o.y + h)])
 
 

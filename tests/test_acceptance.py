@@ -18,9 +18,8 @@ from thunt import (Point, Polygon, Scenario, Terrain, decode, encode, render_svg
 from thunt.agent import cow_path
 from thunt.geom import polyline_length
 from thunt.codec import AdviceTriple
-from thunt.generators import (CombParams, GadgetParams, comb_terrain, gadget,
-                              random_fat_polygon, random_regular_terrain,
-                              regular_lb_terrain)
+from thunt.generators import (CombParams, comb_terrain, gadget, random_fat_polygon,
+                              random_regular_terrain, regular_lb_terrain)
 from thunt.harness import (RATIO_GATE, advice_bits_budget, bench, cowpath_bound,
                            reports_to_csv, run_scenario)
 
@@ -158,12 +157,11 @@ def test_acceptance_6_chord_perimeter_ratio():
 def test_acceptance_7_gadget_blinds(lam):
     t0 = time.time()
     o = Point(0.0, 0.0)
-    gp = GadgetParams(o, lam)
     margin = 8.0 * lam
     outer = Polygon([(-margin, -margin), (margin, -margin),
                      (margin, margin), (-margin, margin)])
-    t = Terrain(outer, gadget(gp))
-    hull = gadget_hull(gp)
+    t = Terrain(outer, gadget(o, lam))
+    hull = gadget_hull(o, lam)
     half = 5.0 * lam / 2.0
     rng = random.Random(0xB11D)
     n = 0
@@ -197,8 +195,7 @@ def test_acceptance_8_comb_construction():
     four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     for i in range(1, k + 1):
         t, p, q = comb_terrain(CombParams(A, i, x))  # Polygon ctor proves simplicity
-        spec = accessibility(t, q)
-        assert spec.lam == 1.0, i
+        assert accessibility(t, q) == 1.0, i
 
         y_probe = A / 2 - x / 2
         open_js = [j for j in range(1, k + 1)

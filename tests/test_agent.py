@@ -143,7 +143,7 @@ def test_hunt_first_sight_zero_when_visible_at_start():
 def test_hunt_first_sight_bracketed():
     t = empty_square_terrain(20, -10)
     q = Point(4.0, 3.0)  # distance 5 from start
-    advice, _ = make_advice(t, Point(0, 0), accessibility(t, q))
+    advice = make_advice(t, Point(0, 0), q, accessibility(t, q))
     trajectory = thunt(t, Point(0, 0), advice)
     first_sight = _first_sight_length(trajectory, Point(0, 0), q, t)
     assert first_sight is not None
@@ -170,7 +170,7 @@ def test_a_hunt_that_never_advances_stops_within_the_boundary_bound(monkeypatch)
     # plus the last free move
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2)])
     p, q = Point(0, 0.7), Point(6, 0.75)
-    advice, _ = make_advice(t, p, accessibility(t, q))
+    advice = make_advice(t, p, q, accessibility(t, q))
     first_hit, hits = agent.first_hit, []
 
     def stuck(frm, toward, terrain):
@@ -205,7 +205,7 @@ def test_hunt_rejects_advice_pointing_outside():
 def test_hunt_deterministic():
     t = Terrain(square(-2, -2, 12), [square(2, 0.1, 1.2), square(4.1, -0.4, 0.9)])
     p, q = Point(0, 0.7), Point(6.5, 0.75)
-    advice, _ = make_advice(t, p, accessibility(t, q))
+    advice = make_advice(t, p, q, accessibility(t, q))
     a = thunt(t, p, advice)
     b = thunt(t, p, advice)
     assert a == b

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from thunt import (GadgetParams, GenerationError, Point, accessibility,
+from thunt import (GenerationError, Point, accessibility,
                    distance_to_boundary, gadget, is_c_fat,
                    point_in_terrain, sees, shortest_path,
                    validate_regular_terrain)
@@ -45,28 +45,27 @@ def free_space_labels(terrain, step, offset=0.5):
 # --- gadget -------------------------------------------------------------------
 
 def test_gadget_layout_lam_1():
-    gp = GadgetParams(Point(0, 0), 1.0)
-    assert gp.square_side == 1.5
-    assert gp.lateral_gap == 0.25
-    squares = gadget(gp)
+    squares = gadget(Point(0, 0), 1.0)
     assert len(squares) == 8
-    north = squares[0]
+    north, north_west = squares[0], squares[4]
+    assert north.bbox[2] - north.bbox[0] == 1.5  # the square side x
+    assert north.bbox[0] - north_west.bbox[2] == 0.25  # the lateral gap y
     cx = sum(v.x for v in north.vertices) / 4
     cy = sum(v.y for v in north.vertices) / 4
     assert math.dist((cx, cy), (0, 1.75)) < 1e-12
-    hull = gadget_hull(gp)
+    hull = gadget_hull(Point(0, 0), 1.0)
     assert hull.bbox == (-2.5, -2.5, 2.5, 2.5)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
-def test_gadget_params_reject_lam_outside_0_1(lam):
+def test_gadget_rejects_lam_outside_0_1(lam):
     with pytest.raises(GenerationError, match=r"lam must lie in \(0, 1\]"):
-        GadgetParams(Point(0, 0), lam)
+        gadget(Point(0, 0), lam)
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
 def test_gadget_squares_pairwise_disjoint(lam):
-    squares = gadget(GadgetParams(Point(3, 7), lam))
+    squares = gadget(Point(3, 7), lam)
     for i in range(len(squares)):
         for j in range(i + 1, len(squares)):
             d = min(segment_segment_distance(*ea, *eb)
@@ -77,12 +76,11 @@ def test_gadget_squares_pairwise_disjoint(lam):
 @pytest.mark.parametrize("lam", [0.25, 1.0])
 def test_gadget_blinds_outside_points(lam):
     o = Point(0, 0)
-    gp = GadgetParams(o, lam)
     margin = 10 * lam
     outer = Polygon([(-margin, -margin), (margin, -margin), (margin, margin),
                      (-margin, margin)])
-    t = Terrain(outer, gadget(gp))
-    hull = gadget_hull(gp)
+    t = Terrain(outer, gadget(o, lam))
+    hull = gadget_hull(o, lam)
     rng = random.Random(5)
     for _ in range(300):
         if rng.random() < 0.5:
@@ -116,8 +114,7 @@ def test_lb_candidates_have_exact_accessibility(k, lam):
     t, _, centers = regular_lb_terrain(k, lam)
     assert len(centers) == k * k
     for o in centers:
-        spec = accessibility(t, o)
-        assert abs(spec.lam - lam) < 1e-9
+        assert abs(accessibility(t, o) - lam) < 1e-9
         assert abs(distance_to_boundary(o, t) - lam) < 1e-9
 
 
@@ -171,8 +168,7 @@ def test_comb_structure_and_connectivity():
     t, p, q = comb_terrain(params)
     A, x, k, i = 12.0, 0.25, params.k, 5
     assert point_in_terrain(p, t) and point_in_terrain(q, t)
-    spec = accessibility(t, q)
-    assert spec.lam == 1.0
+    assert accessibility(t, q) == 1.0
 
     # openness: only corridor i is free inside the sealing layer
     y_probe = A / 2 - x / 2

@@ -535,16 +535,38 @@ def test_a_last_point_off_the_tile_center_fails_arrival_beyond_eps(off, passes):
     assert report.failures == ([] if passes else ["agent did not reach the target tile center"])
 
 
+@pytest.mark.parametrize("rise, along", [(0.5e-9, True), (2e-9, False)])
+def test_a_step_round_a_corner_runs_along_the_ring_up_to_1e_9(rise, along):
+    # from (0.5, 0) on the unit square's south edge to `rise` up its east
+    # edge: the arc, 0.5 + rise, exceeds the chord, 0.5 in floats, by rise
+    ring = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    [(_, _, on, _, _)] = harness._steps([Point(0.5, 0), Point(1, rise)], (ring,))
+    assert (on is ring) == along
+
+
+@pytest.mark.parametrize("off", [5e-8, -5e-8])
+def test_a_point_off_an_edge_is_on_the_ring_within_1e_7(off):
+    ring = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert ring.locate(Point(0.5, off)) == (0, 0.5)
+    with pytest.raises(geom.GeometryError):
+        ring.locate(Point(0.5, 4 * off))
+
+
+@pytest.mark.parametrize("dmin, ratio", [(5e-4, 20.0), (5e-10, 0.0)])
+def test_max_cowpath_ratio_skips_a_search_with_dmin_below_1e_9(dmin, ratio):
+    report = harness.RunReport("", 1.0, 1.0, [], 0.0, searches=[(dmin, 1e-2)])
+    assert report.max_cowpath_ratio == ratio
+
+
 def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
     # the oracle names the tile three columns and three rows past its own,
     # 1.77 beyond the treasure on the agent's line, out of sight range; the
     # agent passes the treasure and arrives there
     select = oracle.select_tile
 
-    def overshoots(p, spec):
-        (a1, a2, a3), _ = select(p, spec)
-        triple = AdviceTriple(a1, a2 + 3, a3 + 3)
-        return triple, tile_center(p, triple)
+    def overshoots(p, q, lam):
+        a1, a2, a3 = select(p, q, lam)
+        return AdviceTriple(a1, a2 + 3, a3 + 3)
 
     monkeypatch.setattr(oracle, "select_tile", overshoots)
     p, q = Point(2, 2), Point(6, 6)
@@ -554,21 +576,25 @@ def test_run_scenario_fails_a_tile_center_out_of_sight(monkeypatch):
 
 
 def test_run_scenario_fails_a_tile_center_outside_the_terrain(monkeypatch):
-    # the oracle names a point inside the obstacle, and the agent walks on
-    # from the tile center into it
-    inside = Point(5, 5)
-    advise, hunt = oracle.make_advice, harness.thunt
+    # the advice names the tile around (5, 5), whose center lies inside the
+    # obstacle; the agent hunts to the tile the untampered oracle picks,
+    # then walks on from there into the obstacle, to that center
+    sc = simple_scenario()
+    t, p, q = sc.terrain, sc.start, sc.treasure
+    select, hunt = oracle.select_tile, harness.thunt
+    own = oracle.make_advice(t, p, q, oracle.accessibility(t, q))
 
-    def into_the_obstacle(t, p, spec):
-        advice, _ = advise(t, p, spec)
-        return advice, inside
+    def into_the_obstacle(p, q, lam):
+        a1, _, _ = select(p, q, lam)
+        return AdviceTriple(a1, *(tile_index(math.floor((c - s) * a1)) for c, s in zip((5, 5), p)))
 
     def walks_in(t, p, advice, **kwargs):
-        return [*hunt(t, p, advice, **kwargs), inside]
+        return [*hunt(t, p, own, **kwargs), tile_center(p, decode(advice))]
 
-    monkeypatch.setattr(oracle, "make_advice", into_the_obstacle)
+    monkeypatch.setattr(oracle, "select_tile", into_the_obstacle)
     monkeypatch.setattr(harness, "thunt", walks_in)
-    report = run_scenario(simple_scenario())
+    report = run_scenario(sc)
+    assert not geom.point_in_terrain(tile_center(p, decode(report.advice)), t)
     assert report.failures == ["target tile center does not see the treasure",
                                "free move leaves the terrain"]
 
@@ -578,11 +604,10 @@ def test_run_scenario_fails_advice_over_its_budget(monkeypatch):
     # odd refinement has a tile centred on each coarse center
     select, m = oracle.select_tile, 243
 
-    def refines(p, spec):
-        (a1, a2, a3), _ = select(p, spec)
+    def refines(p, q, lam):
+        a1, a2, a3 = select(p, q, lam)
         kx, ky = (a - 1 if a > 0 else a for a in (a2, a3))
-        triple = AdviceTriple(m * a1, tile_index(m * kx + m // 2), tile_index(m * ky + m // 2))
-        return triple, tile_center(p, triple)
+        return AdviceTriple(m * a1, tile_index(m * kx + m // 2), tile_index(m * ky + m // 2))
 
     monkeypatch.setattr(oracle, "select_tile", refines)
     report = run_scenario(simple_scenario())
@@ -918,7 +943,7 @@ def test_cli_hunt_checks_fatness_in_a_strict_file(tmp_path, capsys):
     # convex but 10x1, so not 2-fat: the agent hunts in this terrain, and
     # a strict file of it is still rejected
     t, p, q = Terrain(square(0, 0, 20), [Polygon_rect()]), Point(1, 1), Point(18, 18)
-    advice, _ = oracle.make_advice(t, p, oracle.accessibility(t, q))
+    advice = oracle.make_advice(t, p, q, oracle.accessibility(t, q))
     assert agent.thunt(t, p, advice)
     path = _strict_file(tmp_path, t, p, q)
     assert cli_main(["hunt", path, "--advice", advice]) == 2
@@ -946,8 +971,8 @@ def test_cli_hunt_writes_the_svg_of_its_hunt(tmp_path, capsys):
     scen, svg = tmp_path / "s.json", tmp_path / "hunt.svg"
     save_scenario(simple_scenario(), str(scen))
     sc = load_scenario(str(scen))
-    spec = oracle.accessibility(sc.terrain, sc.treasure)
-    advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
+    lam = oracle.accessibility(sc.terrain, sc.treasure)
+    advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure, lam)
     assert cli_main(["hunt", str(scen), "--advice", advice, "--svg", str(svg)]) == 0
     trajectory = thunt.thunt(sc.terrain, sc.start, advice)
     assert svg.read_text() == render_svg(sc, trajectory, advice)
@@ -970,8 +995,8 @@ def test_cli_draws_the_tile_center_and_the_disc_it_derives_from_the_advice(tmp_p
     scen = tmp_path / "s.json"
     save_scenario(simple_scenario(), str(scen))
     sc = load_scenario(str(scen))
-    spec = oracle.accessibility(sc.terrain, sc.treasure)
-    advice, _ = oracle.make_advice(sc.terrain, sc.start, spec)
+    lam = oracle.accessibility(sc.terrain, sc.treasure)
+    advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure, lam)
     center = tile_center(sc.start, decode(advice))
     both = {render._COLORS["walk"], render._COLORS["free"]}
     commands = {"hunt": ["hunt", str(scen), "--advice", advice, "--svg"],
@@ -982,10 +1007,10 @@ def test_cli_draws_the_tile_center_and_the_disc_it_derives_from_the_advice(tmp_p
         assert cli_main([*command, str(svg)]) == 0
         cross, radius, grid, paths = _drawn(svg.read_text())
         assert math.dist(cross, center) <= 1e-12, name
-        assert (radius, grid, paths) == (spec.lam, False, both), name
+        assert (radius, grid, paths) == (lam, False, both), name
     svg = tmp_path / "tiling.svg"
     assert cli_main(["render", str(scen), "--tiling", "-o", str(svg)]) == 0
-    assert _drawn(svg.read_text()) == (None, spec.lam, True, set())
+    assert _drawn(svg.read_text()) == (None, lam, True, set())
 
 
 def test_cli_hunt_reports_a_walk_that_stops_short_of_the_tile(tmp_path, monkeypatch, capsys):
@@ -994,8 +1019,8 @@ def test_cli_hunt_reports_a_walk_that_stops_short_of_the_tile(tmp_path, monkeypa
     scen, svg = tmp_path / "s.json", tmp_path / "hunt.svg"
     save_scenario(simple_scenario(), str(scen))
     sc = load_scenario(str(scen))
-    advice, _ = oracle.make_advice(sc.terrain, sc.start,
-                                   oracle.accessibility(sc.terrain, sc.treasure))
+    advice = oracle.make_advice(sc.terrain, sc.start, sc.treasure,
+                                oracle.accessibility(sc.terrain, sc.treasure))
     hunt = cli.thunt
     monkeypatch.setattr(cli, "thunt", lambda t, p, a: hunt(t, p, a)[:-1])
     assert cli_main(["hunt", str(scen), "--advice", advice, "--svg", str(svg)]) == 0

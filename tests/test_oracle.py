@@ -20,22 +20,20 @@ from thunt import (AdviceTriple, GeometryError, Point, Polygon, Terrain, accessi
                    decode, encode, make_advice, segment_in_terrain, select_tile,
                    shortest_path)
 from thunt import oracle, vecgeom
-from thunt.geom import EPS, cross3, dist, lerp, point_in_terrain
+from thunt.geom import EPS, cross3, dist, distance_to_boundary, lerp, point_in_terrain
 from thunt.generators import (CombParams, comb_terrain, random_regular_terrain,
                               regular_lb_terrain)
 from thunt.harness import bench_scenario
 from thunt.codec import tile_center
-from thunt.oracle import TreasureSpec, _visibility_graph
+from thunt.oracle import _visibility_graph
 from thunt.vecgeom import pairwise_edge_classification, segments_in_terrain
 
 
-def brute_select_tile(p, spec, window=64):
+def brute_select_tile(p, q, lam, window=64):
     """Independent oracle: scan every grid cell near q against closed-disc
     containment and pick (smallest row, then smallest column)."""
-    lam = spec.lam
     a1 = max(1, math.ceil(2.0 / lam - 1e-9))
     side = 1.0 / a1
-    q = spec.q
     r_hat = lam * (1.0 - 1e-6)
     kx_c = math.floor((q.x - p.x) / side)
     ky_c = math.floor((q.y - p.y) / side)
@@ -60,21 +58,18 @@ def brute_select_tile(p, spec, window=64):
 
 def test_accessibility_center_of_square():
     t = Terrain(square(0, 0, 4))
-    spec = accessibility(t, Point(2, 2))
-    assert abs(spec.rho - 2.0) < 1e-12
-    assert spec.lam == 1.0
+    assert abs(distance_to_boundary(Point(2, 2), t) - 2.0) < 1e-12
+    assert accessibility(t, Point(2, 2)) == 1.0
 
 
 def test_accessibility_near_wall():
     t = Terrain(square(0, 0, 4))
-    spec = accessibility(t, Point(2, 0.25))
-    assert abs(spec.lam - 0.25) < 1e-12
+    assert abs(accessibility(t, Point(2, 0.25)) - 0.25) < 1e-12
 
 
 def test_accessibility_obstacle_dominates():
     t = Terrain(square(0, 0, 10), [square(4.0, 5.5, 1.0)])
-    spec = accessibility(t, Point(4.5, 5.0))
-    assert abs(spec.lam - 0.5) < 1e-12
+    assert abs(accessibility(t, Point(4.5, 5.0)) - 0.5) < 1e-12
 
 
 def test_accessibility_rejects_boundary_point():
@@ -86,12 +81,13 @@ def test_accessibility_rejects_boundary_point():
 def test_accessibility_and_advice_reject_points_outside_the_terrain():
     # outside the outer ring, and inside the obstacle
     t = Terrain(square(0, 0, 10), [square(4, 4, 2)])
-    spec = accessibility(t, Point(8, 8))
+    q = Point(8, 8)
+    lam = accessibility(t, q)
     for outside in (Point(-1, 5), Point(5, 5)):
         with pytest.raises(GeometryError, match="treasure must lie inside the terrain"):
             accessibility(t, outside)
         with pytest.raises(GeometryError, match="start point must lie in the terrain"):
-            make_advice(t, outside, spec)
+            make_advice(t, outside, q, lam)
 
 
 # --- tile selection ------------------------------------------------------------
@@ -99,10 +95,9 @@ def test_accessibility_and_advice_reject_points_outside_the_terrain():
 def test_select_tile_worked_example():
     t = empty_square_terrain(10, -5)
     p, q = Point(0, 0), Point(0.75, 0.75)
-    spec = accessibility(t, q)
-    triple, qp = select_tile(p, spec)
+    triple = select_tile(p, q, accessibility(t, q))
     assert triple == AdviceTriple(a1=2, a2=2, a3=1)
-    assert math.dist(qp, (0.75, 0.25)) < 1e-12
+    assert math.dist(tile_center(p, triple), (0.75, 0.25)) < 1e-12
 
 
 def test_select_tile_prefers_south_most_row():
@@ -110,9 +105,9 @@ def test_select_tile_prefers_south_most_row():
     # selected row is the south-most row any contained tile reaches
     t = empty_square_terrain(20, -10)
     p, q = Point(0, 0), Point(0.25, 0.25)
-    spec = accessibility(t, q)
-    triple, qp = select_tile(p, spec)
-    assert triple == brute_select_tile(p, spec)
+    lam = accessibility(t, q)
+    triple = select_tile(p, q, lam)
+    assert triple == brute_select_tile(p, q, lam)
     assert triple.a3 < 0  # lam = 1 reaches well south of q's own row
 
 
@@ -123,11 +118,12 @@ def test_select_tile_matches_brute_force(seed):
     t = empty_square_terrain(40, -20)
     p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
     q = Point(rng.uniform(-8, 8), rng.uniform(-8, 8))
-    spec = TreasureSpec(q, 19.0, rng.choice([1.0, 0.7, 0.33, 0.21]))
-    triple, qp = select_tile(p, spec)
-    assert triple == brute_select_tile(p, spec)
+    lam = rng.choice([1.0, 0.7, 0.33, 0.21])
+    triple = select_tile(p, q, lam)
+    assert triple == brute_select_tile(p, q, lam)
     # the tile is inside the disc, hence qp sees q
-    assert math.dist(qp, q) <= spec.lam
+    qp = tile_center(p, triple)
+    assert math.dist(qp, q) <= lam
     assert segment_in_terrain(qp, q, t)
 
 
@@ -140,18 +136,18 @@ def test_select_tile_index_bound(seed):
     q = Point(rng.uniform(-12, 12), rng.uniform(-12, 12))
     if math.dist(p, q) < 1e-6:
         return
-    spec = accessibility(t, q)
+    lam = accessibility(t, q)
     L = shortest_path(t, p, q)
-    (_, col, row), _ = select_tile(p, spec)
-    bound = 3 * L / spec.lam + 4
+    _, col, row = select_tile(p, q, lam)
+    bound = 3 * L / lam + 4
     assert abs(col) <= bound
     assert abs(row) <= bound
 
 
 def test_select_tile_deterministic():
     t = empty_square_terrain(10, -5)
-    spec = accessibility(t, Point(1.3, 2.1))
-    runs = {select_tile(Point(0, 0), spec) for _ in range(5)}
+    q = Point(1.3, 2.1)
+    runs = {select_tile(Point(0, 0), q, accessibility(t, q)) for _ in range(5)}
     assert len(runs) == 1
 
 
@@ -164,29 +160,32 @@ def test_the_advice_decodes_to_the_oracles_tile_center(px, py, dx, dy, lam):
     p = Point(px, py)
     q = Point(px + dx, py + dy)
     t = Terrain(square(px - 20, py - 20, 40))
-    advice, center = make_advice(t, p, TreasureSpec(q, 19.0, lam))
-    assert tile_center(p, decode(advice)) == center
+    advice = make_advice(t, p, q, lam)
+    assert tile_center(p, decode(advice)) == tile_center(p, select_tile(p, q, lam))
 
 
 # --- advice --------------------------------------------------------------------
 
 def test_make_advice_worked_example():
     t = empty_square_terrain(10, -5)
-    advice, center = make_advice(t, Point(0, 0), accessibility(t, Point(0.75, 0.75)))
+    p, q = Point(0, 0), Point(0.75, 0.75)
+    advice = make_advice(t, p, q, accessibility(t, q))
     assert advice == encode(2, 2, 1)
-    assert math.dist(center, (0.75, 0.25)) < 1e-12
+    assert math.dist(tile_center(p, decode(advice)), (0.75, 0.25)) < 1e-12
 
 
 def test_make_advice_mirrored_southwest():
     t = empty_square_terrain(10, -5)
-    advice, _ = make_advice(t, Point(0, 0), accessibility(t, Point(-0.75, -0.75)))
+    q = Point(-0.75, -0.75)
+    advice = make_advice(t, Point(0, 0), q, accessibility(t, q))
     _, a2, a3 = decode(advice)
     assert a2 < 0 and a3 < 0
 
 
 def test_make_advice_near_start_nonzero_indices():
     t = empty_square_terrain(10, -5)
-    advice, _ = make_advice(t, Point(0, 0), accessibility(t, Point(0.05, 0.05)))
+    q = Point(0.05, 0.05)
+    advice = make_advice(t, Point(0, 0), q, accessibility(t, q))
     _, a2, a3 = decode(advice)
     assert a2 != 0 and a3 != 0
 
